@@ -89,19 +89,6 @@ impl Encoder {
         }
     }
 
-    /// The per-node reference path (shared tape, no cross-tree fusion) —
-    /// kept for equivalence tests and fused-vs-sequential benchmarks.
-    pub fn encode_batch_sequential<'t>(
-        &self,
-        ctx: &Ctx<'t, '_>,
-        graphs: &[&AstGraph],
-    ) -> Vec<Var<'t>> {
-        match self {
-            Encoder::TreeLstm(e) => e.encode_batch_sequential(ctx, graphs),
-            Encoder::Gcn(e) => e.encode_batch_sequential(ctx, graphs),
-        }
-    }
-
     /// Latent dimensionality d.
     pub fn output_dim(&self) -> usize {
         match self {
@@ -239,20 +226,6 @@ impl Comparator {
         let ctx = Ctx::new(tape, params);
         let (codes, stats) = self.encoder.encode_batch_with_stats_in(&ctx, graphs, sched);
         (codes.into_iter().map(|v| v.value()).collect(), stats)
-    }
-
-    /// Reference inference path that still runs one matvec per node
-    /// (tape/parameter binding shared, nothing fused). Benchmarks compare
-    /// this against [`Comparator::encode_codes`] to measure the fusion
-    /// win; tests pin the two paths to equal results.
-    pub fn encode_codes_sequential(&self, params: &Params, graphs: &[&AstGraph]) -> Vec<Tensor> {
-        let tape = Tape::new();
-        let ctx = Ctx::new(&tape, params);
-        self.encoder
-            .encode_batch_sequential(&ctx, graphs)
-            .into_iter()
-            .map(|v| v.value())
-            .collect()
     }
 
     /// Inference from precomputed latent codes: runs only the classifier

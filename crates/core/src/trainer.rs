@@ -1,19 +1,17 @@
 //! Mini-batch training and evaluation of comparators.
 //!
-//! The default forward/backward runs on the **level-fused batched
-//! encoder**: each worker shard builds one tape for its whole slice of
-//! the mini-batch and encodes every graph of those pairs in a single
+//! Forward/backward runs on the **level-fused batched encoder**: each
+//! worker shard builds one tape for its whole slice of the mini-batch
+//! and encodes every graph of those pairs in a single
 //! [`Comparator::logit_batch`] call, so same-level nodes across all
-//! trees coalesce into one matmul per level per projection. The
-//! historical one-tape-per-pair path survives as
-//! [`TrainPath::PerPair`] for parity tests and benchmarks.
+//! trees coalesce into one matmul per level per projection.
 //!
 //! Gradients are accumulated data-parallel across CPU threads (see
 //! [`ccsa_nn::parallel`]) and applied with Adam + global-norm clipping.
 //! Results are deterministic for a fixed seed and thread-stable because
-//! shard gradients are summed before the optimizer step; the fused path
-//! keeps gradient averaging, clipping, and Adam semantics of the
-//! per-pair baseline (parity pinned to ≤ 1e-5 by tests).
+//! shard gradients are summed before the optimizer step. A one-tape-
+//! per-pair forward lives in this module's tests as the oracle: loss and
+//! every gradient agree with it to ≤ 1e-5.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -24,22 +22,11 @@ use ccsa_cppast::AstGraph;
 use ccsa_nn::optim::{Adam, GradClip};
 use ccsa_nn::parallel::{parallel_batch, BatchResult};
 use ccsa_nn::param::{Ctx, Params};
-use ccsa_tensor::Tape;
+use ccsa_tensor::{Tape, Var};
 
 use crate::comparator::Comparator;
 use crate::metrics::EvalResult;
 use crate::pair::Pair;
-
-/// Which forward/backward implementation the trainer drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainPath {
-    /// One tape per worker shard; all graphs of the shard's pairs run
-    /// through one level-fused `encode_batch` call (the default).
-    #[default]
-    FusedBatch,
-    /// The reference baseline: one tape per pair, node-by-node cell.
-    PerPair,
-}
 
 /// Training-loop hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,27 +82,13 @@ pub struct TrainReport {
 }
 
 /// Trains `model` on labelled `pairs` over `subs`, updating `params` in
-/// place, on the fused batched path ([`TrainPath::FusedBatch`]).
+/// place.
 pub fn train(
     model: &Comparator,
     params: &mut Params,
     subs: &[Submission],
     pairs: &[Pair],
     config: &TrainConfig,
-) -> TrainReport {
-    train_with_path(model, params, subs, pairs, config, TrainPath::FusedBatch)
-}
-
-/// [`train`] with an explicit forward/backward implementation — the
-/// per-pair baseline exists for parity tests and the `train_throughput`
-/// benchmark.
-pub fn train_with_path(
-    model: &Comparator,
-    params: &mut Params,
-    subs: &[Submission],
-    pairs: &[Pair],
-    config: &TrainConfig,
-    path: TrainPath,
 ) -> TrainReport {
     let threads = if config.threads == 0 {
         ccsa_nn::parallel::default_threads()
@@ -141,20 +114,12 @@ pub fn train_with_path(
         for batch_ixs in order.chunks(config.batch_size.max(1)) {
             let batch: Vec<Pair> = batch_ixs.iter().map(|&i| pairs[i]).collect();
             let shared: &Params = params;
-            let mut result = match path {
-                TrainPath::PerPair => parallel_batch(&batch, threads, |pair| {
-                    batch_forward_backward(model, shared, subs, std::slice::from_ref(pair), false)
-                }),
-                TrainPath::FusedBatch => {
-                    // Shard the batch across workers; each shard runs one
-                    // fused tape over all of its pairs' graphs.
-                    let shards: Vec<&[Pair]> =
-                        batch.chunks(batch.len().div_ceil(threads.max(1))).collect();
-                    parallel_batch(&shards, threads, |shard| {
-                        batch_forward_backward(model, shared, subs, shard, true)
-                    })
-                }
-            };
+            // Shard the batch across workers; each shard runs one fused
+            // tape over all of its pairs' graphs.
+            let shards: Vec<&[Pair]> = batch.chunks(batch.len().div_ceil(threads.max(1))).collect();
+            let mut result = parallel_batch(&shards, threads, |shard| {
+                batch_forward_backward(model, shared, subs, shard)
+            });
             epoch_loss += result.loss;
             epoch_correct += result.correct;
             epoch_count += result.count;
@@ -172,16 +137,13 @@ pub fn train_with_path(
     report
 }
 
-/// One tape over `shard`: forward (fused `logit_batch` or sequential
-/// per-pair `logit`), summed BCE loss, one backward. The gradients are
-/// *sums* over the shard's pairs — the caller divides by the full batch
-/// size, exactly as the per-pair baseline does.
+/// One tape over `shard`: fused `logit_batch` forward, then
+/// [`loss_backward`].
 fn batch_forward_backward(
     model: &Comparator,
     params: &Params,
     subs: &[Submission],
     shard: &[Pair],
-    fused: bool,
 ) -> BatchResult {
     let tape = Tape::new();
     let ctx = Ctx::new(&tape, params);
@@ -189,14 +151,14 @@ fn batch_forward_backward(
         .iter()
         .map(|pair| (&subs[pair.a].graph, &subs[pair.b].graph))
         .collect();
-    let logits = if fused {
-        model.logit_batch(&ctx, &graphs)
-    } else {
-        graphs
-            .iter()
-            .map(|&(a, b)| model.logit(&ctx, a, b))
-            .collect()
-    };
+    let logits = model.logit_batch(&ctx, &graphs);
+    loss_backward(&ctx, logits, shard)
+}
+
+/// Summed BCE loss of `logits` against `shard`'s labels and one
+/// backward. The gradients are *sums* over the shard's pairs — the
+/// caller divides by the full batch size.
+fn loss_backward<'t>(ctx: &Ctx<'t, '_>, logits: Vec<Var<'t>>, shard: &[Pair]) -> BatchResult {
     let mut loss_sum = 0.0f64;
     let mut correct = 0usize;
     let mut losses = Vec::with_capacity(shard.len());
@@ -209,7 +171,7 @@ fn batch_forward_backward(
         losses.push(loss);
     }
     let total = ctx.tape.add_n(&losses);
-    let grads = tape.backward(total);
+    let grads = ctx.tape.backward(total);
     BatchResult {
         grads: ctx.grads(&grads),
         loss: loss_sum,
@@ -316,6 +278,19 @@ mod tests {
         assert_eq!(eval.accuracy, eval2.accuracy, "same seed must reproduce");
     }
 
+    /// The parity oracle: one tape per pair, node-by-node cell.
+    fn per_pair_forward_backward(
+        model: &Comparator,
+        params: &Params,
+        subs: &[Submission],
+        pair: &Pair,
+    ) -> BatchResult {
+        let tape = Tape::new();
+        let ctx = Ctx::new(&tape, params);
+        let logit = model.logit(&ctx, &subs[pair.a].graph, &subs[pair.b].graph);
+        loss_backward(&ctx, vec![logit], std::slice::from_ref(pair))
+    }
+
     #[test]
     fn fused_batch_matches_per_pair_baseline_loss_and_grads() {
         // The ISSUE-4 parity gate: one mini-batch, forward + backward on
@@ -346,16 +321,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let model = Comparator::new(&encoder, &mut params, &mut rng);
 
-        let fused = super::batch_forward_backward(&model, &params, subs, &pairs, true);
-        let mut per_pair = ccsa_nn::parallel::BatchResult::default();
+        let fused = batch_forward_backward(&model, &params, subs, &pairs);
+        let mut per_pair = BatchResult::default();
         for pair in &pairs {
-            per_pair.merge(super::batch_forward_backward(
-                &model,
-                &params,
-                subs,
-                std::slice::from_ref(pair),
-                false,
-            ));
+            per_pair.merge(per_pair_forward_backward(&model, &params, subs, pair));
         }
 
         assert_eq!(fused.count, per_pair.count);
@@ -384,45 +353,6 @@ mod tests {
                 diff <= 1e-5,
                 "gradient for {name} diverged by {diff} (relative)"
             );
-        }
-    }
-
-    #[test]
-    fn fused_and_per_pair_training_reports_agree() {
-        // Whole training runs on both paths: identical accuracy
-        // trajectories and near-identical losses (grad reassociation can
-        // drift parameters by f32 noise over epochs).
-        let ds =
-            ProblemDataset::generate(ProblemSpec::curated(ProblemTag::E), &CorpusConfig::tiny(31))
-                .unwrap();
-        let subs = &ds.submissions;
-        let pair_cfg = PairConfig {
-            max_pairs: 96,
-            symmetric: true,
-            exclude_self: true,
-        };
-        let pairs = sample_pairs(subs, &(0..subs.len()).collect::<Vec<_>>(), &pair_cfg, 9);
-        let cfg = TrainConfig {
-            epochs: 2,
-            batch_size: 16,
-            lr: 0.02,
-            clip: 5.0,
-            threads: 2,
-            seed: 3,
-        };
-        let run = |path: TrainPath| {
-            let mut params = Params::new();
-            let mut rng = StdRng::seed_from_u64(41);
-            let model = Comparator::new(&tiny_encoder(), &mut params, &mut rng);
-            train_with_path(&model, &mut params, subs, &pairs, &cfg, path)
-        };
-        let fused = run(TrainPath::FusedBatch);
-        let per_pair = run(TrainPath::PerPair);
-        for (f, s) in fused.epoch_loss.iter().zip(&per_pair.epoch_loss) {
-            assert!((f - s).abs() <= 1e-3, "epoch loss diverged: {f} vs {s}");
-        }
-        for (f, s) in fused.epoch_accuracy.iter().zip(&per_pair.epoch_accuracy) {
-            assert!((f - s).abs() <= 0.05, "epoch accuracy diverged: {f} vs {s}");
         }
     }
 

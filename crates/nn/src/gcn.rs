@@ -144,16 +144,6 @@ impl GcnEncoder {
         self.encode_batch_with_stats(ctx, graphs).0
     }
 
-    /// The reference per-graph batched path (shared tape, per-graph
-    /// spmm). Kept for fused-vs-sequential equivalence tests.
-    pub fn encode_batch_sequential<'t>(
-        &self,
-        ctx: &Ctx<'t, '_>,
-        graphs: &[&AstGraph],
-    ) -> Vec<Var<'t>> {
-        graphs.iter().map(|g| self.encode(ctx, g)).collect()
-    }
-
     /// [`GcnEncoder::encode_batch`] plus fused-width telemetry.
     pub fn encode_batch_with_stats<'t>(
         &self,
@@ -365,7 +355,7 @@ mod tests {
             let tape = Tape::new();
             let ctx = Ctx::new(&tape, &params);
             let (fused, stats) = enc.encode_batch_with_stats(&ctx, &refs);
-            let sequential = enc.encode_batch_sequential(&ctx, &refs);
+            let sequential: Vec<_> = refs.iter().map(|g| enc.encode(&ctx, g)).collect();
             assert_eq!(stats.levels, 3);
             for (g, (f, s)) in fused.iter().zip(&sequential).enumerate() {
                 let diff = f.value().max_abs_diff(&s.value());

@@ -377,23 +377,12 @@ impl TreeLstmEncoder {
     /// are bound once for the batch, and the fused ops all carry
     /// backward passes, so this path is differentiable end to end.
     ///
-    /// The per-node path survives as
-    /// [`TreeLstmEncoder::encode_batch_sequential`]; the two agree to
-    /// f32 equality (the fused ops reproduce the sequential accumulation
-    /// order), which the equivalence property tests pin down.
+    /// The per-node reference is [`TreeLstmEncoder::encode`], graph by
+    /// graph; the two agree to f32 equality (the fused ops reproduce the
+    /// sequential accumulation order), which the equivalence property
+    /// tests pin down.
     pub fn encode_batch<'t>(&self, ctx: &Ctx<'t, '_>, graphs: &[&AstGraph]) -> Vec<Var<'t>> {
         self.encode_batch_with_stats(ctx, graphs).0
-    }
-
-    /// The reference per-node batched path: every node still runs its own
-    /// matvecs, only tape/parameter binding is shared. Kept for
-    /// fused-vs-sequential equivalence tests and benchmarks.
-    pub fn encode_batch_sequential<'t>(
-        &self,
-        ctx: &Ctx<'t, '_>,
-        graphs: &[&AstGraph],
-    ) -> Vec<Var<'t>> {
-        graphs.iter().map(|g| self.encode(ctx, g)).collect()
     }
 
     /// [`TreeLstmEncoder::encode_batch`] plus fused-width telemetry (how
@@ -910,7 +899,7 @@ mod tests {
                     let tape = Tape::new();
                     let ctx = Ctx::new(&tape, &params);
                     let (fused, stats) = enc.encode_batch_with_stats(&ctx, &refs);
-                    let sequential = enc.encode_batch_sequential(&ctx, &refs);
+                    let sequential: Vec<_> = refs.iter().map(|g| enc.encode(&ctx, g)).collect();
                     assert!(stats.levels > 0 && stats.rows > 0);
                     for (g, (f, s)) in fused.iter().zip(&sequential).enumerate() {
                         let diff = f.value().max_abs_diff(&s.value());

@@ -136,7 +136,7 @@ proptest! {
         let tape = Tape::new();
         let ctx = Ctx::new(&tape, &params);
         let fused = enc.encode_batch(&ctx, &refs);
-        let sequential = enc.encode_batch_sequential(&ctx, &refs);
+        let sequential: Vec<_> = refs.iter().map(|g| enc.encode(&ctx, g)).collect();
         for (g, (f, s)) in fused.iter().zip(&sequential).enumerate() {
             let diff = f.value().max_abs_diff(&s.value());
             prop_assert!(
@@ -167,7 +167,7 @@ proptest! {
         let tape = Tape::new();
         let ctx = Ctx::new(&tape, &params);
         let fused = enc.encode_batch(&ctx, &refs);
-        let sequential = enc.encode_batch_sequential(&ctx, &refs);
+        let sequential: Vec<_> = refs.iter().map(|g| enc.encode(&ctx, g)).collect();
         for (g, (f, s)) in fused.iter().zip(&sequential).enumerate() {
             let diff = f.value().max_abs_diff(&s.value());
             prop_assert!(
@@ -205,7 +205,7 @@ proptest! {
             let codes = if fused {
                 enc.encode_batch(&ctx, &refs)
             } else {
-                enc.encode_batch_sequential(&ctx, &refs)
+                refs.iter().map(|g| enc.encode(&ctx, g)).collect()
             };
             let loss = tape.stack(&codes).tanh().sum();
             let grads = tape.backward(loss);

@@ -10,13 +10,13 @@
 //!
 //! # Sharding
 //!
-//! The queue is *sharded per registered model* (default,
-//! [`PoolSharding::PerModel`]): each (name, version) registration gets
-//! its own bounded sub-queue, keyed by the registration's process-unique
-//! uid, created lazily on its first encode. Shard `i` is *preferred* by
-//! worker `i % workers`; an idle worker first drains its preferred
-//! shards (round-robin, so one busy shard cannot monopolise it), then
-//! **steals** from any other non-empty shard. The effect:
+//! The queue is *sharded per registered model*: each (name, version)
+//! registration gets its own bounded sub-queue, keyed by the
+//! registration's process-unique uid, created lazily on its first
+//! encode. Shard `i` is *preferred* by worker `i % workers`; an idle
+//! worker first drains its preferred shards (round-robin, so one busy
+//! shard cannot monopolise it), then **steals** from any other
+//! non-empty shard. The effect:
 //!
 //! * enqueueing locks only the target model's shard — concurrent
 //!   requests for different models never contend on one global mutex;
@@ -25,10 +25,6 @@
 //!   behind the hot arm's backlog in FIFO order;
 //! * batches trivially never mix models (a shard holds one model's
 //!   jobs), preserving the one-parameter-set-per-pass invariant.
-//!
-//! [`PoolSharding::Single`] keeps the old single-FIFO behaviour (all
-//! models in one shard, same-model runs batched) — the contention
-//! baseline the `shard_contention` bench measures against.
 //!
 //! Each shard is bounded ([`BatchConfig::shard_capacity`]): a request
 //! that would push a shard past its capacity is refused up front with a
@@ -39,8 +35,7 @@
 //! Results return to callers over per-request channels, so a caller
 //! blocks only on its own trees, never on the whole queue. Encoder
 //! panics are caught per batch (`catch_unwind`), failing only that
-//! batch's callers — per shard, exactly as the unsharded pool did
-//! globally.
+//! batch's callers.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,17 +49,6 @@ use ccsa_tensor::Tensor;
 
 use crate::registry::ServeModel;
 
-/// How the encode queue is split into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolSharding {
-    /// One bounded sub-queue per registered model (by registration uid):
-    /// the contention-free default.
-    PerModel,
-    /// One queue for everything — the pre-sharding behaviour, kept as a
-    /// measurable baseline and for single-model embedders.
-    Single,
-}
-
 /// Worker-pool shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchConfig {
@@ -72,8 +56,6 @@ pub struct BatchConfig {
     pub workers: usize,
     /// Maximum trees fused into one forward pass.
     pub max_batch: usize,
-    /// Queue sharding mode.
-    pub sharding: PoolSharding,
     /// Per-shard pending-job bound (0 = unbounded). A request that
     /// would overflow its model's shard is refused with a typed error —
     /// the admission backpressure limit.
@@ -85,7 +67,6 @@ impl Default for BatchConfig {
         BatchConfig {
             workers: ccsa_nn::parallel::default_threads(),
             max_batch: 16,
-            sharding: PoolSharding::PerModel,
             shard_capacity: 4096,
         }
     }
@@ -142,11 +123,9 @@ struct Job {
     tx: mpsc::Sender<(usize, Result<Tensor, String>)>,
 }
 
-/// One bounded sub-queue. In [`PoolSharding::PerModel`] mode a shard
-/// holds exactly one registration's jobs; in `Single` mode shard 0
-/// holds everything.
+/// One bounded sub-queue, holding exactly one registration's jobs.
 struct Shard {
-    /// `name@vN` of the owning registration (`all` in `Single` mode).
+    /// `name@vN` of the owning registration.
     label: String,
     /// Position in the shard table; `index % workers` is the preferred
     /// worker.
@@ -178,10 +157,6 @@ struct ShardTable {
 
 struct Shared {
     shards: DRwLock<ShardTable>,
-    /// `Single` mode has exactly one shard that every worker legitimately
-    /// drains — taking from it is not stealing, so the steal pass and its
-    /// counters are disabled there.
-    single: bool,
     /// Parking lot for idle workers. The mutex guards nothing but the
     /// condvar protocol; enqueuers skip it entirely unless `sleepers`
     /// says someone is actually waiting, so the hot enqueue path never
@@ -225,7 +200,6 @@ impl Shared {
 pub struct EncodePool {
     shared: Arc<Shared>,
     max_batch: usize,
-    sharding: PoolSharding,
     shard_capacity: usize,
     workers: Vec<JoinHandle<()>>,
 }
@@ -235,7 +209,6 @@ impl EncodePool {
     pub fn new(config: &BatchConfig) -> EncodePool {
         let shared = Arc::new(Shared {
             shards: DRwLock::new("serve.batch.shards", ShardTable::default()),
-            single: config.sharding == PoolSharding::Single,
             park: Mutex::new(()),
             available: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -260,7 +233,6 @@ impl EncodePool {
         EncodePool {
             shared,
             max_batch,
-            sharding: config.sharding,
             shard_capacity: config.shard_capacity,
             workers,
         }
@@ -274,11 +246,6 @@ impl EncodePool {
     /// The batch-size cap.
     pub fn max_batch(&self) -> usize {
         self.max_batch
-    }
-
-    /// The sharding mode.
-    pub fn sharding(&self) -> PoolSharding {
-        self.sharding
     }
 
     /// Counter snapshot.
@@ -311,10 +278,9 @@ impl EncodePool {
             .sum()
     }
 
-    /// Pending jobs per shard label (`name@vN`, or `all` in `Single`
-    /// mode), aggregated over shards sharing a label (a hot-swapped
-    /// coordinate leaves its drained predecessor shard behind) and
-    /// sorted by label.
+    /// Pending jobs per shard label (`name@vN`), aggregated over shards
+    /// sharing a label (a hot-swapped coordinate leaves its drained
+    /// predecessor shard behind) and sorted by label.
     pub fn shard_depths(&self) -> Vec<(String, usize)> {
         self.shard_snapshot().0
     }
@@ -340,7 +306,7 @@ impl EncodePool {
     }
 
     /// Shards currently materialised (lazily, one per model that has
-    /// encoded; exactly 1 in `Single` mode).
+    /// encoded).
     pub fn shard_count(&self) -> usize {
         self.shared
             .shards
@@ -352,10 +318,7 @@ impl EncodePool {
 
     /// The shard for `model`, creating it on first use.
     fn shard_for(&self, model: &Arc<ServeModel>) -> Arc<Shard> {
-        let uid = match self.sharding {
-            PoolSharding::PerModel => model.uid(),
-            PoolSharding::Single => 0,
-        };
+        let uid = model.uid();
         {
             let table = self.shared.shards.read().expect("shard table poisoned");
             if let Some(&ix) = table.by_uid.get(&uid) {
@@ -367,12 +330,8 @@ impl EncodePool {
             return Arc::clone(&table.shards[ix]);
         }
         let index = table.shards.len();
-        let label = match self.sharding {
-            PoolSharding::PerModel => format!("{}@v{}", model.name, model.version),
-            PoolSharding::Single => "all".to_string(),
-        };
         let shard = Arc::new(Shard {
-            label,
+            label: format!("{}@v{}", model.name, model.version),
             index,
             queue: DMutex::new("serve.batch.shard_queue", VecDeque::new()),
             depth: AtomicUsize::new(0),
@@ -386,8 +345,7 @@ impl EncodePool {
 
     /// Sweeps out shards whose registration uid is not in `live_uids` —
     /// the GC for hot-swap-orphaned shards. A dead shard still holding
-    /// jobs is left to drain (a later sweep collects it); `Single` mode's
-    /// one shard is shared by every model and never pruned. Returns how
+    /// jobs is left to drain (a later sweep collects it). Returns how
     /// many shards were dropped.
     ///
     /// Safe against concurrent enqueues: the sweep tombstones a shard
@@ -396,9 +354,6 @@ impl EncodePool {
     /// the reservation and keeps the shard, or the enqueuer sees the
     /// tombstone and re-resolves onto a fresh shard.
     pub fn prune_retired(&self, live_uids: &[u64]) -> usize {
-        if self.shared.single {
-            return 0;
-        }
         let mut table = self.shared.shards.write().expect("shard table poisoned");
         let uid_of: HashMap<usize, u64> =
             table.by_uid.iter().map(|(&uid, &ix)| (ix, uid)).collect();
@@ -580,25 +535,13 @@ impl Drop for EncodePool {
     }
 }
 
-/// Pops one micro-batch from `shard`: the front job plus up to
-/// `max_batch − 1` consecutive jobs for the *same* model instance. In
-/// per-model shards the same-model check is vacuous (a shard holds one
-/// registration); in `Single` mode it is what keeps parameter sets from
-/// mixing within a pass.
+/// Pops one micro-batch from `shard`: up to `max_batch` jobs from the
+/// front. A shard holds one registration's jobs, so a batch never mixes
+/// parameter sets.
 fn pop_batch(shard: &Shard, max_batch: usize) -> Vec<Job> {
     let mut queue = shard.queue.lock().expect("shard queue poisoned");
-    let mut batch: Vec<Job> = Vec::new();
-    while batch.len() < max_batch {
-        let same_model = match (queue.front(), batch.first()) {
-            (None, _) => false,
-            (Some(_), None) => true,
-            (Some(next), Some(first)) => Arc::ptr_eq(&next.model, &first.model),
-        };
-        if !same_model {
-            break;
-        }
-        batch.push(queue.pop_front().expect("checked non-empty"));
-    }
+    let take = queue.len().min(max_batch);
+    let batch: Vec<Job> = queue.drain(..take).collect();
     drop(queue);
     if !batch.is_empty() {
         // SeqCst: releases the admission reservation taken in encode().
@@ -626,7 +569,7 @@ fn grab_batch(
         for offset in 0..n {
             let ix = (*cursor + offset) % n;
             let shard = &table.shards[ix];
-            let preferred = shared.single || shard.index % worker_count == worker_ix;
+            let preferred = shard.index % worker_count == worker_ix;
             if preferred == steal_pass {
                 continue;
             }
@@ -915,47 +858,39 @@ mod tests {
     #[test]
     fn batches_never_mix_models() {
         // Two distinct models queued interleaved: every result must match
-        // its own model's direct encoding — in BOTH sharding modes (per-
-        // model shards separate them structurally; the single queue must
-        // split batches at model boundaries like the pre-sharding pool).
-        for sharding in [PoolSharding::PerModel, PoolSharding::Single] {
-            let m1 = tiny_serve_model(3);
-            let m2 = tiny_serve_model(4);
-            let graphs = sample_graphs(5);
-            let refs: Vec<&AstGraph> = graphs.iter().map(|g| g.as_ref()).collect();
-            let d1 = m1.model.comparator.encode_codes(&m1.model.params, &refs);
-            let d2 = m2.model.comparator.encode_codes(&m2.model.params, &refs);
-            // Sanity: the two models disagree, otherwise the test is vacuous.
-            assert_ne!(d1[0].as_slice(), d2[0].as_slice());
+        // its own model's direct encoding (per-model shards separate them
+        // structurally).
+        let m1 = tiny_serve_model(3);
+        let m2 = tiny_serve_model(4);
+        let graphs = sample_graphs(5);
+        let refs: Vec<&AstGraph> = graphs.iter().map(|g| g.as_ref()).collect();
+        let d1 = m1.model.comparator.encode_codes(&m1.model.params, &refs);
+        let d2 = m2.model.comparator.encode_codes(&m2.model.params, &refs);
+        // Sanity: the two models disagree, otherwise the test is vacuous.
+        assert_ne!(d1[0].as_slice(), d2[0].as_slice());
 
-            let pool = Arc::new(EncodePool::new(&BatchConfig {
-                workers: 2,
-                max_batch: 16,
-                sharding,
-                ..BatchConfig::default()
-            }));
-            std::thread::scope(|scope| {
-                let p1 = Arc::clone(&pool);
-                let g1 = graphs.clone();
-                let h1 = scope.spawn(move || p1.encode(&m1, &g1).unwrap());
-                let p2 = Arc::clone(&pool);
-                let g2 = graphs.clone();
-                let h2 = scope.spawn(move || p2.encode(&m2, &g2).unwrap());
-                let r1 = h1.join().unwrap();
-                let r2 = h2.join().unwrap();
-                for (g, d) in r1.iter().zip(&d1) {
-                    assert_eq!(g.as_slice(), d.as_slice());
-                }
-                for (g, d) in r2.iter().zip(&d2) {
-                    assert_eq!(g.as_slice(), d.as_slice());
-                }
-            });
-            let expected_shards = match sharding {
-                PoolSharding::PerModel => 2,
-                PoolSharding::Single => 1,
-            };
-            assert_eq!(pool.shard_count(), expected_shards);
-        }
+        let pool = Arc::new(EncodePool::new(&BatchConfig {
+            workers: 2,
+            max_batch: 16,
+            ..BatchConfig::default()
+        }));
+        std::thread::scope(|scope| {
+            let p1 = Arc::clone(&pool);
+            let g1 = graphs.clone();
+            let h1 = scope.spawn(move || p1.encode(&m1, &g1).unwrap());
+            let p2 = Arc::clone(&pool);
+            let g2 = graphs.clone();
+            let h2 = scope.spawn(move || p2.encode(&m2, &g2).unwrap());
+            let r1 = h1.join().unwrap();
+            let r2 = h2.join().unwrap();
+            for (g, d) in r1.iter().zip(&d1) {
+                assert_eq!(g.as_slice(), d.as_slice());
+            }
+            for (g, d) in r2.iter().zip(&d2) {
+                assert_eq!(g.as_slice(), d.as_slice());
+            }
+        });
+        assert_eq!(pool.shard_count(), 2);
     }
 
     #[test]
@@ -985,20 +920,6 @@ mod tests {
         let codes = pool.encode(&dead, &sample_graphs(1)).unwrap();
         assert_eq!(codes.len(), 1);
         assert_eq!(pool.shard_count(), 2);
-    }
-
-    #[test]
-    fn single_mode_is_never_pruned() {
-        let model = tiny_serve_model(23);
-        let pool = EncodePool::new(&BatchConfig {
-            workers: 1,
-            max_batch: 4,
-            sharding: PoolSharding::Single,
-            ..BatchConfig::default()
-        });
-        let _ = pool.encode(&model, &sample_graphs(2)).unwrap();
-        assert_eq!(pool.prune_retired(&[]), 0);
-        assert_eq!(pool.shard_count(), 1);
     }
 
     #[test]
@@ -1079,7 +1000,6 @@ mod tests {
         let pool = EncodePool::new(&BatchConfig {
             workers: 1,
             max_batch: 4,
-            sharding: PoolSharding::PerModel,
             shard_capacity: 4,
         });
         // Over-capacity request: refused atomically, nothing enqueued —
@@ -1096,7 +1016,6 @@ mod tests {
         let unbounded = EncodePool::new(&BatchConfig {
             workers: 1,
             max_batch: 4,
-            sharding: PoolSharding::PerModel,
             shard_capacity: 0,
         });
         assert_eq!(
@@ -1119,7 +1038,6 @@ mod tests {
         let pool = Arc::new(EncodePool::new(&BatchConfig {
             workers: 1,
             max_batch: 1,
-            sharding: PoolSharding::PerModel,
             shard_capacity: 4,
         }));
         let shed = std::thread::scope(|scope| {

@@ -20,19 +20,19 @@
 //! (2× capacity per byte) or per-code affine int8 (≈4×): codes are
 //! quantized once on insert ([`StoredCode::encode`]) and dequantized on
 //! every read, so the classifier head always runs in f32. Each stripe
-//! tracks its at-rest payload bytes ([`EmbeddingCache::bytes`]), the
-//! number behind the `ccsa_cache_bytes` gauge.
+//! tracks its at-rest payload bytes ([`ShardedCache::bytes`] sums them),
+//! the number behind the `ccsa_cache_bytes` gauge.
 //!
 //! # Persistence
 //!
 //! Canonical AST hashes are stable across processes, so a cache can be
-//! spilled to disk ([`EmbeddingCache::snapshot_to`]) and reloaded into a
-//! fresh process ([`EmbeddingCache::load_from`]) to start warm. Cache
+//! spilled to disk ([`ShardedCache::snapshot_to`]) and reloaded into a
+//! fresh process ([`ShardedCache::load_from`]) to start warm. Cache
 //! *keys* are salted per model registration (see the engine), which is
 //! process-local — so both calls take the salt and store the *unsalted*
 //! canonical hash on disk, plus a caller-chosen `tag` identifying which
 //! model's entries to spill (entries are tagged at insert time via
-//! [`EmbeddingCache::insert_tagged`]). A latent code is only meaningful
+//! [`ShardedCache::insert_tagged`]). A latent code is only meaningful
 //! for the weights that produced it, so every snapshot carries a weights
 //! `digest` and loading verifies it: a snapshot from a retrained model
 //! is refused ([`SnapshotError::WrongModel`]) instead of silently
@@ -193,8 +193,8 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 /// The dequantize-on-read lookup table: all 65536 f16 bit patterns
 /// expanded to f32, built once on first use (256 KiB — smaller than one
 /// cached batch of codes). The branchy [`f16_bits_to_f32`] converter
-/// cost ~4.6× an f32 read per element on the cache-hit path
-/// (`BENCH_kernels.json`, PR 8); a table read is one indexed load.
+/// cost ~4.6× an f32 read per element on the cache-hit path (measured
+/// in PR 8); a table read is one indexed load.
 /// [`f16_bits_to_f32`] remains the reference — an exhaustive test pins
 /// the table to it over every bit pattern.
 fn f16_table() -> &'static [f32; 65536] {
@@ -374,7 +374,7 @@ struct Entry {
 }
 
 /// Cache observability counters (monotonic; snapshot via
-/// [`EmbeddingCache::stats`]).
+/// [`ShardedCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a code.
@@ -399,8 +399,9 @@ impl CacheStats {
     }
 }
 
-/// A least-recently-used map from canonical AST hash to latent code.
-pub struct EmbeddingCache {
+/// A least-recently-used map from canonical AST hash to latent code:
+/// one stripe of a [`ShardedCache`].
+struct EmbeddingCache {
     capacity: usize,
     precision: CachePrecision,
     map: HashMap<u64, usize>,
@@ -413,16 +414,10 @@ pub struct EmbeddingCache {
 }
 
 impl EmbeddingCache {
-    /// A cache holding at most `capacity` codes at full (f32)
-    /// precision. Capacity 0 disables caching (every lookup misses,
-    /// nothing is stored).
-    pub fn new(capacity: usize) -> EmbeddingCache {
-        EmbeddingCache::with_precision(capacity, CachePrecision::F32)
-    }
-
     /// A cache holding at most `capacity` codes stored at `precision`
-    /// (quantized on insert, dequantized on read).
-    pub fn with_precision(capacity: usize, precision: CachePrecision) -> EmbeddingCache {
+    /// (quantized on insert, dequantized on read). Capacity 0 disables
+    /// caching (every lookup misses, nothing is stored).
+    fn with_precision(capacity: usize, precision: CachePrecision) -> EmbeddingCache {
         EmbeddingCache {
             capacity,
             precision,
@@ -436,41 +431,26 @@ impl EmbeddingCache {
         }
     }
 
-    /// The storage precision codes are held at.
-    pub fn precision(&self) -> CachePrecision {
-        self.precision
-    }
-
     /// Payload bytes currently at rest (see
     /// [`StoredCode::payload_bytes`]). O(1): maintained on every
     /// insert, refresh, eviction and clear.
-    pub fn bytes(&self) -> usize {
+    fn bytes(&self) -> usize {
         self.bytes
     }
 
     /// Number of cached codes.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Drops every entry (counters are preserved — they are monotonic
     /// telemetry, not contents).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.map.clear();
         self.slab.clear();
         self.free.clear();
@@ -482,7 +462,7 @@ impl EmbeddingCache {
     /// Looks a code up, promoting the entry to most-recently-used.
     /// Quantized entries are dequantized here — the classifier head
     /// always sees f32.
-    pub fn get(&mut self, key: u64) -> Option<Tensor> {
+    fn get(&mut self, key: u64) -> Option<Tensor> {
         match self.map.get(&key).copied() {
             Some(ix) => {
                 self.stats.hits += 1;
@@ -498,31 +478,24 @@ impl EmbeddingCache {
     }
 
     /// Peeks without touching recency or counters (used by tests and
-    /// diagnostics). Dequantizes like [`EmbeddingCache::get`].
-    pub fn peek(&self, key: u64) -> Option<Tensor> {
+    /// diagnostics). Dequantizes like `get`.
+    fn peek(&self, key: u64) -> Option<Tensor> {
         self.map.get(&key).map(|&ix| self.slab[ix].code.decode())
     }
 
-    /// Inserts (or refreshes) a code, evicting the least-recently-used
-    /// entry if the cache is at capacity. The entry carries tag 0 ("no
-    /// particular owner"); use [`EmbeddingCache::insert_tagged`] when the
-    /// entry should be attributable for snapshotting.
-    pub fn insert(&mut self, key: u64, code: Tensor) {
-        self.insert_tagged(key, 0, code);
-    }
-
     /// Inserts (or refreshes) a code under an owner `tag` — typically the
-    /// registration uid of the model that produced it — so
-    /// [`EmbeddingCache::snapshot_to`] can later spill exactly that
+    /// registration uid of the model that produced it — evicting the
+    /// least-recently-used entry if the cache is at capacity, so
+    /// [`ShardedCache::snapshot_to`] can later spill exactly that
     /// model's entries. The code is quantized to the cache's precision
     /// here, on the insert path, so reads only ever pay dequantization.
-    pub fn insert_tagged(&mut self, key: u64, tag: u64, code: Tensor) {
+    fn insert_tagged(&mut self, key: u64, tag: u64, code: Tensor) {
         self.insert_stored(key, tag, StoredCode::encode(&code, self.precision));
     }
 
     /// Inserts an already-encoded payload (snapshot warm path: the
     /// stored bytes are inserted exactly, no re-quantization drift).
-    /// Callers must match the cache precision — [`EmbeddingCache::
+    /// Callers must match the cache precision — [`ShardedCache::
     /// load_from`] refuses mismatched snapshots before getting here —
     /// so a stray mismatched payload is re-encoded through f32 rather
     /// than stored heterogeneously.
@@ -581,8 +554,9 @@ impl EmbeddingCache {
         self.stats.insertions += 1;
     }
 
-    /// Keys from most- to least-recently used (diagnostics).
-    pub fn recency_keys(&self) -> Vec<u64> {
+    /// Keys from most- to least-recently used.
+    #[cfg(test)]
+    fn recency_keys(&self) -> Vec<u64> {
         let mut keys = Vec::with_capacity(self.map.len());
         let mut ix = self.head;
         while ix != NIL {
@@ -604,7 +578,7 @@ impl EmbeddingCache {
     /// never stalls serving traffic. Entries are extracted in their
     /// stored (possibly quantized) representation — cloning is O(1) per
     /// entry, and the snapshot preserves the exact at-rest bytes.
-    pub fn tagged_entries(&self, tag: u64, salt: u64) -> Vec<(u64, StoredCode)> {
+    fn tagged_entries(&self, tag: u64, salt: u64) -> Vec<(u64, StoredCode)> {
         let mut entries = Vec::new();
         let mut ix = self.tail;
         while ix != NIL {
@@ -615,66 +589,6 @@ impl EmbeddingCache {
             ix = entry.prev;
         }
         entries
-    }
-
-    /// Spills every entry tagged `tag` to `w` (see [`tagged_entries`](
-    /// EmbeddingCache::tagged_entries) and [`write_snapshot`]), returning
-    /// how many were written. `digest` identifies the weights that
-    /// produced the codes; [`EmbeddingCache::load_from`] refuses a
-    /// snapshot whose digest does not match.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer I/O failures.
-    pub fn snapshot_to<W: Write>(
-        &self,
-        w: W,
-        tag: u64,
-        salt: u64,
-        digest: u64,
-    ) -> Result<usize, SnapshotError> {
-        write_snapshot(w, digest, self.precision, &self.tagged_entries(tag, salt))
-    }
-
-    /// Loads a snapshot written by [`EmbeddingCache::snapshot_to`],
-    /// re-salting every stored canonical hash with `salt` and inserting
-    /// the codes under `tag`. Returns how many entries were inserted
-    /// (capacity eviction applies as usual, so a small cache keeps only
-    /// the most-recently-used suffix of a large snapshot).
-    ///
-    /// The snapshot's precision must match the cache's: codes are
-    /// inserted byte-exact, and silently re-quantizing (f32 → int8) or
-    /// pretending to un-quantize (int8 → f32) would change serving
-    /// behavior behind the operator's back. Cross-precision warming
-    /// requires the explicit [`transcode_snapshot`] step.
-    ///
-    /// Loading is all-or-nothing: a snapshot that fails to read — I/O
-    /// error, corruption, an `expected_digest` mismatch (codes from
-    /// different weights), or a precision mismatch — inserts nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] on I/O failure, malformed content, a
-    /// weights-digest mismatch, or a precision mismatch.
-    pub fn load_from<R: Read>(
-        &mut self,
-        r: R,
-        tag: u64,
-        salt: u64,
-        expected_digest: u64,
-    ) -> Result<usize, SnapshotError> {
-        let (precision, entries) = read_snapshot(r, expected_digest)?;
-        if precision != self.precision {
-            return Err(SnapshotError::PrecisionMismatch {
-                snapshot: precision,
-                cache: self.precision,
-            });
-        }
-        let count = entries.len();
-        for (canonical, code) in entries {
-            self.insert_stored(canonical ^ salt, tag, code);
-        }
-        Ok(count)
     }
 
     fn detach(&mut self, ix: usize) {
@@ -706,9 +620,10 @@ impl EmbeddingCache {
     }
 }
 
-/// An N-way striped [`EmbeddingCache`]: the serving-side cache.
+/// An N-way striped LRU from canonical AST hash to latent code: the
+/// serving-side cache.
 ///
-/// One global `Mutex<EmbeddingCache>` serializes every lookup across
+/// One global cache mutex serializes every lookup across
 /// every connection — on a loaded engine the lock, not the hash map,
 /// becomes the hot path. Striping splits the key space over N
 /// independent per-stripe LRUs, each behind its own mutex, so
@@ -723,9 +638,7 @@ impl EmbeddingCache {
 /// capacity, so no stripe is ever left slotless), and total memory
 /// matches the unsharded cache.
 ///
-/// Snapshot compatibility: [`ShardedCache::snapshot_to`] /
-/// [`ShardedCache::load_from`] speak the exact CCSC format of
-/// [`EmbeddingCache`] — the stripe count is a process-local layout
+/// Snapshot compatibility: the stripe count is a process-local layout
 /// choice that never reaches disk, so a snapshot written with 1 stripe
 /// loads into 8 and vice versa.
 pub struct ShardedCache {
@@ -737,8 +650,8 @@ pub struct ShardedCache {
 impl ShardedCache {
     /// A cache of `capacity` total codes split over `stripes` stripes
     /// (0 stripes → [`DEFAULT_CACHE_STRIPES`]) at full (f32) precision.
-    /// Capacity 0 disables caching entirely, as with
-    /// [`EmbeddingCache::new`].
+    /// Capacity 0 disables caching entirely (every lookup misses,
+    /// nothing is stored).
     pub fn new(capacity: usize, stripes: usize) -> ShardedCache {
         ShardedCache::with_precision(capacity, stripes, CachePrecision::F32)
     }
@@ -878,8 +791,11 @@ impl ShardedCache {
             .peek(key)
     }
 
-    /// Inserts (or refreshes) a code under an owner `tag` (see
-    /// [`EmbeddingCache::insert_tagged`]). Only the owning stripe is
+    /// Inserts (or refreshes) a code under an owner `tag` — typically the
+    /// registration uid of the model that produced it, so
+    /// [`ShardedCache::snapshot_to`] can later spill exactly that model's
+    /// entries. Quantizes to the cache's precision; evicts the stripe's
+    /// least-recently-used entry at capacity. Only the owning stripe is
     /// locked.
     pub fn insert_tagged(&self, key: u64, tag: u64, code: Tensor) {
         self.stripe_for(key)
@@ -888,10 +804,13 @@ impl ShardedCache {
             .insert_tagged(key, tag, code);
     }
 
-    /// Extracts every entry tagged `tag`, un-salted, stripe by stripe
-    /// (within a stripe: least- to most-recently used, like
-    /// [`EmbeddingCache::tagged_entries`]). Locks one stripe at a time,
-    /// so a live snapshot never stalls the whole cache.
+    /// Extracts every entry tagged `tag` as (canonical hash, stored
+    /// code) pairs, stripe by stripe (within a stripe: least- to
+    /// most-recently used). `salt` is the process-local key salt the
+    /// entries were inserted under; keys are un-salted so the pairs stay
+    /// valid in any future process. Locks one stripe at a time, so a
+    /// live snapshot never stalls the whole cache; hand the pairs to
+    /// [`write_snapshot`] after the call so disk I/O holds no lock.
     pub fn tagged_entries(&self, tag: u64, salt: u64) -> Vec<(u64, StoredCode)> {
         let mut entries = Vec::new();
         for stripe in &self.stripes {
@@ -920,9 +839,11 @@ impl ShardedCache {
         }
     }
 
-    /// Spills every entry tagged `tag` to `w` in the CCSC format —
-    /// byte-compatible with [`EmbeddingCache::snapshot_to`] regardless
-    /// of stripe count.
+    /// Spills every entry tagged `tag` to `w` in the CCSC format (see
+    /// [`write_snapshot`]), returning how many were written. `digest`
+    /// identifies the weights that produced the codes;
+    /// [`ShardedCache::load_from`] refuses a snapshot whose digest does
+    /// not match.
     ///
     /// # Errors
     ///
@@ -937,17 +858,23 @@ impl ShardedCache {
         write_snapshot(w, digest, self.precision, &self.tagged_entries(tag, salt))
     }
 
-    /// Loads a CCSC snapshot (written by either cache type, with any
-    /// stripe count), re-salting and re-striping every entry. The
-    /// snapshot precision must match the cache precision (see
-    /// [`EmbeddingCache::load_from`]); use [`transcode_snapshot`] for
-    /// explicit conversion.
+    /// Loads a CCSC snapshot (written with any stripe count), re-salting
+    /// every stored canonical hash with `salt` and inserting the codes
+    /// under `tag`. Returns how many entries were inserted (capacity
+    /// eviction applies as usual, so a small cache keeps only the
+    /// most-recently-used suffix of a large snapshot).
+    ///
+    /// The snapshot's precision must match the cache's: codes are
+    /// inserted byte-exact, and silently re-quantizing (f32 → int8) or
+    /// pretending to un-quantize (int8 → f32) would change serving
+    /// behavior behind the operator's back. Cross-precision warming
+    /// requires the explicit [`transcode_snapshot`] step.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] on I/O failure, malformed content, a
-    /// weights-digest mismatch, or a precision mismatch; a failed load
-    /// inserts nothing.
+    /// weights-digest mismatch (codes from different weights), or a
+    /// precision mismatch; a failed load inserts nothing.
     pub fn load_from<R: Read>(
         &self,
         r: R,
@@ -1260,11 +1187,17 @@ mod tests {
         Tensor::from_vec(vec![v, v + 1.0], [2])
     }
 
+    /// Most- to least-recently used keys of a 1-stripe cache.
+    fn recency_keys(c: &ShardedCache) -> Vec<u64> {
+        assert_eq!(c.stripe_count(), 1);
+        c.stripes[0].lock().unwrap().recency_keys()
+    }
+
     #[test]
     fn hit_and_miss_counters() {
-        let mut c = EmbeddingCache::new(4);
+        let c = ShardedCache::new(4, 1);
         assert!(c.get(1).is_none());
-        c.insert(1, code(1.0));
+        c.insert_tagged(1, 0, code(1.0));
         assert_eq!(c.get(1).unwrap().as_slice(), &[1.0, 2.0]);
         assert!(c.get(2).is_none());
         let s = c.stats();
@@ -1274,26 +1207,26 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used_at_capacity() {
-        let mut c = EmbeddingCache::new(3);
-        c.insert(1, code(1.0));
-        c.insert(2, code(2.0));
-        c.insert(3, code(3.0));
+        let c = ShardedCache::new(3, 1);
+        c.insert_tagged(1, 0, code(1.0));
+        c.insert_tagged(2, 0, code(2.0));
+        c.insert_tagged(3, 0, code(3.0));
         assert_eq!(c.len(), 3);
         // Touch 1 so 2 becomes the LRU.
         assert!(c.get(1).is_some());
-        c.insert(4, code(4.0));
+        c.insert_tagged(4, 0, code(4.0));
         assert_eq!(c.len(), 3, "capacity must hold");
         assert!(c.peek(2).is_none(), "LRU entry 2 should have been evicted");
         assert!(c.peek(1).is_some() && c.peek(3).is_some() && c.peek(4).is_some());
         assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.recency_keys(), vec![4, 1, 3]);
+        assert_eq!(recency_keys(&c), vec![4, 1, 3]);
     }
 
     #[test]
     fn sustained_pressure_keeps_len_at_capacity() {
-        let mut c = EmbeddingCache::new(8);
+        let c = ShardedCache::new(8, 1);
         for k in 0..1000u64 {
-            c.insert(k, code(k as f32));
+            c.insert_tagged(k, 0, code(k as f32));
             assert!(c.len() <= 8);
         }
         assert_eq!(c.len(), 8);
@@ -1306,24 +1239,24 @@ mod tests {
 
     #[test]
     fn refresh_updates_payload_without_growth() {
-        let mut c = EmbeddingCache::new(2);
-        c.insert(7, code(1.0));
-        c.insert(7, code(9.0));
+        let c = ShardedCache::new(2, 1);
+        c.insert_tagged(7, 0, code(1.0));
+        c.insert_tagged(7, 0, code(9.0));
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(7).unwrap().as_slice(), &[9.0, 10.0]);
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
-        let mut c = EmbeddingCache::new(0);
-        c.insert(1, code(1.0));
+        let c = ShardedCache::new(0, 1);
+        c.insert_tagged(1, 0, code(1.0));
         assert!(c.is_empty());
         assert!(c.get(1).is_none());
     }
 
     #[test]
     fn snapshot_roundtrips_tagged_entries_with_resalting() {
-        let mut c = EmbeddingCache::new(8);
+        let c = ShardedCache::new(8, 1);
         let (old_salt, new_salt, tag) = (0xAAAA_BBBB_CCCC_DDDD, 0x1111_2222_3333_4444, 7);
         // Three entries for `tag`, one foreign entry that must not spill.
         c.insert_tagged(10 ^ old_salt, tag, code(1.0));
@@ -1337,7 +1270,7 @@ mod tests {
         assert_eq!(c.snapshot_to(&mut buf, tag, old_salt, 0xD1).unwrap(), 3);
 
         // A fresh process: new cache, new salt for the same model.
-        let mut fresh = EmbeddingCache::new(8);
+        let fresh = ShardedCache::new(8, 1);
         assert_eq!(
             fresh
                 .load_from(buf.as_slice(), tag, new_salt, 0xD1)
@@ -1353,21 +1286,21 @@ mod tests {
         assert!(fresh.peek(99).is_none(), "foreign tag must not leak");
         // Recency order survived: MRU first.
         assert_eq!(
-            fresh.recency_keys(),
+            recency_keys(&fresh),
             vec![10 ^ new_salt, 30 ^ new_salt, 20 ^ new_salt]
         );
     }
 
     #[test]
     fn snapshot_load_respects_capacity() {
-        let mut c = EmbeddingCache::new(16);
+        let c = ShardedCache::new(16, 1);
         for k in 0..10u64 {
             c.insert_tagged(k, 1, code(k as f32));
         }
         let mut buf = Vec::new();
         assert_eq!(c.snapshot_to(&mut buf, 1, 0, 0).unwrap(), 10);
         // A smaller cache keeps only the most-recent suffix.
-        let mut small = EmbeddingCache::new(4);
+        let small = ShardedCache::new(4, 1);
         assert_eq!(small.load_from(buf.as_slice(), 1, 0, 0).unwrap(), 10);
         assert_eq!(small.len(), 4);
         for k in 6..10u64 {
@@ -1377,20 +1310,20 @@ mod tests {
 
     #[test]
     fn snapshot_load_rejects_garbage() {
-        let mut c = EmbeddingCache::new(4);
+        let c = ShardedCache::new(4, 1);
         assert!(matches!(
             c.load_from(&b"NOPE"[..], 0, 0, 0),
             Err(SnapshotError::Corrupt(_))
         ));
         assert!(c.load_from(&b"CC"[..], 0, 0, 0).is_err());
         // Truncated snapshot: error, nothing inserted (all-or-nothing).
-        let mut full = EmbeddingCache::new(4);
+        let full = ShardedCache::new(4, 1);
         full.insert_tagged(1, 1, code(1.0));
         full.insert_tagged(2, 1, code(2.0));
         let mut buf = Vec::new();
         full.snapshot_to(&mut buf, 1, 0, 0).unwrap();
         buf.truncate(buf.len() - 3);
-        let mut partial = EmbeddingCache::new(4);
+        let partial = ShardedCache::new(4, 1);
         assert!(partial.load_from(buf.as_slice(), 1, 0, 0).is_err());
         assert!(partial.is_empty(), "a bad snapshot must insert nothing");
     }
@@ -1399,7 +1332,7 @@ mod tests {
     fn snapshot_load_rejects_flipped_body_bits() {
         // The trailing checksum covers the body: single-bit rot in a
         // stored code (or key) must be refused, not silently served.
-        let mut c = EmbeddingCache::new(4);
+        let c = ShardedCache::new(4, 1);
         c.insert_tagged(1, 1, code(1.0));
         c.insert_tagged(2, 1, code(2.0));
         let mut buf = Vec::new();
@@ -1407,7 +1340,7 @@ mod tests {
         let mut rotted = buf.clone();
         let mid = 24 + (rotted.len() - 24 - 8) / 2; // inside the body
         rotted[mid] ^= 0x10;
-        let mut fresh = EmbeddingCache::new(4);
+        let fresh = ShardedCache::new(4, 1);
         let err = fresh.load_from(rotted.as_slice(), 1, 0, 0).unwrap_err();
         assert!(
             matches!(&err, SnapshotError::Corrupt(m) if m.contains("checksum")),
@@ -1423,11 +1356,11 @@ mod tests {
         // A snapshot from one set of weights must never warm another:
         // latent codes are only meaningful under the weights that
         // produced them.
-        let mut c = EmbeddingCache::new(4);
+        let c = ShardedCache::new(4, 1);
         c.insert_tagged(1, 1, code(1.0));
         let mut buf = Vec::new();
         c.snapshot_to(&mut buf, 1, 0, 0xAAAA).unwrap();
-        let mut fresh = EmbeddingCache::new(4);
+        let fresh = ShardedCache::new(4, 1);
         assert!(matches!(
             fresh.load_from(buf.as_slice(), 1, 0, 0xBBBB),
             Err(SnapshotError::WrongModel {
@@ -1489,8 +1422,7 @@ mod tests {
     #[test]
     fn sharded_snapshot_roundtrips_across_stripe_counts() {
         // Stripe count is process-local layout: a snapshot written with
-        // one stripe must load into eight (and back) byte-for-byte, and
-        // must equally load into a plain EmbeddingCache.
+        // one stripe must load into eight (and back) byte-for-byte.
         let (old_salt, new_salt, tag, digest) = (0xAAAA, 0x1111, 7u64, 0xD1u64);
         let single = ShardedCache::new(64, 1);
         for k in 0..10u64 {
@@ -1520,7 +1452,7 @@ mod tests {
             );
         }
 
-        // And back: 8 stripes → 1 stripe → plain EmbeddingCache.
+        // And back: 8 stripes → 1 stripe.
         let mut buf8 = Vec::new();
         assert_eq!(
             striped
@@ -1530,12 +1462,10 @@ mod tests {
         );
         let back = ShardedCache::new(64, 1);
         assert_eq!(back.load_from(buf8.as_slice(), tag, 0, digest).unwrap(), 10);
-        let mut flat = EmbeddingCache::new(64);
-        assert_eq!(flat.load_from(buf8.as_slice(), tag, 0, digest).unwrap(), 10);
         for k in 0..10u64 {
             assert_eq!(
                 back.peek(k * 1_000_003).unwrap().as_slice(),
-                flat.peek(k * 1_000_003).unwrap().as_slice()
+                &[k as f32, k as f32 + 1.0]
             );
         }
     }
@@ -1616,13 +1546,13 @@ mod tests {
 
     #[test]
     fn clear_preserves_telemetry() {
-        let mut c = EmbeddingCache::new(2);
-        c.insert(1, code(1.0));
+        let c = ShardedCache::new(2, 1);
+        c.insert_tagged(1, 0, code(1.0));
         let _ = c.get(1);
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.stats().hits, 1);
-        c.insert(2, code(2.0));
+        c.insert_tagged(2, 0, code(2.0));
         assert_eq!(c.get(2).unwrap().as_slice(), &[2.0, 3.0]);
     }
 
@@ -1798,7 +1728,7 @@ mod tests {
             CachePrecision::F16,
             CachePrecision::Int8,
         ] {
-            let mut c = EmbeddingCache::with_precision(32, precision);
+            let c = ShardedCache::with_precision(32, 1, precision);
             assert_eq!(c.precision(), precision);
             for k in 0..12u64 {
                 c.insert_tagged(
@@ -1812,7 +1742,7 @@ mod tests {
             }
             let mut buf = Vec::new();
             assert_eq!(c.snapshot_to(&mut buf, 3, 0, 99).unwrap(), 12);
-            let mut back = EmbeddingCache::with_precision(32, precision);
+            let back = ShardedCache::with_precision(32, 1, precision);
             assert_eq!(back.load_from(buf.as_slice(), 3, 0, 99).unwrap(), 12);
             // Snapshots persist the stored (already-quantized) payload,
             // so the round trip is bit-exact — no re-quantization drift.
@@ -1826,7 +1756,7 @@ mod tests {
                     assert_eq!(x.to_bits(), y.to_bits(), "precision {precision} key {key}");
                 }
             }
-            // The sharded cache restores the same snapshot identically.
+            // A 4-stripe cache restores the same snapshot identically.
             let sharded = ShardedCache::with_precision(32, 4, precision);
             assert_eq!(sharded.load_from(buf.as_slice(), 3, 0, 99).unwrap(), 12);
             let a = c.peek(8).unwrap();
@@ -1837,13 +1767,13 @@ mod tests {
 
     #[test]
     fn snapshot_refuses_cross_precision_loads() {
-        let mut f16 = EmbeddingCache::with_precision(8, CachePrecision::F16);
+        let f16 = ShardedCache::with_precision(8, 1, CachePrecision::F16);
         f16.insert_tagged(1, 1, code(1.0));
         f16.insert_tagged(2, 1, code(2.0));
         let mut buf = Vec::new();
         f16.snapshot_to(&mut buf, 1, 0, 7).unwrap();
 
-        let mut flat = EmbeddingCache::new(8); // f32 default
+        let flat = ShardedCache::new(8, 1); // f32 default
         assert!(matches!(
             flat.load_from(buf.as_slice(), 1, 0, 7),
             Err(SnapshotError::PrecisionMismatch {
@@ -1893,12 +1823,12 @@ mod tests {
         }
         buf.extend_from_slice(&checksum.finish().to_le_bytes());
 
-        let mut flat = EmbeddingCache::new(8);
+        let flat = ShardedCache::new(8, 1);
         assert_eq!(flat.load_from(buf.as_slice(), 0, 0, digest).unwrap(), 2);
         assert_eq!(flat.peek(11).unwrap().as_slice(), &[0.25, -0.5]);
         assert_eq!(flat.peek(12).unwrap().as_slice(), &[1.5, 2.5]);
 
-        let mut f16 = EmbeddingCache::with_precision(8, CachePrecision::F16);
+        let f16 = ShardedCache::with_precision(8, 1, CachePrecision::F16);
         assert!(matches!(
             f16.load_from(buf.as_slice(), 0, 0, digest),
             Err(SnapshotError::PrecisionMismatch {
@@ -1911,7 +1841,7 @@ mod tests {
     #[test]
     fn transcode_snapshot_preserves_digest_and_bounds_error() {
         let digest = 0xD1CEu64;
-        let mut f32c = EmbeddingCache::new(16);
+        let f32c = ShardedCache::new(16, 1);
         for k in 0..6u64 {
             f32c.insert_tagged(
                 k + 1,
@@ -1936,7 +1866,7 @@ mod tests {
         let (found, precision, _) = read_snapshot_any(narrow.as_slice()).unwrap();
         assert_eq!(found, digest);
         assert_eq!(precision, CachePrecision::Int8);
-        let mut int8 = EmbeddingCache::with_precision(16, CachePrecision::Int8);
+        let int8 = ShardedCache::with_precision(16, 1, CachePrecision::Int8);
         assert_eq!(int8.load_from(narrow.as_slice(), 2, 0, digest).unwrap(), 6);
         for k in 0..6u64 {
             let orig = f32c.peek(k + 1).unwrap();
@@ -1958,7 +1888,7 @@ mod tests {
             transcode_snapshot(narrow.as_slice(), &mut widened, CachePrecision::F32).unwrap(),
             6
         );
-        let mut back = EmbeddingCache::new(16);
+        let back = ShardedCache::new(16, 1);
         assert_eq!(back.load_from(widened.as_slice(), 2, 0, digest).unwrap(), 6);
         assert_eq!(
             back.peek(3).unwrap().as_slice(),
@@ -1968,17 +1898,17 @@ mod tests {
 
     #[test]
     fn cache_bytes_tracks_insert_refresh_evict_and_clear() {
-        let mut c = EmbeddingCache::with_precision(2, CachePrecision::Int8);
+        let c = ShardedCache::with_precision(2, 1, CachePrecision::Int8);
         assert_eq!(c.bytes(), 0);
-        c.insert(1, Tensor::from_vec(vec![0.1; 6], [6])); // 6 + 8
+        c.insert_tagged(1, 0, Tensor::from_vec(vec![0.1; 6], [6])); // 6 + 8
         assert_eq!(c.bytes(), 14);
-        c.insert(2, Tensor::from_vec(vec![0.2; 10], [10])); // + 10 + 8
+        c.insert_tagged(2, 0, Tensor::from_vec(vec![0.2; 10], [10])); // + 10 + 8
         assert_eq!(c.bytes(), 32);
         // Refreshing a key with a different-length code re-accounts it.
-        c.insert(1, Tensor::from_vec(vec![0.3; 2], [2])); // 6+8 → 2+8
+        c.insert_tagged(1, 0, Tensor::from_vec(vec![0.3; 2], [2])); // 6+8 → 2+8
         assert_eq!(c.bytes(), 28);
         // Eviction releases the displaced entry's bytes (key 2 is LRU).
-        c.insert(3, Tensor::from_vec(vec![0.4; 4], [4]));
+        c.insert_tagged(3, 0, Tensor::from_vec(vec![0.4; 4], [4]));
         assert_eq!(c.bytes(), 10 + 12);
         c.clear();
         assert_eq!(c.bytes(), 0);

@@ -123,10 +123,9 @@ pub mod proto;
 pub mod rank;
 pub mod registry;
 
-pub use batch::{BatchConfig, BatchStats, EncodeError, EncodePool, PoolSharding};
+pub use batch::{BatchConfig, BatchStats, EncodeError, EncodePool};
 pub use cache::{
-    CachePrecision, CacheStats, EmbeddingCache, ShardedCache, SnapshotError, StoredCode,
-    DEFAULT_CACHE_STRIPES,
+    CachePrecision, CacheStats, ShardedCache, SnapshotError, StoredCode, DEFAULT_CACHE_STRIPES,
 };
 pub use engine::{
     engine_metric_families, CompareOutcome, CompareScore, EngineStats, ModelCacheStats,

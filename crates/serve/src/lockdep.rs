@@ -31,7 +31,9 @@
 //! [`std::sync::Condvar`]: `Condvar::wait` insists on a real
 //! `MutexGuard`. Those stay on the std type (see `batch::park`).
 
+#[cfg(debug_assertions)]
 use std::cell::RefCell;
+#[cfg(debug_assertions)]
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{

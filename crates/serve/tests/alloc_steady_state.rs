@@ -10,7 +10,7 @@
 //! re-introducing steady-state allocator churn.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use ccsa_cppast::tree::AstGraph;
@@ -27,16 +27,25 @@ use rand::SeedableRng;
 /// buffer must not be scored as churn).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so the sibling test (libtest runs the two on parallel
+    // threads) cannot charge its cold-path allocations to this thread's
+    // measuring window. Const-initialised and without a destructor, so
+    // touching it inside the allocator neither allocates nor outlives
+    // the thread's storage.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates every operation unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: trait-required unsafe fn; delegates to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // Relaxed: a monotonic event counter read only after the
-        // measured section joins; no ordering with other memory needed.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same layout obligations as our own caller's.
         unsafe { System.alloc(layout) }
     }
@@ -49,16 +58,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: trait-required unsafe fn; delegates to `System.alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // Relaxed: monotonic event counter, as above.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same layout obligations as our own caller's.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: trait-required unsafe fn; delegates to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Relaxed: monotonic event counter, as above.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded unchanged from our caller's obligations.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -67,9 +74,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocation events on the calling thread so far. Warm compares run
+/// entirely on the caller (both codes cached, no encode-worker hop).
 fn allocs() -> u64 {
-    // Relaxed: reading the counter between single-threaded phases.
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn tiny_model(seed: u64) -> TrainedModel {

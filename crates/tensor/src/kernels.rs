@@ -45,8 +45,8 @@
 //! | `scalar`      | `scalar` (forced; bit-exactness debugging, CI)    |
 //! | `avx2`        | `avx2`, or `scalar` + warning if unsupported      |
 //!
-//! Tests and benches that need *both* backends in one process bypass
-//! the environment and ask [`kernels_for`] directly.
+//! Tests that need *both* backends in one process bypass the
+//! environment and ask [`kernels_for`] directly.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -79,7 +79,7 @@ pub type SegAccumFn = fn(dst: &mut [f32], src: &[f32]);
 /// A resolved table of kernel function pointers.
 ///
 /// Obtained from [`active`] (the process-wide dispatched table) or
-/// [`kernels_for`] (a specific backend, for A/B tests and benches).
+/// [`kernels_for`] (a specific backend, for tests).
 pub struct Kernels {
     /// The backend these pointers implement.
     pub backend: KernelBackend,
@@ -121,9 +121,9 @@ pub fn avx2_supported() -> bool {
 /// The kernel table for a specific backend, if the host supports it.
 ///
 /// Returns `None` for [`KernelBackend::Avx2`] on hosts without
-/// AVX2+FMA (including non-x86_64 targets). Used by tests and the
-/// kernel bench to exercise both backends in one process regardless of
-/// the `CCSA_KERNEL` override.
+/// AVX2+FMA (including non-x86_64 targets). Used by tests to exercise
+/// both backends in one process regardless of the `CCSA_KERNEL`
+/// override.
 pub fn kernels_for(backend: KernelBackend) -> Option<&'static Kernels> {
     match backend {
         KernelBackend::Scalar => Some(&SCALAR),
@@ -173,28 +173,6 @@ pub fn active() -> &'static Kernels {
 // Scalar backend: the blocked, IEEE-strict reference kernels.
 // ---------------------------------------------------------------------------
 
-/// Prefetch the next 4-row A block at column `kk`, one cache line per
-/// row, paced by the caller to every 16th k-step (16 f32 = one line).
-/// The streamed `b` rows dominate the bandwidth; this hides the A-block
-/// switch latency at block boundaries. No-op off x86_64.
-#[inline(always)]
-fn prefetch_a_block(a: &[f32], row: usize, kk: usize, k: usize, m: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let end = (row + 4).min(m);
-        for r in row..end {
-            // SAFETY: in bounds — r < m and kk < k, so r*k + kk <
-            // m*k = a.len(); prefetch also never faults on any address.
-            unsafe { _mm_prefetch(a.as_ptr().add(r * k + kk).cast::<i8>(), _MM_HINT_T0) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, row, kk, k, m);
-    }
-}
-
 /// Blocked i-k-j kernel: output rows are processed in chunks of four so
 /// every streamed `b` row is reused by four accumulator rows while it
 /// is hot, and the j loop is 4-unrolled to keep independent multiply
@@ -209,9 +187,6 @@ fn scalar_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
         let (r0, r1) = r01.split_at_mut(n);
         let (r2, r3) = r23.split_at_mut(n);
         for kk in 0..k {
-            if kk % 16 == 0 {
-                prefetch_a_block(a, i + 4, kk, k, m);
-            }
             let a0 = a[i * k + kk];
             let a1 = a[(i + 1) * k + kk];
             let a2 = a[(i + 2) * k + kk];

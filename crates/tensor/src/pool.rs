@@ -38,12 +38,10 @@
 //! `crates/tensor/tests`).
 //!
 //! Counters ([`stats`]) feed the `ccsa_pool_*` metric families in
-//! `ccsa-serve`. [`set_bypass`] turns the pool into a pass-through to
-//! the global allocator — benches use it to measure the pre-pool
-//! baseline in-process.
+//! `ccsa-serve`.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// log2 of the smallest pooled capacity (8 floats). Anything smaller is
@@ -102,7 +100,6 @@ static LOCAL_BUFFERS: AtomicU64 = AtomicU64::new(0);
 static SHARED_BUFFERS: AtomicU64 = AtomicU64::new(0);
 static LOCAL_BYTES: AtomicU64 = AtomicU64::new(0);
 static SHARED_BYTES: AtomicU64 = AtomicU64::new(0);
-static BYPASS: AtomicBool = AtomicBool::new(false);
 
 /// One thread's free lists. On thread exit the parked buffers are
 /// handed back to the allocator; `Drop` keeps the gauges honest.
@@ -147,11 +144,9 @@ fn with_shared<R>(f: impl FnOnce(&mut Vec<Vec<Vec<f32>>>) -> R) -> R {
 }
 
 /// Pops a recycled buffer with capacity ≥ `min_cap`, or None on a pool
-/// miss (empty classes, oversize request, or bypass).
+/// miss (empty classes or oversize request).
 fn take_recycled(min_cap: usize) -> Option<Vec<f32>> {
-    // Relaxed: an independent on/off flag; a stale read only routes one
-    // request to the other allocation path.
-    if BYPASS.load(Ordering::Relaxed) || min_cap == 0 {
+    if min_cap == 0 {
         return None;
     }
     let class = class_for_len(min_cap)?;
@@ -239,10 +234,6 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 /// when both are. Tiny and oversize buffers go straight to the
 /// allocator.
 pub fn put(mut v: Vec<f32>) {
-    // Relaxed: an independent on/off flag (see take_recycled).
-    if BYPASS.load(Ordering::Relaxed) {
-        return;
-    }
     let Some(class) = class_for_cap(v.capacity()) else {
         return; // below the minimum class: not worth tracking
     };
@@ -349,21 +340,6 @@ pub fn stats() -> PoolStats {
     }
 }
 
-/// Turns the pool into a pass-through to the global allocator (`true`)
-/// or back on (`false`). Benches use this to measure the pre-pool
-/// baseline in the same process; buffers already parked stay parked and
-/// keep being valid to return.
-pub fn set_bypass(bypass: bool) {
-    // Relaxed: an independent on/off flag (see take_recycled).
-    BYPASS.store(bypass, Ordering::Relaxed);
-}
-
-/// Whether the pool is currently bypassed.
-pub fn bypassed() -> bool {
-    // Relaxed: an independent on/off flag (see take_recycled).
-    BYPASS.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,19 +404,6 @@ mod tests {
             after.local_hits + after.shared_hits > before.local_hits + before.shared_hits,
             "recycle was not a hit: {after:?} vs {before:?}"
         );
-    }
-
-    #[test]
-    fn bypass_goes_straight_through() {
-        set_bypass(true);
-        let before = stats();
-        let v = take_zeroed(512);
-        put(v);
-        let after = stats();
-        set_bypass(false);
-        assert_eq!(after.local_hits, before.local_hits);
-        assert_eq!(after.shared_hits, before.shared_hits);
-        assert_eq!(after.returns, before.returns);
     }
 
     #[test]

@@ -426,20 +426,8 @@ impl Tensor {
         // backends accumulate k-ascending per output element, so results
         // are bit-identical to `matvec`'s dot products under the same
         // backend — and neither zero-skips: `0 · NaN` and `0 · ∞` must
-        // produce NaN (IEEE-754), not silently vanish. Above a measured
-        // row threshold the product row-splits across the persistent
-        // worker set (see [`crate::par`]) — each output row still runs
-        // the same kernel over the same data, so every element keeps its
-        // single ascending-k chain bit-identically.
-        crate::par::matmul(
-            kernels::active().matmul,
-            &self.data,
-            &other.data,
-            &mut out,
-            m,
-            k,
-            n,
-        );
+        // produce NaN (IEEE-754), not silently vanish.
+        (kernels::active().matmul)(&self.data, &other.data, &mut out, m, k, n);
         Tensor::from_vec(out, [m, n])
     }
 
