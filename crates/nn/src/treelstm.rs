@@ -39,6 +39,8 @@
 //! bit-identical to four separate projections, at a quarter of the
 //! matmul launches.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 
 use ccsa_cppast::AstGraph;
@@ -254,25 +256,23 @@ impl BatchLayout<'_> {
         *self.offsets.last().expect("offsets include the end")
     }
 
-    /// The global ids a node aggregates from: its children for the
-    /// upward pass, its parent (none for a root) for the downward pass.
-    fn incoming(&self, node: usize, up: bool) -> Vec<usize> {
-        // The owning graph: the last offset ≤ node.
-        let g = self.offsets.partition_point(|&o| o <= node) - 1;
+    /// The global ids that node `node` of graph `g` aggregates from:
+    /// its children for the upward pass, its parent (none for a root)
+    /// for the downward pass.
+    fn incoming(&self, g: usize, node: usize, up: bool) -> impl Iterator<Item = usize> + '_ {
         let base = self.offsets[g];
         let ix = (node - base) as u32;
         let graph = self.graphs[g];
-        if up {
-            graph
-                .children(ix)
-                .iter()
-                .map(|&c| base + c as usize)
-                .collect()
-        } else if ix == graph.root() {
-            Vec::new()
+        let (children, parent): (&[u32], Option<u32>) = if up {
+            (graph.children(ix), None)
         } else {
-            vec![base + graph.parent(ix) as usize]
-        }
+            (&[], (ix != graph.root()).then(|| graph.parent(ix)))
+        };
+        children
+            .iter()
+            .copied()
+            .chain(parent)
+            .map(move |src| base + src as usize)
     }
 }
 
@@ -538,31 +538,43 @@ impl TreeLstmEncoder {
 
         for sel in levels {
             let width = sel.len();
-            let xl = x.index_rows(sel.clone());
 
             // Aggregated incoming state h̃: the child-sum for the upward
             // pass, the single parent state for the downward pass. The
             // gathered source rows (`hk`) are shared with the forget
-            // edges below.
+            // edges below, and so are the two index lists, behind `Arc`s.
             let mut agg_rows: Vec<usize> = Vec::new();
             let mut agg_offsets: Vec<usize> = Vec::with_capacity(width + 1);
             agg_offsets.push(0);
+            // A bucket lists its nodes in ascending global id, so the
+            // owning graph only ever moves forward.
+            let mut g = 0;
             for &node in sel {
-                for src in layout.incoming(node, up) {
+                while node >= layout.offsets[g + 1] {
+                    g += 1;
+                }
+                for src in layout.incoming(g, node, up) {
                     debug_assert_ne!(proc_row[src], usize::MAX, "level order violated");
                     agg_rows.push(proc_row[src]);
                 }
                 agg_offsets.push(agg_rows.len());
             }
-            let hk = if agg_rows.is_empty() {
-                None
-            } else {
-                Some(ctx.tape.gather_rows_multi(&level_h, agg_rows.clone()))
-            };
+            let edges = agg_rows.len();
+            let agg_rows = Arc::new(agg_rows);
+            let agg_offsets = Arc::new(agg_offsets);
+            let hk =
+                (edges > 0).then(|| ctx.tape.gather_rows_multi(&level_h, Arc::clone(&agg_rows)));
             let h_tilde = match hk {
                 None => ctx.tape.zeros([width, hidden]),
-                Some(hk) => ctx.tape.segment_sum(hk, agg_offsets.clone()),
+                Some(hk) => ctx.tape.segment_sum(hk, Arc::clone(&agg_offsets)),
             };
+
+            for (local, &node) in sel.iter().enumerate() {
+                proc_row[node] = done + local;
+            }
+            // The one copy left: the bucket keeps its capacity for the
+            // next batch, the tape op owns its index list.
+            let xl = x.index_rows(sel.clone());
 
             // One matmul per projection for all four gates: the fused
             // `[width, d] · [d, 4h]` input projection (+ bias) and the
@@ -592,7 +604,7 @@ impl TreeLstmEncoder {
             let c_l = match hk {
                 None => iu,
                 Some(hk) => {
-                    let mut edge_parent: Vec<usize> = Vec::with_capacity(agg_rows.len());
+                    let mut edge_parent: Vec<usize> = Vec::with_capacity(edges);
                     for (local, window) in agg_offsets.windows(2).enumerate() {
                         edge_parent.extend(std::iter::repeat(local).take(window[1] - window[0]));
                     }
@@ -604,9 +616,6 @@ impl TreeLstmEncoder {
             };
             let h_l = o.mul(c_l.tanh());
 
-            for (local, &node) in sel.iter().enumerate() {
-                proc_row[node] = done + local;
-            }
             done += width;
             level_h.push(h_l);
             level_c.push(c_l);
@@ -912,6 +921,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn code_vector_is_bit_independent_of_batch_composition() {
+        // Serving checks replies with `==` against a fresh engine, so a
+        // tree's code may not depend on what it was batched with. Alone,
+        // its rows sit in the kernel's remainder-row and masked-tail
+        // tiles; among four other trees the same rows land in full
+        // 4-row blocks at other level widths. Paper width, because
+        // h = 100 and 3h = 300 are what exercise the column tails.
+        let sources = [
+            "int main() { int s = 0; for (int i = 0; i < 9; i++) { s += i * 2; } return s; }",
+            "int main() { return 0; }",
+            "int f(int x) { if (x > 0) { return x; } return -x; } int main() { return f(3) + f(4); }",
+            "int main() { int a = 1; int b = 2; while (a < 50) { a = a + b; b++; } return a % 7; }",
+            "int main() { return 1 + 2 * 3 - 4; }",
+        ];
+        let graphs: Vec<AstGraph> = sources.iter().map(|s| graph(s)).collect();
+        let mut params = Params::new();
+        let mut rng = StdRng::seed_from_u64(17);
+        let enc = TreeLstmEncoder::new(&TreeLstmConfig::paper(), &mut params, &mut rng);
+        let code_at = |batch: &[&AstGraph], at: usize| -> Vec<u32> {
+            let tape = Tape::new();
+            let ctx = Ctx::new(&tape, &params);
+            let codes = enc.encode_batch(&ctx, batch);
+            codes[at]
+                .value()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let target = &graphs[0];
+        let alone = code_at(&[target], 0);
+        let rest: Vec<&AstGraph> = graphs[1..].iter().collect();
+        let first = [&[target], &rest[..]].concat();
+        let last = [&rest[..], &[target]].concat();
+        assert_eq!(code_at(&first, 0), alone, "first in a batch of 5");
+        assert_eq!(code_at(&last, 4), alone, "last in a batch of 5");
     }
 
     #[test]

@@ -15,6 +15,14 @@ fn main() {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
     println!("cargo:rustc-env=CCSA_GIT_DESCRIBE={git}");
-    // Re-stamp when the checked-out commit moves; harmless when absent.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-stamp when the checked-out commit moves. Only in a git checkout:
+    // cargo treats a watched path that does not exist as always changed,
+    // and an exported tree would rebuild serve and everything above it on
+    // every invocation. With no `rerun-if-changed` at all cargo would
+    // instead re-run on any change in the package, so watch this script.
+    println!("cargo:rerun-if-changed=build.rs");
+    let head = std::path::Path::new("../../.git/HEAD");
+    if head.exists() {
+        println!("cargo:rerun-if-changed={}", head.display());
+    }
 }

@@ -24,9 +24,9 @@
 //! * scalar: `acc ← acc + a·b` (two roundings per term) — unchanged
 //!   from the pre-dispatch kernel, still the portable reference;
 //! * avx2: `acc ← fma(a, b, acc)` (one rounding per term), whether the
-//!   element was computed in a 8/16-wide vector lane or in a scalar
-//!   remainder chain — `f32::mul_add` guarantees fused semantics, so
-//!   vector body and remainder agree bit-for-bit.
+//!   element was computed in a lane of a full or masked matmul tile or
+//!   in matvec's scalar chain — `f32::mul_add` guarantees fused
+//!   semantics, so vector lanes and scalar chains agree bit-for-bit.
 //!
 //! Across backends results differ in final ulps (FMA rounds once), so
 //! cross-backend comparisons get the same ≤1e-5 tolerance the fused
@@ -285,8 +285,14 @@ mod avx2 {
 
     pub(super) fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         debug_assert!(super::avx2_supported());
+        // The tiles below index through raw pointers; `MatmulFn` is a
+        // safe signature, so the extents are checked here, once per call.
+        assert!(
+            a.len() >= m * k && b.len() >= k * n && out.len() >= m * n,
+            "matmul slices shorter than [{m},{k}]·[{k},{n}]"
+        );
         // SAFETY: this table entry is only installed after runtime
-        // avx2+fma detection, so the target-feature contract holds.
+        // avx2+fma detection, and the slices cover m×k, k×n and m×n.
         unsafe { matmul_fma(a, b, out, m, k, n) }
     }
 
@@ -304,117 +310,141 @@ mod avx2 {
         unsafe { seg_accum_avx2(dst, src) }
     }
 
-    /// 4×16 register-tiled FMA micro-kernel with 4×8 / scalar-chain
-    /// fallthrough. Every output element — vector lane or remainder —
-    /// is a k-ascending single-rounding FMA chain, so the whole matrix
-    /// agrees bit-for-bit with [`matvec_fma`] and with a naive
-    /// `f32::mul_add` triple loop.
+    /// Register-tiled FMA kernel. Full 4-row blocks run 4×16 tiles; the
+    /// last `m % 4` rows run together as one block whose tiles widen as
+    /// the rows thin out (3×16, 2×32, 1×64), so a one-row level still
+    /// keeps eight independent accumulator chains in flight instead of
+    /// waiting out the FMA latency on one. Every output element — full
+    /// tile, 8-wide tile or masked column tail — is a k-ascending
+    /// single-rounding FMA chain from zero, so the whole matrix agrees
+    /// bit-for-bit with [`matvec_fma`] and with a naive `f32::mul_add`
+    /// triple loop, whatever `m` and `n` are.
     ///
-    /// SAFETY contract: caller verified avx2+fma at runtime (the safe
-    /// shims above are the only callers) and sized the slices as
-    /// `a: m×k`, `b: k×n`, `out: m×n`, which every pointer offset
-    /// below stays inside.
+    /// SAFETY contract: caller verified avx2+fma at runtime and sized
+    /// the slices as `a: m×k`, `b: k×n`, `out: m×n` (the safe shim
+    /// above is the only caller and asserts both).
     #[target_feature(enable = "avx2,fma")]
     unsafe fn matmul_fma(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         let mut i = 0;
         while i + 4 <= m {
-            let mut j = 0;
-            // 4 rows × 16 columns: 8 ymm accumulators live across the
-            // whole k loop; two b loads and one broadcast per (k, row).
-            while j + 16 <= n {
-                let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-                for kk in 0..k {
-                    // SAFETY: j+16 <= n and kk < k, so both 8-lane
-                    // loads end at kk*n + j + 16 <= k*n = b.len().
-                    let b0 = unsafe { _mm256_loadu_ps(bp.add(kk * n + j)) };
-                    // SAFETY: as above.
-                    let b1 = unsafe { _mm256_loadu_ps(bp.add(kk * n + j + 8)) };
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        // SAFETY: i+4 <= m and r < 4, so (i+r)*k + kk
-                        // < m*k = a.len().
-                        let av = unsafe { _mm256_set1_ps(*ap.add((i + r) * k + kk)) };
-                        accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
-                        accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    // SAFETY: i+r < m and j+16 <= n, so both stores
-                    // end at (i+r)*n + j + 16 <= m*n = out.len().
-                    unsafe {
-                        _mm256_storeu_ps(op.add((i + r) * n + j), accr[0]);
-                        _mm256_storeu_ps(op.add((i + r) * n + j + 8), accr[1]);
-                    }
-                }
-                j += 16;
-            }
-            while j + 8 <= n {
-                let mut acc = [_mm256_setzero_ps(); 4];
-                for kk in 0..k {
-                    // SAFETY: j+8 <= n and kk < k, so the load ends at
-                    // kk*n + j + 8 <= k*n = b.len().
-                    let bv = unsafe { _mm256_loadu_ps(bp.add(kk * n + j)) };
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        // SAFETY: i+4 <= m and r < 4, so (i+r)*k + kk
-                        // < m*k = a.len().
-                        let av = unsafe { _mm256_set1_ps(*ap.add((i + r) * k + kk)) };
-                        *accr = _mm256_fmadd_ps(av, bv, *accr);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    // SAFETY: i+r < m and j+8 <= n — store ends inside
-                    // out's m*n elements.
-                    unsafe { _mm256_storeu_ps(op.add((i + r) * n + j), *accr) };
-                }
-                j += 8;
-            }
-            while j < n {
-                for r in 0..4 {
-                    out[(i + r) * n + j] = dot_chain(a, b, (i + r) * k, j, k, n);
-                }
-                j += 1;
-            }
+            // SAFETY: rows i..i+4 lie inside a's and out's m rows.
+            unsafe { row_block::<4, 2>(ap.add(i * k), bp, op.add(i * n), k, n) };
             i += 4;
         }
-        // Remainder rows: single-row, j-vectorized.
-        while i < m {
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut acc = _mm256_setzero_ps();
-                for kk in 0..k {
-                    // SAFETY: i < m and kk < k — the broadcast reads
-                    // one f32 inside a's m*k elements.
-                    let av = unsafe { _mm256_set1_ps(*ap.add(i * k + kk)) };
-                    // SAFETY: j+8 <= n and kk < k — the load ends
-                    // inside b's k*n elements.
-                    let bv = unsafe { _mm256_loadu_ps(bp.add(kk * n + j)) };
-                    acc = _mm256_fmadd_ps(av, bv, acc);
-                }
-                // SAFETY: i < m and j+8 <= n — the store ends inside
-                // out's m*n elements.
-                unsafe { _mm256_storeu_ps(op.add(i * n + j), acc) };
-                j += 8;
+        // SAFETY: rows i..m are the last m - i rows of a and out, and the
+        // arm taken has exactly that many rows.
+        unsafe {
+            let (ar, or) = (ap.add(i * k), op.add(i * n));
+            match m - i {
+                3 => row_block::<3, 2>(ar, bp, or, k, n),
+                2 => row_block::<2, 4>(ar, bp, or, k, n),
+                1 => row_block::<1, 8>(ar, bp, or, k, n),
+                _ => {}
             }
-            while j < n {
-                out[i * n + j] = dot_chain(a, b, i * k, j, k, n);
-                j += 1;
-            }
-            i += 1;
         }
     }
 
-    /// Scalar k-ascending FMA chain for remainder columns. Inside an
-    /// FMA-enabled function `f32::mul_add` lowers to `vfmadd`, matching
-    /// the vector lanes' rounding exactly.
-    #[inline(always)]
-    fn dot_chain(a: &[f32], b: &[f32], arow: usize, j: usize, k: usize, n: usize) -> f32 {
-        let mut acc = 0.0f32;
-        for kk in 0..k {
-            acc = a[arow + kk].mul_add(b[kk * n + j], acc);
+    /// `R` output rows: `8·V`-column tiles, then 8-column tiles, then
+    /// one masked tile for the `n % 8` column tail.
+    ///
+    /// Kept out of line: one call per row block costs nothing beside the
+    /// block's k·n FMAs, and the four instantiations inlined into
+    /// [`matmul_fma`] made one 6 KB function whose placement alone moved
+    /// `warm_http` — which never calls it — by 8 %.
+    ///
+    /// SAFETY contract: avx2+fma verified; `ap` points at `R` rows of
+    /// `k` floats, `bp` at `k` rows of `n`, `op` at `R` rows of `n`.
+    #[inline(never)]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn row_block<const R: usize, const V: usize>(
+        ap: *const f32,
+        bp: *const f32,
+        op: *mut f32,
+        k: usize,
+        n: usize,
+    ) {
+        let mut j = 0;
+        while j + 8 * V <= n {
+            // SAFETY: columns j..j+8V lie inside the n columns.
+            unsafe { tile::<R, V, false>(ap, bp.add(j), op.add(j), k, n, 8) };
+            j += 8 * V;
         }
-        acc
+        while j + 8 <= n {
+            // SAFETY: columns j..j+8 lie inside the n columns.
+            unsafe { tile::<R, 1, false>(ap, bp.add(j), op.add(j), k, n, 8) };
+            j += 8;
+        }
+        if j < n {
+            // SAFETY: the tile touches only its first n - j (< 8)
+            // columns, j..n.
+            unsafe { tile::<R, 1, true>(ap, bp.add(j), op.add(j), k, n, n - j) };
+        }
+    }
+
+    /// Eight enabled lanes then eight disabled ones: the eight entries
+    /// from index `8 − w` are the mask that enables lanes `0..w`.
+    const LANE_MASK_WINDOW: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// One `R × 8V` register tile: `R·V` ymm accumulators live across
+    /// the whole k loop, `V` loads of `b` and one broadcast of `a` per
+    /// (k, row). A `TAIL` tile's last vector covers only its first
+    /// `last` (< 8) lanes; masked-off lanes are neither read nor
+    /// written, which is how the `n % 8` column tail stays a vector FMA
+    /// chain. Other tiles ignore `last`.
+    ///
+    /// SAFETY contract: avx2+fma verified; `ap` points at `R` rows of
+    /// `k` floats; `bp` (`op`) at `k` (`R`) rows of stride `n` whose
+    /// first `8·V` floats — `8·(V−1) + last` for a `TAIL` tile — are
+    /// readable (writable).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile<const R: usize, const V: usize, const TAIL: bool>(
+        ap: *const f32,
+        bp: *const f32,
+        op: *mut f32,
+        k: usize,
+        n: usize,
+        last: usize,
+    ) {
+        let window = &LANE_MASK_WINDOW[8 - last.min(8)..][..8];
+        // SAFETY: `window` is 8 i32s; the load is unaligned.
+        let mask = unsafe { _mm256_loadu_si256(window.as_ptr().cast()) };
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for kk in 0..k {
+            let mut bv = [_mm256_setzero_ps(); V];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                // SAFETY: row kk < k of b; every vector is whole except
+                // a TAIL tile's last, which reads its `last` enabled lanes.
+                *bvv = unsafe {
+                    if TAIL && v + 1 == V {
+                        _mm256_maskload_ps(bp.add(kk * n + 8 * v), mask)
+                    } else {
+                        _mm256_loadu_ps(bp.add(kk * n + 8 * v))
+                    }
+                };
+            }
+            for (r, accr) in acc.iter_mut().enumerate() {
+                // SAFETY: r < R rows of k floats, kk < k.
+                let av = unsafe { _mm256_set1_ps(*ap.add(r * k + kk)) };
+                for (accv, bvv) in accr.iter_mut().zip(&bv) {
+                    *accv = _mm256_fmadd_ps(av, *bvv, *accv);
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            for (v, accv) in accr.iter().enumerate() {
+                // SAFETY: row r < R of out; same column extents as the
+                // loads above.
+                unsafe {
+                    if TAIL && v + 1 == V {
+                        _mm256_maskstore_ps(op.add(r * n + 8 * v), mask, *accv);
+                    } else {
+                        _mm256_storeu_ps(op.add(r * n + 8 * v), *accv);
+                    }
+                }
+            }
+        }
     }
 
     /// 4-row-unrolled k-ascending FMA chains: four independent
@@ -491,8 +521,12 @@ mod tests {
             .collect()
     }
 
-    /// Shapes covering every kernel path: 4-row blocks + remainder rows,
-    /// 16-wide, 8-wide, 4-wide and scalar column tails.
+    /// Shapes covering every kernel path: 4-row blocks and 1/2/3
+    /// remainder rows, wide, 8-wide and masked column tiles. The second
+    /// group is the encoder's own products at paper width (input, i/o/u
+    /// and forget projections; full, 3-row and 1-row levels); the third
+    /// has one shape per tail width `n % 8 = 1..=7` behind at least one
+    /// full tile, on 4-row blocks and on each remainder-row count.
     const SHAPES: &[(usize, usize, usize)] = &[
         (1, 1, 1),
         (4, 4, 4),
@@ -505,6 +539,18 @@ mod tests {
         (7, 5, 19),
         (8, 16, 33),
         (5, 32, 40),
+        (27, 120, 400),
+        (27, 100, 300),
+        (26, 100, 100),
+        (3, 100, 300),
+        (1, 100, 100),
+        (5, 9, 17),
+        (6, 9, 18),
+        (7, 9, 35),
+        (4, 9, 20),
+        (5, 9, 69),
+        (6, 9, 22),
+        (7, 9, 23),
     ];
 
     fn backends() -> Vec<&'static Kernels> {

@@ -130,7 +130,10 @@ enum Op {
     Mul(usize, usize),
     Scale(usize, f32),
     MatMul(usize, usize),
-    /// `A · Bᵀ` without materialising the transpose (batched linear).
+    /// `A · Bᵀ` (batched linear, weights stored `[out, in]`). The forward
+    /// pass multiplies by a materialised `Bᵀ` that the tape transposes
+    /// once per distinct `B` and keeps until [`Tape::reset`]; the
+    /// backward pass needs `B` itself and `Gᵀ`, never `Bᵀ`.
     MatMulNt(usize, usize),
     /// Fused `W·x (+ b)` — the hot path of every LSTM gate.
     Linear {
@@ -207,6 +210,15 @@ struct Node {
 #[derive(Default)]
 pub struct Tape {
     nodes: RefCell<Vec<Node>>,
+    /// `(node id, transposed value)` for every node that has been the
+    /// right operand of [`Var::matmul_nt`] since the last reset. Node
+    /// values never change, so an entry stays valid exactly as long as
+    /// its id does — [`Tape::reset`] clears both together. A level-fused
+    /// encode multiplies each level by the same few weights, so this is
+    /// a handful of entries (nine at paper depth) found by linear scan.
+    // pool-exempt: (id, tensor handle) pairs, one per distinct weight;
+    // the transposed buffers themselves come from the pool.
+    transposed: RefCell<Vec<(usize, Tensor)>>,
 }
 
 impl fmt::Debug for Tape {
@@ -260,6 +272,8 @@ impl Tape {
     /// see. Callers own that discipline (the encode scratch types do).
     pub fn reset(&self) {
         self.nodes.borrow_mut().clear();
+        // Ids are about to be reused by other values.
+        self.transposed.borrow_mut().clear();
     }
 
     fn push(&self, op: Op, value: Tensor) -> Var<'_> {
@@ -273,6 +287,18 @@ impl Tape {
 
     fn value_of(&self, id: usize) -> Tensor {
         self.nodes.borrow()[id].value.clone()
+    }
+
+    /// The transpose of node `id`'s value, computed on first request and
+    /// shared by every later one until [`Tape::reset`].
+    fn transposed_of(&self, id: usize) -> Tensor {
+        let mut memo = self.transposed.borrow_mut();
+        if let Some((_, t)) = memo.iter().find(|(node, _)| *node == id) {
+            return t.clone();
+        }
+        let t = self.nodes.borrow()[id].value.t();
+        memo.push((id, t.clone()));
+        t
     }
 
     /// Records an input or parameter leaf.
@@ -913,6 +939,33 @@ fn stacked_rows_shape(v: &Tensor) -> (usize, usize) {
     }
 }
 
+/// `tanh` in plain f32 arithmetic with one `exp`, at a third of the cost
+/// of libm's `tanhf` (a tree-LSTM cell takes two per hidden unit per
+/// node). The Cephes `tanhf` split — an odd polynomial below 0.625,
+/// `1 − 2/(e^{2|x|} + 1)` above — evaluated on `|x|` with the sign
+/// copied back, so it is odd to the bit and keeps `−0`. Within 2e-7 of
+/// the exact value everywhere; NaN stays NaN, and the formula saturates
+/// to ±1 (from |x| ≈ 9) without a branch of its own.
+///
+/// Deliberately not `mul_add`: outside an FMA-enabled function that is a
+/// libm call, and the result must not depend on the kernel backend.
+#[inline]
+fn tanh(x: f32) -> f32 {
+    let a = x.abs();
+    let y = if a < 0.625 {
+        let z = a * a;
+        let p = ((((-5.704_988_7e-3 * z + 2.063_908_8e-2) * z - 5.373_971_5e-2) * z
+            + 1.333_144_2e-1)
+            * z
+            - 3.333_328e-1)
+            * z;
+        a + a * p
+    } else {
+        1.0 - 2.0 / ((a + a).exp() + 1.0)
+    };
+    y.copysign(x)
+}
+
 fn accumulate(grads: &mut [Option<Tensor>], id: usize, delta: Tensor, nodes: &[Node]) {
     debug_assert_eq!(
         delta.shape(),
@@ -1001,14 +1054,15 @@ impl<'t> Var<'t> {
 
     /// Matrix product with transposed right operand: `self · otherᵀ`
     /// (`[n, k] · [m, k]ᵀ → [n, m]`) — the batched-linear layout where
-    /// weights are stored `[out, in]`.
+    /// weights are stored `[out, in]`. `other` is transposed once per
+    /// tape, however many products it takes part in.
     ///
     /// # Panics
     ///
     /// Panics on rank/dimension mismatch.
     pub fn matmul_nt(self, other: Var<'t>) -> Var<'t> {
         self.same_tape(&other);
-        let v = self.value().matmul(&other.value().t());
+        let v = self.value().matmul(&self.tape.transposed_of(other.id));
         self.tape.push(Op::MatMulNt(self.id, other.id), v)
     }
 
@@ -1056,9 +1110,10 @@ impl<'t> Var<'t> {
         self.tape.push(Op::Sigmoid(self.id), v)
     }
 
-    /// Elementwise hyperbolic tangent.
+    /// Elementwise hyperbolic tangent: within 2e-7 of exact, and the same
+    /// bits under either kernel backend.
     pub fn tanh(self) -> Var<'t> {
-        let v = self.value().map(f32::tanh);
+        let v = self.value().map(tanh);
         self.tape.push(Op::Tanh(self.id), v)
     }
 
@@ -1378,6 +1433,114 @@ mod tests {
         assert!((y.value().item() - 0.5).abs() < 1e-7);
         let g = tape.backward(y.sum());
         assert!((g.get(x).item() - 0.25).abs() < 1e-7);
+    }
+
+    #[test]
+    fn matmul_nt_after_reset_uses_the_new_operand() {
+        // The hot-swap case: a worker's long-lived tape is reset and the
+        // next batch binds a *different* weight to the node id the old
+        // one had. A transpose kept across the reset would answer with
+        // the retired model's weights.
+        let tape = Tape::new();
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
+        let w_old = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0], [2, 3]);
+        let w_new = Tensor::from_vec(vec![0.0, 0.0, 2.0, 1.0, 1.0, 1.0], [2, 3]);
+        let record = |w: &Tensor| {
+            let xv = tape.leaf(x.clone());
+            let wv = tape.leaf(w.clone());
+            // Twice, so the second product is served from the memo.
+            let first = xv.matmul_nt(wv).value();
+            assert_eq!(xv.matmul_nt(wv).value(), first);
+            (wv.id(), first)
+        };
+        let (id_old, y_old) = record(&w_old);
+        assert_eq!(y_old.as_slice(), &[1.0, 2.0, 4.0, 5.0]);
+        tape.reset();
+        let (id_new, y_new) = record(&w_new);
+        assert_eq!(id_old, id_new, "the new weight must reuse the old node id");
+        assert_eq!(y_new, x.matmul(&w_new.t()));
+        assert_eq!(y_new.as_slice(), &[6.0, 6.0, 12.0, 15.0]);
+    }
+
+    #[test]
+    fn matmul_nt_memo_keeps_operands_apart_and_gradients_intact() {
+        // Two right operands on one tape, interleaved: each product must
+        // see its own transpose, and backward (which never reads the
+        // memo) must match the unfused `matmul(t())` graph.
+        let a = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, 0.25, -0.75], [2, 3]);
+        let w1 = Tensor::from_vec(vec![1.0, 2.0, 3.0, -1.0, 0.5, 0.0], [2, 3]);
+        let w2 = Tensor::from_vec((0..12).map(|x| x as f32 * 0.1 - 0.4).collect(), [4, 3]);
+        let tape = Tape::new();
+        let (av, v1, v2) = (
+            tape.leaf(a.clone()),
+            tape.leaf(w1.clone()),
+            tape.leaf(w2.clone()),
+        );
+        let y1 = av.matmul_nt(v1);
+        let y2 = av.matmul_nt(v2);
+        let y1_again = av.matmul_nt(v1);
+        assert_eq!(y1.value(), a.matmul(&w1.t()));
+        assert_eq!(y2.value(), a.matmul(&w2.t()));
+        assert_eq!(y1_again.value(), y1.value());
+        let g = tape.backward(y1.sum().add(y2.sum()).add(y1_again.sum()));
+        // d/dW1 of 2·Σ(A·W1ᵀ) is 2·(column sums of A) in every row.
+        let col = [2.0f32 * 2.0, 2.0 * -0.75, 2.0 * 1.25];
+        assert_eq!(g.get(v1).as_slice(), [col, col].concat());
+    }
+
+    #[test]
+    fn tanh_stays_within_2e7_of_f64() {
+        // Dense around the polynomial/exponential split and the origin,
+        // then out to where f32 saturates.
+        let mut worst = (0.0f64, 0.0f32);
+        let mut check = |x: f32| {
+            let err = (tanh(x) as f64 - (x as f64).tanh()).abs();
+            if err > worst.0 {
+                worst = (err, x);
+            }
+        };
+        for i in 0..=400_000 {
+            let x = i as f32 * 5e-5; // [0, 20]
+            check(x);
+            check(-x);
+        }
+        for i in 0..=20_000 {
+            check(0.625 + (i as f32 - 10_000.0) * 1e-7);
+            check(i as f32 * 1e-9);
+        }
+        assert!(worst.0 <= 2e-7, "tanh off by {:e} at {}", worst.0, worst.1);
+    }
+
+    #[test]
+    fn tanh_specials_and_oddness() {
+        assert!(tanh(f32::NAN).is_nan());
+        assert_eq!(tanh(f32::INFINITY), 1.0);
+        assert_eq!(tanh(f32::NEG_INFINITY), -1.0);
+        assert_eq!(tanh(88.0), 1.0);
+        assert_eq!(tanh(-88.0), -1.0);
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        // Tiny inputs come back unchanged rather than flushed.
+        assert_eq!(tanh(1e-30), 1e-30);
+        assert_eq!(tanh(f32::MIN_POSITIVE / 4.0), f32::MIN_POSITIVE / 4.0);
+        for i in 0..4_000 {
+            let x = i as f32 * 0.005 + 1e-4;
+            assert_eq!(tanh(-x).to_bits(), (-tanh(x)).to_bits(), "odd at {x}");
+            assert!(tanh(x) > 0.0 && tanh(x) <= 1.0, "range at {x}");
+        }
+    }
+
+    #[test]
+    fn tanh_backward_passes_grad_check_on_both_branches() {
+        // Inputs on each side of the 0.625 split and near saturation.
+        let x = Tensor::from_vec(vec![-2.5, -0.7, -0.6, -0.1, 0.0, 0.3, 0.62, 0.63, 1.4], [9]);
+        let report = crate::grad_check(&[x], 1e-2, |_tape, vars| {
+            crate::TapeScalar(vars[0].tanh().sum())
+        });
+        assert!(
+            report.passes(1e-2),
+            "tanh gradient check failed: {report:?}"
+        );
     }
 
     #[test]

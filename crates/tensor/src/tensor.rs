@@ -384,12 +384,35 @@ impl Tensor {
             1 => self.reshape([1, self.len()]),
             _ => {
                 let (r, c) = (self.shape.rows(), self.shape.cols());
-                let mut out = pool::take_zeroed(r * c);
-                for i in 0..r {
-                    for j in 0..c {
-                        out[j * r + i] = self.data[i * c + j];
+                let src: &[f32] = &self.data;
+                let mut out = pool::take_cap(r * c);
+                let dst = &mut out.spare_capacity_mut()[..r * c];
+                // 8×8 tiles: one side of a transpose is always strided,
+                // and a tile keeps that side to eight cache lines that
+                // stay resident until each has been used in full. The
+                // fixed trip counts let the tile body unroll.
+                let (rf, cf) = (r - r % 8, c - c % 8);
+                for i0 in (0..rf).step_by(8) {
+                    for j0 in (0..cf).step_by(8) {
+                        for j in j0..j0 + 8 {
+                            let run = &mut dst[j * r + i0..][..8];
+                            for (i, slot) in run.iter_mut().enumerate() {
+                                slot.write(src[(i0 + i) * c + j]);
+                            }
+                        }
                     }
                 }
+                // Edges: the last c % 8 columns of the tiled rows, and the
+                // last r % 8 rows in full.
+                for i in 0..r {
+                    for j in (if i < rf { cf } else { 0 })..c {
+                        dst[j * r + i].write(src[i * c + j]);
+                    }
+                }
+                // SAFETY: capacity is ≥ r·c, and tiles plus edges cover
+                // every (i, j) in r × c, so each of the first r·c floats
+                // has been written; no fill is needed first.
+                unsafe { out.set_len(r * c) };
                 Tensor::from_vec(out, [c, r])
             }
         }
@@ -692,6 +715,30 @@ mod tests {
         let att = a.t().t();
         assert_eq!(att.shape(), a.shape());
         assert_eq!(att.as_slice(), a.as_slice());
+    }
+
+    #[test]
+    fn transpose_places_every_element_across_tile_edges() {
+        // Whole 8×8 tiles, ragged right and bottom edges, and shapes too
+        // small for any tile; recycled buffers must be fully overwritten.
+        for &(r, c) in &[
+            (1, 1),
+            (3, 5),
+            (8, 8),
+            (9, 17),
+            (27, 400),
+            (400, 120),
+            (16, 7),
+        ] {
+            let a = Tensor::from_vec((0..r * c).map(|x| x as f32 + 1.0).collect(), [r, c]);
+            let at = a.t();
+            assert_eq!(at.shape().dims(), &[c, r]);
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(at.at(j, i), a.at(i, j), "[{r},{c}] at ({i},{j})");
+                }
+            }
+        }
     }
 
     #[test]
