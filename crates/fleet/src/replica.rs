@@ -10,7 +10,7 @@
 //! returned; the replica's accept loop hands out fresh ones cheaply.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -177,9 +177,11 @@ impl Replica {
 /// newline) — the fleet never re-serializes either direction, which is
 /// what makes fleet-routed responses byte-identical to direct ones.
 fn exchange_on(session: &mut Session, line: &str) -> std::io::Result<String> {
-    session.writer.write_all(line.as_bytes())?;
-    session.writer.write_all(b"\n")?;
-    session.writer.flush()?;
+    // One write: a line and its newline sent separately are two segments
+    // under NODELAY, and the replica's session wakes for the first only
+    // to find the line incomplete.
+    let mut request = String::with_capacity(line.len() + 1);
+    ccsa_serve::proto::write_line(&mut session.writer, &mut request, &line)?;
     let mut response = String::new();
     let n = session.reader.read_line(&mut response)?;
     if n == 0 {

@@ -548,11 +548,11 @@ impl Fleet {
                     // all use the same ordering.
                     if state.active.load(Ordering::SeqCst) >= state.config.max_connections {
                         let mut stream = stream;
-                        let line = proto::error_response(&format!(
+                        let response = proto::error_response(&format!(
                             "fleet at capacity ({} connections) — retry later",
                             state.config.max_connections
                         ));
-                        let _ = writeln!(stream, "{line}");
+                        let _ = proto::write_line(&mut stream, &mut String::new(), &response);
                         continue;
                     }
                     state.active.fetch_add(1, Ordering::SeqCst); // SeqCst: take the slot
@@ -632,6 +632,8 @@ fn serve_connection(state: &Arc<FleetState>, stream: TcpStream, peer: SocketAddr
     let mut writer = stream;
     let fallback_key = peer.ip().to_string();
     let mut line_buf: Vec<u8> = Vec::new();
+    // Every reply is formatted here first, then leaves in one write.
+    let mut reply = String::new();
     loop {
         if state.draining() {
             return;
@@ -639,11 +641,8 @@ fn serve_connection(state: &Arc<FleetState>, stream: TcpStream, peer: SocketAddr
         let budget = (MAX_LINE_BYTES + 1).saturating_sub(line_buf.len()) as u64;
         match std::io::Read::take(&mut reader, budget).read_until(b'\n', &mut line_buf) {
             Ok(0) if line_buf.len() > MAX_LINE_BYTES => {
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    proto::error_response("request line exceeds 8 MiB")
-                );
+                let response = proto::error_response("request line exceeds 8 MiB");
+                let _ = proto::write_line(&mut writer, &mut reply, &response);
                 return;
             }
             Ok(0) => return,
@@ -656,20 +655,14 @@ fn serve_connection(state: &Arc<FleetState>, stream: TcpStream, peer: SocketAddr
                     continue;
                 }
                 let Ok(line) = String::from_utf8(std::mem::take(&mut line_buf)) else {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        proto::error_response("request line is not valid UTF-8")
-                    );
+                    let response = proto::error_response("request line is not valid UTF-8");
+                    let _ = proto::write_line(&mut writer, &mut reply, &response);
                     continue;
                 };
                 let line = line.trim_end_matches(['\n', '\r']);
                 let (response, drain) =
                     handle_line(state, line, &fallback_key, peer.ip().is_loopback());
-                if writeln!(writer, "{response}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if proto::write_line(&mut writer, &mut reply, &response).is_err() {
                     return;
                 }
                 if drain {
@@ -1343,14 +1336,14 @@ fn serve_http_connection(state: &Arc<FleetState>, stream: TcpStream, peer: Socke
             Ok(Some((method, path, body))) => {
                 let (status, reason, content_type, response_body) =
                     route_http(state, &method, &path, &body, &fallback_key);
-                let head = format!(
+                // Head and body leave in one write, as on the gateway.
+                let reply = format!(
                     "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-                     Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+                     Content-Length: {}\r\nConnection: keep-alive\r\n\r\n{response_body}",
                     response_body.len()
                 );
                 if writer
-                    .write_all(head.as_bytes())
-                    .and_then(|()| writer.write_all(response_body.as_bytes()))
+                    .write_all(reply.as_bytes())
                     .and_then(|()| writer.flush())
                     .is_err()
                 {

@@ -588,7 +588,7 @@ fn serve_http_scored(
                 .map(str::to_string)
         })
         .unwrap_or_else(generate_request_id);
-    let scored = match proto::parse_request_value(&value) {
+    let scored = match proto::parse_request_value(value) {
         Ok(r) => r,
         Err(message) => {
             let mut resp = HttpResponse::json_error(400, "Bad Request", &message);
@@ -639,17 +639,24 @@ fn path_label(path: &str) -> &'static str {
     }
 }
 
-/// Bumps `ccsa_http_requests_total{path,code}`. Looked up per response —
-/// after first creation this is a read-lock and a `fetch_add`, and HTTP
-/// traffic is probes and scrapes, not the hot path.
+/// Bumps `ccsa_http_requests_total{path,code}`. Looked up per response,
+/// and `/v1/compare` makes that the hot path: after first creation it is
+/// a read-lock, a borrowed label comparison and a `fetch_add`, with no
+/// allocation (the code is rendered into a stack buffer).
 fn record_http(shared: &Shared, path: &'static str, status: u16) {
-    let code = status.to_string();
+    let digits = [
+        b'0' + (status / 100 % 10) as u8,
+        b'0' + (status / 10 % 10) as u8,
+        b'0' + (status % 10) as u8,
+    ];
+    // Three ASCII digits; every status this server sends has three.
+    let code = std::str::from_utf8(&digits).unwrap_or("000");
     shared
         .metrics
         .counter(
             "ccsa_http_requests_total",
             HTTP_REQUESTS_HELP,
-            &[("path", path), ("code", &code)],
+            &[("path", path), ("code", code)],
         )
         .inc();
 }
@@ -659,37 +666,40 @@ fn write_all_flushed(w: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Serializes one response; `keep_alive` decides the `Connection`
-/// header.
-fn write_response(w: &mut TcpStream, resp: &HttpResponse, keep_alive: bool) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut head = String::with_capacity(256);
-    let _ = write!(head, "HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
-    let _ = write!(head, "Content-Type: {}\r\n", resp.content_type);
+/// Serializes one response — head, body and, for a chunked one, the
+/// chunk framing — into one buffer and sends it in a single `write_all`
+/// (one segment per reply under `TCP_NODELAY`, not one per part);
+/// `keep_alive` decides the `Connection` header.
+fn write_response<W: Write>(
+    w: &mut W,
+    resp: &HttpResponse,
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    let mut out: Vec<u8> = Vec::with_capacity(256 + resp.body.len());
+    write!(out, "HTTP/1.1 {} {}\r\n", resp.status, resp.reason)?;
+    write!(out, "Content-Type: {}\r\n", resp.content_type)?;
     if let Some(id) = &resp.request_id {
-        let _ = write!(head, "X-Request-Id: {id}\r\n");
+        write!(out, "X-Request-Id: {id}\r\n")?;
     }
-    head.push_str(if keep_alive {
-        "Connection: keep-alive\r\n"
+    let connection: &[u8] = if keep_alive {
+        b"Connection: keep-alive\r\n"
     } else {
-        "Connection: close\r\n"
-    });
+        b"Connection: close\r\n"
+    };
+    out.extend_from_slice(connection);
     if resp.chunked {
-        head.push_str("Transfer-Encoding: chunked\r\n\r\n");
-        w.write_all(head.as_bytes())?;
+        out.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
         for chunk in resp.body.chunks(CHUNK_BYTES) {
-            let mut size = String::with_capacity(8);
-            let _ = write!(size, "{:x}\r\n", chunk.len());
-            w.write_all(size.as_bytes())?;
-            w.write_all(chunk)?;
-            w.write_all(b"\r\n")?;
+            write!(out, "{:x}\r\n", chunk.len())?;
+            out.extend_from_slice(chunk);
+            out.extend_from_slice(b"\r\n");
         }
-        w.write_all(b"0\r\n\r\n")?;
+        out.extend_from_slice(b"0\r\n\r\n");
     } else {
-        let _ = write!(head, "Content-Length: {}\r\n\r\n", resp.body.len());
-        w.write_all(head.as_bytes())?;
-        w.write_all(&resp.body)?;
+        write!(out, "Content-Length: {}\r\n\r\n", resp.body.len())?;
+        out.extend_from_slice(&resp.body);
     }
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -741,6 +751,53 @@ mod tests {
         assert_eq!(scored_status(&shed).0, 503);
         let failed = Json::obj(vec![("ok", Json::Bool(false))]);
         assert_eq!(scored_status(&failed).0, 400);
+    }
+
+    /// Counts `write` calls: each is a `write(2)` on a socket, and a
+    /// segment of its own under `TCP_NODELAY`.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn plain_and_chunked_responses_leave_in_one_write() {
+        let mut resp = HttpResponse::json(200, "OK", &Json::obj(vec![("ok", Json::Bool(true))]));
+        resp.request_id = Some("req-7".to_string());
+        let mut socket = CountingWriter::default();
+        write_response(&mut socket, &resp, true).unwrap();
+        assert_eq!(socket.writes, 1);
+        assert_eq!(
+            String::from_utf8(socket.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Request-Id: req-7\r\n\
+             Connection: keep-alive\r\nContent-Length: 12\r\n\r\n{\"ok\":true}\n"
+        );
+
+        // A rank-sized body spanning three chunks, framing included.
+        resp.body = vec![b'x'; 2 * CHUNK_BYTES + 5];
+        resp.chunked = true;
+        let mut socket = CountingWriter::default();
+        write_response(&mut socket, &resp, false).unwrap();
+        assert_eq!(socket.writes, 1);
+        let text = String::from_utf8(socket.bytes).unwrap();
+        let (head, framed) = text.split_once("\r\n\r\n").unwrap();
+        assert!(head.ends_with("Connection: close\r\nTransfer-Encoding: chunked"));
+        assert!(!head.contains("Content-Length"));
+        let full = format!("2000\r\n{}\r\n", "x".repeat(CHUNK_BYTES));
+        assert_eq!(framed, format!("{full}{full}5\r\nxxxxx\r\n0\r\n\r\n"));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! every session finishes its in-flight request before exiting (sessions
 //! poll the flag between reads, never mid-request).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -807,10 +807,10 @@ impl Gateway {
 
 /// Refuses an over-cap connection with a single protocol line.
 fn refuse(mut stream: TcpStream, cap: usize) {
-    let line = proto::error_response(&format!(
+    let response = proto::error_response(&format!(
         "gateway at capacity ({cap} connections) — retry later"
     ));
-    let _ = writeln!(stream, "{line}");
+    let _ = proto::write_line(&mut stream, &mut String::new(), &response);
 }
 
 /// What must happen after a response line has been written.
@@ -839,6 +839,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
     // peer host, so one machine's traffic stays on one route.
     let fallback_key = peer.ip().to_string();
     let mut line_buf: Vec<u8> = Vec::new();
+    // Every reply is formatted here first, then leaves in one write.
+    let mut reply = String::new();
     let mut seq: u64 = 0;
     // Idle tracking counts *progress* — a completed request or new bytes
     // arriving — so a stalled half-sent request (slowloris) times out
@@ -855,11 +857,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
         let budget = (MAX_LINE_BYTES + 1).saturating_sub(line_buf.len()) as u64;
         match std::io::Read::take(&mut reader, budget).read_until(b'\n', &mut line_buf) {
             Ok(0) if line_buf.len() > MAX_LINE_BYTES => {
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    proto::error_response("request line exceeds 8 MiB")
-                );
+                let response = proto::error_response("request line exceeds 8 MiB");
+                let _ = proto::write_line(&mut writer, &mut reply, &response);
                 return;
             }
             // EOF: client closed (possibly mid-line — an abandoned
@@ -886,10 +885,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
                 seq += 1;
                 last_progress = Instant::now();
                 seen_len = 0;
-                if writeln!(writer, "{response}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if proto::write_line(&mut writer, &mut reply, &response).is_err() {
                     return; // client went away while we were answering
                 }
                 match after {
@@ -958,7 +954,7 @@ fn handle_line(
         .and_then(Json::as_str)
         .map(str::to_string)
         .unwrap_or_else(generate_request_id);
-    let request = match proto::parse_request_value(&value) {
+    let request = match proto::parse_request_value(value) {
         Ok(r) => r,
         Err(message) => return (proto::error_response(&message), AfterResponse::KeepGoing),
     };

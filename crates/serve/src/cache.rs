@@ -8,9 +8,8 @@
 //! tweaks). On a hit, serving skips the tree-LSTM/GCN encoder entirely
 //! and only the 2·d-weight classifier head runs.
 //!
-//! Implementation: a slab of entries threaded onto an intrusive
-//! doubly-linked recency list, plus a `HashMap` from key to slab index.
-//! `get`, `insert` and eviction are all O(1).
+//! Implementation: each stripe is an [`Lru`] (shared with the source
+//! memo), so `get`, `insert` and eviction are all O(1).
 //!
 //! # Quantized storage
 //!
@@ -38,16 +37,14 @@
 //! is refused ([`SnapshotError::WrongModel`]) instead of silently
 //! serving stale embeddings.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 use crate::lockdep::DMutex;
+use crate::lru::Lru;
 
 use ccsa_tensor::Tensor;
-
-const NIL: usize = usize::MAX;
 
 /// Stripe count [`ShardedCache`] uses when a config leaves it at 0.
 pub const DEFAULT_CACHE_STRIPES: usize = 16;
@@ -366,11 +363,8 @@ impl StoredCode {
 }
 
 struct Entry {
-    key: u64,
     tag: u64,
     code: StoredCode,
-    prev: usize,
-    next: usize,
 }
 
 /// Cache observability counters (monotonic; snapshot via
@@ -404,11 +398,7 @@ impl CacheStats {
 struct EmbeddingCache {
     capacity: usize,
     precision: CachePrecision,
-    map: HashMap<u64, usize>,
-    slab: Vec<Entry>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    lru: Lru<u64, Entry>,
     stats: CacheStats,
     bytes: usize, // payload bytes at rest, maintained incrementally
 }
@@ -421,11 +411,7 @@ impl EmbeddingCache {
         EmbeddingCache {
             capacity,
             precision,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            lru: Lru::with_capacity(capacity.min(1 << 20)),
             stats: CacheStats::default(),
             bytes: 0,
         }
@@ -440,7 +426,7 @@ impl EmbeddingCache {
 
     /// Number of cached codes.
     fn len(&self) -> usize {
-        self.map.len()
+        self.lru.len()
     }
 
     /// Counter snapshot.
@@ -451,11 +437,7 @@ impl EmbeddingCache {
     /// Drops every entry (counters are preserved — they are monotonic
     /// telemetry, not contents).
     fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.lru.clear();
         self.bytes = 0;
     }
 
@@ -463,12 +445,10 @@ impl EmbeddingCache {
     /// Quantized entries are dequantized here — the classifier head
     /// always sees f32.
     fn get(&mut self, key: u64) -> Option<Tensor> {
-        match self.map.get(&key).copied() {
-            Some(ix) => {
+        match self.lru.get(&key) {
+            Some(entry) => {
                 self.stats.hits += 1;
-                self.detach(ix);
-                self.attach_front(ix);
-                Some(self.slab[ix].code.decode())
+                Some(entry.code.decode())
             }
             None => {
                 self.stats.misses += 1;
@@ -480,7 +460,7 @@ impl EmbeddingCache {
     /// Peeks without touching recency or counters (used by tests and
     /// diagnostics). Dequantizes like `get`.
     fn peek(&self, key: u64) -> Option<Tensor> {
-        self.map.get(&key).map(|&ix| self.slab[ix].code.decode())
+        self.lru.peek(&key).map(|entry| entry.code.decode())
     }
 
     /// Inserts (or refreshes) a code under an owner `tag` — typically the
@@ -509,60 +489,26 @@ impl EmbeddingCache {
             StoredCode::encode(&code.decode(), self.precision)
         };
         self.bytes += code.payload_bytes();
-        if let Some(&ix) = self.map.get(&key) {
-            // Refresh: replace payload and owner, promote.
-            self.bytes -= self.slab[ix].code.payload_bytes();
-            self.slab[ix].code = code;
-            self.slab[ix].tag = tag;
-            self.detach(ix);
-            self.attach_front(ix);
+        if let Some(entry) = self.lru.get(&key) {
+            // Refresh: replace payload and owner (the lookup promoted).
+            self.bytes -= entry.code.payload_bytes();
+            *entry = Entry { tag, code };
             return;
         }
-        if self.map.len() == self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
-            self.detach(lru);
-            self.map.remove(&self.slab[lru].key);
-            self.bytes -= self.slab[lru].code.payload_bytes();
-            self.free.push(lru);
+        if self.lru.len() == self.capacity {
+            let (_, evicted) = self.lru.pop_lru().expect("a full stripe has a tail");
+            self.bytes -= evicted.code.payload_bytes();
             self.stats.evictions += 1;
         }
-        let ix = match self.free.pop() {
-            Some(ix) => {
-                self.slab[ix] = Entry {
-                    key,
-                    tag,
-                    code,
-                    prev: NIL,
-                    next: NIL,
-                };
-                ix
-            }
-            None => {
-                self.slab.push(Entry {
-                    key,
-                    tag,
-                    code,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slab.len() - 1
-            }
-        };
-        self.map.insert(key, ix);
-        self.attach_front(ix);
+        self.lru.insert(key, Entry { tag, code });
         self.stats.insertions += 1;
     }
 
     /// Keys from most- to least-recently used.
     #[cfg(test)]
     fn recency_keys(&self) -> Vec<u64> {
-        let mut keys = Vec::with_capacity(self.map.len());
-        let mut ix = self.head;
-        while ix != NIL {
-            keys.push(self.slab[ix].key);
-            ix = self.slab[ix].next;
-        }
+        let mut keys: Vec<u64> = self.lru.iter_oldest_first().map(|(k, _)| *k).collect();
+        keys.reverse();
         keys
     }
 
@@ -579,44 +525,11 @@ impl EmbeddingCache {
     /// stored (possibly quantized) representation — cloning is O(1) per
     /// entry, and the snapshot preserves the exact at-rest bytes.
     fn tagged_entries(&self, tag: u64, salt: u64) -> Vec<(u64, StoredCode)> {
-        let mut entries = Vec::new();
-        let mut ix = self.tail;
-        while ix != NIL {
-            let entry = &self.slab[ix];
-            if entry.tag == tag {
-                entries.push((entry.key ^ salt, entry.code.clone()));
-            }
-            ix = entry.prev;
-        }
-        entries
-    }
-
-    fn detach(&mut self, ix: usize) {
-        let (prev, next) = (self.slab[ix].prev, self.slab[ix].next);
-        if prev != NIL {
-            self.slab[prev].next = next;
-        } else if self.head == ix {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slab[next].prev = prev;
-        } else if self.tail == ix {
-            self.tail = prev;
-        }
-        self.slab[ix].prev = NIL;
-        self.slab[ix].next = NIL;
-    }
-
-    fn attach_front(&mut self, ix: usize) {
-        self.slab[ix].prev = NIL;
-        self.slab[ix].next = self.head;
-        if self.head != NIL {
-            self.slab[self.head].prev = ix;
-        }
-        self.head = ix;
-        if self.tail == NIL {
-            self.tail = ix;
-        }
+        self.lru
+            .iter_oldest_first()
+            .filter(|(_, entry)| entry.tag == tag)
+            .map(|(key, entry)| (key ^ salt, entry.code.clone()))
+            .collect()
     }
 }
 

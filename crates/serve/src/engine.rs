@@ -3,7 +3,9 @@
 //! [`ServeEngine`] is the in-process front door. One request travels:
 //!
 //! 1. **Parse** each mini-C++ source through [`ccsa_cppast`] and flatten
-//!    to an [`AstGraph`]; structurally identical sources (by
+//!    to an [`AstGraph`] — or, for byte-identical resubmitted text, take
+//!    the graph it parsed to last time from the source memo
+//!    ([`crate::memo`]); structurally identical sources (by
 //!    [`AstGraph::canonical_hash`]) collapse into one unit of work.
 //! 2. **Cache** lookup in the LRU embedding cache, keyed by
 //!    `(model, canonical hash)`. Hits skip the encoder entirely.
@@ -36,6 +38,7 @@ use ccsa_tensor::Tensor;
 
 use crate::batch::{BatchConfig, BatchStats, EncodeError, EncodePool};
 use crate::cache::{CachePrecision, CacheStats, ShardedCache, SnapshotError};
+use crate::memo::SourceMemo;
 use crate::metrics::{
     Histogram, MetricKind, MetricsRegistry, Sample, SampleFamily, LATENCY_BUCKETS_S,
 };
@@ -45,7 +48,8 @@ use crate::registry::{ModelRegistry, ModelSelector, RegistryError, ServeModel, D
 /// Engine construction settings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// LRU capacity in latent codes (0 disables caching).
+    /// LRU capacity in latent codes (0 disables caching). The source
+    /// memo ahead of the parser holds at most as many entries.
     pub cache_capacity: usize,
     /// Cache stripe count (0 = [`crate::cache::DEFAULT_CACHE_STRIPES`]).
     /// Capacity is split evenly across stripes; 1 reproduces the old
@@ -252,8 +256,10 @@ pub struct EngineStats {
     pub compares: u64,
     /// Ranking requests served.
     pub rankings: u64,
-    /// Sources parsed.
+    /// Parser runs: sources the memo did not already hold.
     pub parses: u64,
+    /// Sources answered by the source memo without running the parser.
+    pub parse_memo_hits: u64,
     /// Sources rejected by the parser.
     pub parse_failures: u64,
     /// Embedding-cache counters, aggregated over stripes (always the
@@ -302,10 +308,13 @@ pub struct ServeEngine {
     /// selector; only register/hot-swap takes the write lock.
     registry: DRwLock<ModelRegistry>,
     cache: ShardedCache,
+    /// Source text → parsed graph, ahead of the parser.
+    memo: SourceMemo,
     pool: EncodePool,
     compares: AtomicU64,
     rankings: AtomicU64,
     parses: AtomicU64,
+    parse_memo_hits: AtomicU64,
     parse_failures: AtomicU64,
     started: Instant,
     /// Stage histograms, present once a registry is attached. Handles
@@ -348,10 +357,12 @@ impl ServeEngine {
                 config.cache_stripes,
                 config.cache_precision,
             ),
+            memo: SourceMemo::new(config.cache_capacity),
             pool: EncodePool::new(&config.batch),
             compares: AtomicU64::new(0),
             rankings: AtomicU64::new(0),
             parses: AtomicU64::new(0),
+            parse_memo_hits: AtomicU64::new(0),
             parse_failures: AtomicU64::new(0),
             started: Instant::now(),
             stage_hists: OnceLock::new(),
@@ -686,6 +697,7 @@ impl ServeEngine {
             pool: ccsa_tensor::pool::stats(),
             rankings: self.rankings.load(Ordering::Relaxed),
             parses: self.parses.load(Ordering::Relaxed),
+            parse_memo_hits: self.parse_memo_hits.load(Ordering::Relaxed),
             parse_failures: self.parse_failures.load(Ordering::Relaxed),
             cache,
             cache_len,
@@ -743,9 +755,11 @@ impl ServeEngine {
         }
     }
 
-    /// Drops all cached embeddings (telemetry counters survive).
+    /// Drops all cached embeddings and memoized parses (telemetry
+    /// counters survive).
     pub fn clear_cache(&self) {
         self.cache.clear();
+        self.memo.clear();
     }
 
     /// Resolves a selector to its concrete `(name, version)` coordinate
@@ -836,10 +850,19 @@ impl ServeEngine {
             .iter()
             .enumerate()
             .map(|(ix, src)| {
+                if let Some(graph) = self.memo.get(src) {
+                    // Relaxed: stats counter.
+                    self.parse_memo_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(graph);
+                }
                 // Relaxed: stats counters (here and the failure below).
                 self.parses.fetch_add(1, Ordering::Relaxed);
                 match parse_program(src) {
-                    Ok(program) => Ok(Arc::new(AstGraph::from_program(&program))),
+                    Ok(program) => {
+                        let graph = Arc::new(AstGraph::from_program(&program));
+                        self.memo.insert(src, &graph);
+                        Ok(graph)
+                    }
                     Err(e) => {
                         // Relaxed: stats counter.
                         self.parse_failures.fetch_add(1, Ordering::Relaxed);
@@ -950,9 +973,15 @@ pub fn engine_metric_families(stats: &EngineStats) -> Vec<SampleFamily> {
         ),
         scalar(
             "ccsa_parses_total",
-            "Sources parsed.",
+            "Parser runs (sources the source memo did not hold).",
             Counter,
             stats.parses as f64,
+        ),
+        scalar(
+            "ccsa_parse_memo_hits_total",
+            "Sources answered by the source memo without parsing.",
+            Counter,
+            stats.parse_memo_hits as f64,
         ),
         scalar(
             "ccsa_parse_failures_total",
@@ -1296,7 +1325,10 @@ mod tests {
         assert_eq!(stats.cache.misses, 3);
         assert_eq!(stats.cache_len, 3);
         assert_eq!(stats.compares, 3);
-        assert_eq!(stats.parses, 6);
+        // Six sources submitted, three distinct texts: each parsed once,
+        // every resubmission answered by the source memo.
+        assert_eq!(stats.parses, 3);
+        assert_eq!(stats.parse_memo_hits, 3);
     }
 
     #[test]
@@ -1786,6 +1818,7 @@ mod tests {
             "ccsa_compares_total",
             "ccsa_rankings_total",
             "ccsa_parses_total",
+            "ccsa_parse_memo_hits_total",
             "ccsa_parse_failures_total",
             "ccsa_cache_hits_total",
             "ccsa_cache_misses_total",
@@ -1818,6 +1851,10 @@ mod tests {
         assert!(text.contains(&format!("ccsa_compares_total {}", stats.compares)));
         assert!(text.contains(&format!("ccsa_rankings_total {}", stats.rankings)));
         assert!(text.contains(&format!("ccsa_parses_total {}", stats.parses)));
+        assert!(text.contains(&format!(
+            "ccsa_parse_memo_hits_total {}",
+            stats.parse_memo_hits
+        )));
         // Stage histograms observed one count per request.
         assert!(text.contains("ccsa_stage_duration_seconds_count{stage=\"parse\"} 2"));
         assert!(text.contains("ccsa_stage_duration_seconds_count{stage=\"encode\"} 2"));

@@ -121,16 +121,15 @@ impl std::error::Error for JsonError {}
 ///
 /// Returns a [`JsonError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let bytes = input.as_bytes();
     let mut p = Parser {
-        bytes,
+        src: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(value)
@@ -142,7 +141,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: u32 = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The document: scanned bytewise, string runs sliced back out.
+    src: &'a str,
     pos: usize,
     depth: u32,
 }
@@ -155,8 +155,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -175,7 +179,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -265,6 +269,23 @@ impl<'a> Parser<'a> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the maximal run of plain bytes in one `push_str`: time
+            // linear in the string, where re-validating the rest of the
+            // document per character was quadratic. A run starts after
+            // the opening quote or an escape and ends at `"`, `\`, a
+            // control byte or the end of input — ASCII or the end on
+            // both sides, so always char boundaries of `src`; `get`
+            // keeps even "can't happen" a typed error on this
+            // untrusted-input path, never a panic.
+            let start = self.pos;
+            while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            let run = self
+                .src
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            out.push_str(run);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -273,70 +294,63 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect_byte(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&cp) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    self.escape(&mut out)?;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so this is
-                    // guaranteed valid — but this is the untrusted-input
-                    // path, so even "can't happen" stays a typed error,
-                    // never a panic).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
 
+    /// Decodes one escape sequence (the backslash already consumed).
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by
+                // an escaped low surrogate.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    if self.peek() == Some(b'\\') {
+                        self.pos += 1;
+                        self.expect_byte(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(combined)
+                            .ok_or_else(|| self.err("invalid surrogate pair"))?
+                    } else {
+                        return Err(self.err("unpaired high surrogate"));
+                    }
+                } else if (0xDC00..0xE000).contains(&cp) {
+                    return Err(self.err("unpaired low surrogate"));
+                } else {
+                    char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
+                };
+                out.push(c);
+                return Ok(());
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.bytes().len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+        let s = std::str::from_utf8(&self.bytes()[self.pos..self.pos + 4])
             .map_err(|_| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
@@ -385,7 +399,7 @@ impl<'a> Parser<'a> {
         // The scanned span is all ASCII digits/signs, so this cannot
         // fail — but a panic here would be a remote crash, so it stays
         // a typed error like everything else on this path.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos])
             .map_err(|_| self.err("invalid UTF-8 in number"))?;
         text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
             at: start,
@@ -437,25 +451,265 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Maximal runs that need no
+/// escaping go out in one `write_str` each (the mirror image of
+/// [`Parser::string`]); every byte that needs an escape is ASCII, so
+/// the run boundaries are always char boundaries of `s`.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    f.write_str("\"")?;
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        start = i + 1;
     }
-    write!(f, "\"")
+    f.write_str(&s[start..])?;
+    f.write_str("\"")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reader [`Parser::string`] replaced, kept verbatim as the
+    /// oracle: it re-validates the whole rest of the document for every
+    /// plain character (quadratic), and is otherwise the same automaton.
+    fn string_per_char(p: &mut Parser<'_>) -> Result<String, JsonError> {
+        p.expect_byte(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.err("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000C}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            p.pos += 1;
+                            let cp = p.hex4()?;
+                            // Surrogate pairs: a high surrogate must be
+                            // followed by an escaped low surrogate.
+                            let c = if (0xD800..0xDC00).contains(&cp) {
+                                if p.peek() == Some(b'\\') {
+                                    p.pos += 1;
+                                    p.expect_byte(b'u')?;
+                                    let lo = p.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(p.err("invalid low surrogate"));
+                                    }
+                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                    char::from_u32(combined)
+                                        .ok_or_else(|| p.err("invalid surrogate pair"))?
+                                } else {
+                                    return Err(p.err("unpaired high surrogate"));
+                                }
+                            } else if (0xDC00..0xE000).contains(&cp) {
+                                return Err(p.err("unpaired low surrogate"));
+                            } else {
+                                char::from_u32(cp).ok_or_else(|| p.err("invalid code point"))?
+                            };
+                            out.push(c);
+                            continue;
+                        }
+                        _ => return Err(p.err("invalid escape")),
+                    }
+                    p.pos += 1;
+                }
+                Some(c) if c < 0x20 => return Err(p.err("raw control character in string")),
+                Some(_) => {
+                    // Copy one UTF-8 scalar (input is a &str, so this is
+                    // guaranteed valid — but this is the untrusted-input
+                    // path, so even "can't happen" stays a typed error,
+                    // never a panic).
+                    let rest = &p.bytes()[p.pos..];
+                    let s = std::str::from_utf8(rest).map_err(|_| p.err("invalid UTF-8"))?;
+                    let c = s
+                        .chars()
+                        .next()
+                        .ok_or_else(|| p.err("unterminated string"))?;
+                    out.push(c);
+                    p.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// [`parse`] of a document that is one string literal, through the
+    /// per-character oracle.
+    fn oracle_parse(doc: &str) -> Result<Json, JsonError> {
+        let mut p = Parser {
+            src: doc,
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        let value = string_per_char(&mut p)?;
+        p.skip_ws();
+        if p.pos != doc.len() {
+            return Err(p.err("trailing characters after document"));
+        }
+        Ok(Json::Str(value))
+    }
+
+    /// The writer `write_escaped` replaced (one `write!` per character),
+    /// as the oracle for the run-copying one.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Pieces of a string literal's inside: plain ASCII runs, 2/3/4-byte
+    /// UTF-8, every escape, surrogate pairs, lone and mispaired
+    /// surrogates, malformed escapes, raw control bytes and a raw quote.
+    fn literal_piece() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[a-zA-Z0-9 (){};=+<>/,.]{0,12}",
+            prop::sample::select(
+                [
+                    "é",
+                    "ß",
+                    "✓",
+                    "中",
+                    "😀",
+                    "\u{10FFFF}",
+                    "\\\"",
+                    "\\\\",
+                    "\\/",
+                    "\\b",
+                    "\\f",
+                    "\\n",
+                    "\\r",
+                    "\\t",
+                    "\\u00e9",
+                    "\\u0041",
+                    "\\u0000",
+                    "\\uFFFF",
+                    "\\ud83d\\ude00",
+                    "\\uD800",
+                    "\\udc00",
+                    "\\ud800\\u0041",
+                    "\\ud800x",
+                    "\\x",
+                    "\\u12G4",
+                    "\\u+123",
+                    "\\ué",
+                    "\u{1}",
+                    "\n",
+                    "\t",
+                    "\u{1f}",
+                    "\u{7f}",
+                    "\"",
+                ]
+                .map(str::to_string)
+                .to_vec()
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        #[test]
+        fn run_copying_reader_matches_the_per_character_oracle(
+            pieces in prop::collection::vec(literal_piece(), 0..10),
+            padded in any::<bool>(),
+        ) {
+            let mut doc = format!("\"{}\"", pieces.concat());
+            if padded {
+                doc = format!(" \t{doc}\r\n ");
+            }
+            // The whole document and its truncation at every prefix that
+            // still opens the literal: same value, or same error at the
+            // same byte.
+            let open = doc.find('"').expect("the literal's opening quote");
+            for end in (open + 1..=doc.len()).filter(|&e| doc.is_char_boundary(e)) {
+                let prefix = &doc[..end];
+                prop_assert_eq!(parse(prefix), oracle_parse(prefix), "document {:?}", prefix);
+            }
+        }
+
+        #[test]
+        fn writer_round_trips_and_matches_the_per_character_oracle(
+            pieces in prop::collection::vec(literal_piece(), 0..10),
+        ) {
+            // Decode each piece that is a valid literal on its own, so the
+            // value holds controls, quotes, backslashes and multi-byte
+            // scalars in decoded form.
+            let text: String = pieces
+                .iter()
+                .filter_map(|piece| parse(&format!("\"{piece}\"")).ok())
+                .filter_map(|v| v.as_str().map(str::to_string))
+                .collect();
+            let printed = Json::str(text.clone()).to_string();
+            prop_assert_eq!(&printed, &escaped_per_char(&text));
+            let value = Json::Obj(vec![(
+                text.clone(),
+                Json::Arr(vec![Json::str(text.clone()), Json::num(1.5)]),
+            )]);
+            prop_assert_eq!(parse(&value.to_string()), Ok(value));
+        }
+    }
+
+    #[test]
+    fn string_literals_parse_in_linear_time() {
+        // A request line is up to 8 MiB of mostly one string. The old
+        // reader was quadratic in it (8× the bytes = 64× the time);
+        // linear is 8×. The bound sits between the two, and each side
+        // takes its best of five so a scheduling hiccup cannot fail it.
+        let literal = |bytes: usize| format!("\"{}\"", "int x = 0; // ééé\\n".repeat(bytes / 20));
+        let best_ns = |doc: &str| {
+            (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let value = parse(std::hint::black_box(doc)).unwrap();
+                    let ns = start.elapsed().as_nanos();
+                    assert!(value.as_str().is_some_and(|s| s.len() > doc.len() / 2));
+                    ns
+                })
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (literal(64 << 10), literal(512 << 10));
+        let (small_ns, large_ns) = (best_ns(&small), best_ns(&large));
+        assert!(
+            large_ns < 16 * small_ns,
+            "512 KiB took {large_ns} ns, 64 KiB took {small_ns} ns"
+        );
+    }
 
     #[test]
     fn malformed_input_errors_without_panicking() {

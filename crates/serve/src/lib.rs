@@ -56,6 +56,10 @@
 //!   encoder and pay only the classifier head; snapshot/load spills it
 //!   to disk so restarts begin warm, byte-compatible across stripe
 //!   counts;
+//! * the source memo (`memo`, crate-private) — a bounded, striped LRU
+//!   from source text to its parsed graph ahead of the parser, so a
+//!   byte-identical resubmission costs a hash and a comparison instead
+//!   of a lex, a parse and a flatten;
 //! * [`batch`] — the sharded micro-batching queues and persistent
 //!   worker pool ([`EncodePool`]): each registered model gets its own
 //!   bounded sub-queue with preferred workers, idle workers steal from
@@ -118,6 +122,8 @@ pub mod engine;
 pub mod hash;
 pub mod json;
 pub mod lockdep;
+mod lru;
+mod memo;
 pub mod metrics;
 pub mod proto;
 pub mod rank;

@@ -420,10 +420,15 @@ impl MetricsRegistry {
         for (k, _) in labels {
             assert!(valid_metric_name(k), "invalid label name {k:?}");
         }
-        let labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
+        // Compared borrowed, so finding an existing series allocates
+        // nothing; the owned copy is only built to create one.
+        let same_labels = |owned: &[(String, String)]| {
+            owned.len() == labels.len()
+                && owned
+                    .iter()
+                    .zip(labels)
+                    .all(|((ok, ov), (k, v))| ok == k && ov == v)
+        };
         // Fast path: the series already exists.
         {
             let families = self.families.read().expect("metric families poisoned");
@@ -433,7 +438,7 @@ impl MetricsRegistry {
                     "metric {name} registered as {:?}, requested as {kind:?}",
                     family.kind
                 );
-                if let Some((_, child)) = family.children.iter().find(|(l, _)| *l == labels) {
+                if let Some((_, child)) = family.children.iter().find(|(l, _)| same_labels(l)) {
                     return clone_child(child);
                 }
             }
@@ -459,9 +464,13 @@ impl MetricsRegistry {
             }
         };
         // Re-check under the write lock (another thread may have won).
-        if let Some((_, child)) = family.children.iter().find(|(l, _)| *l == labels) {
+        if let Some((_, child)) = family.children.iter().find(|(l, _)| same_labels(l)) {
             return clone_child(child);
         }
+        let labels = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
         family.children.push((labels, make()));
         clone_child(&family.children.last().expect("just pushed").1)
     }

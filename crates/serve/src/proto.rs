@@ -84,30 +84,30 @@ pub const MUTATING_VERBS: &[&str] = &["shutdown", "reload_routes"];
 /// `op`, or missing operands.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = json::parse(line).map_err(|e| e.to_string())?;
-    parse_request_value(&v)
+    parse_request_value(v)
 }
 
 /// Decodes an already-parsed request object (transports that inspect the
 /// raw JSON themselves — e.g. the gateway reading the `"client"` routing
-/// key — use this to avoid parsing twice).
+/// key — use this to avoid parsing twice). Takes the value so the source
+/// strings of a compare or rank move into the [`Request`] instead of
+/// being copied.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for a missing/unknown `op` or missing
 /// operands.
-pub fn parse_request_value(v: &Json) -> Result<Request, String> {
+pub fn parse_request_value(mut v: Json) -> Result<Request, String> {
     let op = v
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| "missing string field 'op'".to_string())?;
-    let selector = selector_of(v)?;
+    let selector = selector_of(&v)?;
     match op {
         "compare" => {
-            let field = |name: &str| {
-                v.get(name)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("compare needs string field '{name}'"))
+            let mut field = |name: &str| match take_member(&mut v, name) {
+                Some(Json::Str(source)) => Ok(source),
+                _ => Err(format!("compare needs string field '{name}'")),
             };
             Ok(Request::Compare {
                 selector,
@@ -116,16 +116,14 @@ pub fn parse_request_value(v: &Json) -> Result<Request, String> {
             })
         }
         "rank" => {
-            let arr = v
-                .get("candidates")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| "rank needs array field 'candidates'".to_string())?;
-            let candidates = arr
-                .iter()
-                .map(|c| {
-                    c.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "candidates must be strings".to_string())
+            let Some(Json::Arr(items)) = take_member(&mut v, "candidates") else {
+                return Err("rank needs array field 'candidates'".to_string());
+            };
+            let candidates = items
+                .into_iter()
+                .map(|c| match c {
+                    Json::Str(source) => Ok(source),
+                    _ => Err("candidates must be strings".to_string()),
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Request::Rank {
@@ -165,6 +163,18 @@ pub fn parse_request_value(v: &Json) -> Result<Request, String> {
         }
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown op '{other}'")),
+    }
+}
+
+/// Moves the first member named `key` out of an object (what
+/// [`Json::get`] would borrow), leaving `null` in its place.
+fn take_member(v: &mut Json, key: &str) -> Option<Json> {
+    match v {
+        Json::Obj(members) => members
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, value)| std::mem::replace(value, Json::Null)),
+        _ => None,
     }
 }
 
@@ -268,6 +278,7 @@ pub fn stats_response(stats: &EngineStats) -> Json {
         ("compares", Json::num(stats.compares as f64)),
         ("rankings", Json::num(stats.rankings as f64)),
         ("parses", Json::num(stats.parses as f64)),
+        ("parse_memo_hits", Json::num(stats.parse_memo_hits as f64)),
         ("parse_failures", Json::num(stats.parse_failures as f64)),
         ("cache_hits", Json::num(stats.cache.hits as f64)),
         ("cache_misses", Json::num(stats.cache.misses as f64)),
@@ -380,6 +391,29 @@ pub fn handle_line(engine: &ServeEngine, line: &str) -> String {
         Err(message) => error_response(&message),
     };
     response.to_string()
+}
+
+/// Sends one response line in a single `write_all`: `response` and its
+/// newline are formatted into `line` (a buffer the session keeps between
+/// requests) first. Formatting straight into an unbuffered socket costs
+/// one `write(2)` — and, with `TCP_NODELAY`, one segment — per fragment
+/// the formatter emits.
+///
+/// # Errors
+///
+/// Propagates the write or flush failure.
+pub fn write_line<W: std::io::Write>(
+    w: &mut W,
+    line: &mut String,
+    response: &impl std::fmt::Display,
+) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    line.clear();
+    // Formatting into a `String` cannot fail.
+    let _ = write!(line, "{response}");
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
 }
 
 #[cfg(test)]
@@ -572,16 +606,62 @@ mod tests {
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
     }
 
+    /// Counts `write` calls: each is a `write(2)` on a socket, and a
+    /// segment of its own under `TCP_NODELAY`.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_line_leaves_in_one_write() {
+        // A reply with strings to escape, then a shorter one through the
+        // same session buffer: one write each, exactly the line's bytes.
+        let mut reply = String::new();
+        let long = error_response("candidate 0 failed to parse: expected '}'\n\tat \"main\" — é");
+        let short = Json::obj(vec![("ok", Json::Bool(true)), ("op", Json::str("ping"))]);
+        for response in [long, short] {
+            let mut socket = CountingWriter::default();
+            write_line(&mut socket, &mut reply, &response).unwrap();
+            assert_eq!(socket.writes, 1);
+            assert_eq!(socket.bytes, format!("{response}\n").into_bytes());
+        }
+        // The fleet forwards raw request lines through the same call.
+        let mut socket = CountingWriter::default();
+        write_line(&mut socket, &mut reply, &r#"{"op":"ping"}"#).unwrap();
+        assert_eq!(
+            (socket.writes, socket.bytes.as_slice()),
+            (1, &b"{\"op\":\"ping\"}\n"[..])
+        );
+    }
+
     #[test]
     fn stats_line_reports_counters() {
+        const COMPARE_LINE: &str = r#"{"op":"compare","first":"int main() { return 0; }","second":"int main() { return 1; }"}"#;
         let engine = test_engine();
-        let _ = handle_line(
-            &engine,
-            r#"{"op":"compare","first":"int main() { return 0; }","second":"int main() { return 1; }"}"#,
-        );
+        let _ = handle_line(&engine, COMPARE_LINE);
         let v = crate::json::parse(&handle_line(&engine, r#"{"op":"stats"}"#)).unwrap();
         assert_eq!(v.get("compares").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("parses").unwrap().as_u64(), Some(2));
+        assert_eq!(v.get("parse_memo_hits").unwrap().as_u64(), Some(0));
+        // The same line again parses nothing: both sources are memoized.
+        let _ = handle_line(&engine, COMPARE_LINE);
+        let again = crate::json::parse(&handle_line(&engine, r#"{"op":"stats"}"#)).unwrap();
+        assert_eq!(again.get("parses").unwrap().as_u64(), Some(2));
+        assert_eq!(again.get("parse_memo_hits").unwrap().as_u64(), Some(2));
         let models = v.get("models").unwrap().as_arr().unwrap();
         assert_eq!(models[0].get("name").unwrap().as_str(), Some("default"));
         // Admission backpressure signals: the legacy scalar plus the

@@ -1,8 +1,11 @@
-//! Pins the PR's headline claim with a counting global allocator:
-//! once the cache and buffer pool are warm, `ServeEngine::compare_graphs`
-//! performs **zero** heap allocations per request. The cold request is
-//! allowed to allocate (cache fill, pool growth, lazy histograms); every
-//! request after the second must be allocation-free.
+//! Pins the warm path's allocation counts with a counting global
+//! allocator: once the cache and buffer pool are warm,
+//! `ServeEngine::compare_graphs` performs **zero** heap allocations per
+//! request, and a whole warm protocol line through `proto::handle_line`
+//! (JSON in, source memo, cache, classifier, JSON out) stays under a
+//! fixed small bound. The cold request is allowed to allocate (cache
+//! fill, pool growth, lazy histograms); every request after the second
+//! must not.
 //!
 //! The harness swaps in a `#[global_allocator]` that counts every
 //! `alloc`/`realloc`/`alloc_zeroed`, so a single stray `Vec` or `Arc`
@@ -19,7 +22,8 @@ use ccsa_model::pipeline::TrainedModel;
 use ccsa_nn::param::Params;
 use ccsa_nn::treelstm::{Direction, TreeLstmConfig};
 use ccsa_serve::cache::CachePrecision;
-use ccsa_serve::{BatchConfig, ModelSelector, ServeConfig, ServeEngine};
+use ccsa_serve::json::Json;
+use ccsa_serve::{proto, BatchConfig, MetricsRegistry, ModelSelector, ServeConfig, ServeEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -190,4 +194,76 @@ fn swapped_operands_stay_alloc_free_once_both_codes_are_cached() {
     }
     let after = allocs();
     assert_eq!(after - before, 0, "operand order must not break pooling");
+}
+
+#[test]
+fn a_warm_protocol_line_allocates_a_bounded_handful() {
+    let engine = ServeEngine::with_model(
+        tiny_model(13),
+        &ServeConfig {
+            cache_capacity: 64,
+            cache_stripes: 1,
+            cache_precision: CachePrecision::F32,
+            batch: BatchConfig {
+                workers: 1,
+                max_batch: 8,
+                ..BatchConfig::default()
+            },
+        },
+    );
+    // Multi-line sources, as clients send them: every `\n` is an escape
+    // the JSON reader has to splice around.
+    let spaced = |source: &str| source.replace("; ", ";\n  ");
+    let line = Json::obj(vec![
+        ("op", Json::str("compare")),
+        ("client", Json::str("alloc-test")),
+        ("first", Json::str(spaced(SLOW))),
+        ("second", Json::str(spaced(FAST))),
+    ])
+    .to_string();
+    let cold = proto::handle_line(&engine, &line);
+    let first_warm = proto::handle_line(&engine, &line);
+    assert_eq!(
+        cold.replace("\"cache_hits\":0", "\"cache_hits\":2"),
+        first_warm
+    );
+
+    const ROUNDS: u64 = 32;
+    let before = allocs();
+    for _ in 0..ROUNDS {
+        let reply = proto::handle_line(&engine, &line);
+        assert_eq!(reply, first_warm);
+    }
+    let per_line = (allocs() - before) / ROUNDS;
+    let stats = engine.stats();
+    assert_eq!(stats.parses, 2, "warm lines must not reach the parser");
+    // What is left is the request's `Json` tree and strings, the reply's,
+    // and the batch API's small vectors. It was ~1.4k per line when every
+    // warm line re-parsed both sources.
+    assert!(per_line <= 64, "{per_line} allocations per warm line");
+}
+
+#[test]
+fn finding_an_existing_metric_series_allocates_nothing() {
+    let registry = MetricsRegistry::new();
+    let bump = |code: &str| {
+        registry
+            .counter(
+                "ccsa_http_requests_total",
+                "HTTP front-door requests, by path and status code.",
+                &[("path", "/v1/compare"), ("code", code)],
+            )
+            .inc();
+    };
+    bump("200");
+    bump("400");
+    let before = allocs();
+    for _ in 0..16 {
+        bump("200");
+        bump("400");
+    }
+    assert_eq!(allocs() - before, 0);
+    assert!(registry
+        .render()
+        .contains("ccsa_http_requests_total{path=\"/v1/compare\",code=\"200\"} 17"));
 }
