@@ -18,7 +18,7 @@
 //! | `ieee`     | no `== 0.0` zero-skip guards or NaN-masking inside the tensor kernels   |
 //! | `lockorder`| the cross-crate lock acquisition graph is acyclic                       |
 //! | `metrics`  | every `ccsa_*` literal is a legal Prometheus name, registered exactly once |
-//! | `verbs`    | every mutating proto verb appears in the gateway *and* fleet loopback gates |
+//! | `verbs`    | every mutating proto verb appears in the transport core's loopback gate |
 //! | `unwrap`   | no `unwrap()`/`expect()` on the untrusted request-parse paths           |
 //!
 //! Findings are suppressed per-site by an allowlist file (`audit.allow`

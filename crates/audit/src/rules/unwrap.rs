@@ -14,6 +14,7 @@ const PARSE_PATHS: &[&str] = &[
     "crates/serve/src/proto.rs",
     "crates/serve/src/json.rs",
     "crates/gateway/src/http.rs",
+    "crates/gateway/src/transport.rs",
 ];
 
 pub(super) fn check(ws: &Workspace) -> Vec<Finding> {

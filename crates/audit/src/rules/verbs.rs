@@ -1,11 +1,12 @@
 //! `verbs`: every mutating proto verb must be loopback-gated at every
 //! front door. The source of truth is `MUTATING_VERBS` in
 //! `crates/serve/src/proto.rs` (next to the request parser, so adding
-//! a verb and forgetting the gates is a one-file diff this rule
-//! catches); the gates are the `LOOPBACK_GATED_VERBS` consts in the
-//! gateway and fleet servers, which their admission checks read.
+//! a verb and forgetting the gate is a one-file diff this rule
+//! catches); the gate is the `LOOPBACK_GATED_VERBS` const in the
+//! transport core, which the gateway's and the fleet's admission checks
+//! both read.
 //!
-//! Checked both ways: a mutating verb missing from a gate list is the
+//! Checked both ways: a mutating verb missing from the gate list is the
 //! real vulnerability (remote shutdown); a gated verb that is not
 //! mutating is a stale or misspelled entry.
 //!
@@ -16,7 +17,7 @@ use crate::lexer::{SourceFile, TokKind};
 use crate::{Finding, Workspace};
 
 const PROTO_PATH: &str = "crates/serve/src/proto.rs";
-const GATE_PATHS: &[&str] = &["crates/gateway/src/server.rs", "crates/fleet/src/server.rs"];
+const GATE_PATH: &str = "crates/gateway/src/transport.rs";
 
 /// Extracts the string elements of `const NAME: &[&str] = &[...]`;
 /// `None` when the const is absent.
@@ -51,51 +52,38 @@ pub(super) fn check(ws: &Workspace) -> Vec<Finding> {
                 .to_string(),
         }];
     };
-    let mut findings = Vec::new();
-    for gate_path in GATE_PATHS {
-        let Some(file) = ws.files.iter().find(|f| f.path.ends_with(gate_path)) else {
-            continue;
-        };
-        match const_str_list(file, "LOOPBACK_GATED_VERBS") {
-            None => findings.push(Finding {
-                rule: "verbs",
-                path: file.path.clone(),
-                line: 1,
-                message: "server has no `LOOPBACK_GATED_VERBS` const — mutating \
-                          verbs are not gated"
-                    .to_string(),
-            }),
-            Some((line, gated)) => {
-                for verb in &mutating {
-                    if !gated.contains(verb) {
-                        findings.push(Finding {
-                            rule: "verbs",
-                            path: file.path.clone(),
-                            line,
-                            message: format!(
-                                "mutating verb `{verb}` is missing from \
-                                 LOOPBACK_GATED_VERBS — remotely callable"
-                            ),
-                        });
-                    }
-                }
-                for verb in &gated {
-                    if !mutating.contains(verb) {
-                        findings.push(Finding {
-                            rule: "verbs",
-                            path: file.path.clone(),
-                            line,
-                            message: format!(
-                                "gated verb `{verb}` is not in MUTATING_VERBS — \
-                                 stale or misspelled gate entry"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    findings
+    let Some(file) = ws.files.iter().find(|f| f.path.ends_with(GATE_PATH)) else {
+        return Vec::new();
+    };
+    let Some((line, gated)) = const_str_list(file, "LOOPBACK_GATED_VERBS") else {
+        return vec![Finding {
+            rule: "verbs",
+            path: file.path.clone(),
+            line: 1,
+            message: "transport has no `LOOPBACK_GATED_VERBS` const — mutating \
+                      verbs are not gated"
+                .to_string(),
+        }];
+    };
+    let finding = |message: String| Finding {
+        rule: "verbs",
+        path: file.path.clone(),
+        line,
+        message,
+    };
+    let missing = mutating.iter().filter(|v| !gated.contains(v)).map(|verb| {
+        finding(format!(
+            "mutating verb `{verb}` is missing from \
+             LOOPBACK_GATED_VERBS — remotely callable"
+        ))
+    });
+    let stale = gated.iter().filter(|v| !mutating.contains(v)).map(|verb| {
+        finding(format!(
+            "gated verb `{verb}` is not in MUTATING_VERBS — \
+             stale or misspelled gate entry"
+        ))
+    });
+    missing.chain(stale).collect()
 }
 
 #[cfg(test)]
@@ -109,7 +97,7 @@ mod tests {
         let ws = Workspace::from_sources(&[
             ("crates/serve/src/proto.rs", PROTO),
             (
-                "crates/gateway/src/server.rs",
+                "crates/gateway/src/transport.rs",
                 "const LOOPBACK_GATED_VERBS: &[&str] = &[\"shutdown\"];\n",
             ),
         ]);
@@ -124,7 +112,7 @@ mod tests {
         let ws = Workspace::from_sources(&[
             ("crates/serve/src/proto.rs", PROTO),
             (
-                "crates/fleet/src/server.rs",
+                "crates/gateway/src/transport.rs",
                 "const LOOPBACK_GATED_VERBS: &[&str] = \
                  &[\"shutdown\", \"reload_routes\", \"restart\"];\n",
             ),
@@ -140,11 +128,7 @@ mod tests {
         let full = Workspace::from_sources(&[
             ("crates/serve/src/proto.rs", PROTO),
             (
-                "crates/gateway/src/server.rs",
-                "const LOOPBACK_GATED_VERBS: &[&str] = &[\"shutdown\", \"reload_routes\"];\n",
-            ),
-            (
-                "crates/fleet/src/server.rs",
+                "crates/gateway/src/transport.rs",
                 "const LOOPBACK_GATED_VERBS: &[&str] = &[\"shutdown\", \"reload_routes\"];\n",
             ),
         ]);
@@ -157,7 +141,7 @@ mod tests {
     fn absent_gate_const_is_flagged() {
         let ws = Workspace::from_sources(&[
             ("crates/serve/src/proto.rs", PROTO),
-            ("crates/gateway/src/server.rs", "fn serve() {}\n"),
+            ("crates/gateway/src/transport.rs", "fn serve() {}\n"),
         ]);
         let f = check(&ws);
         assert_eq!(f.len(), 1);

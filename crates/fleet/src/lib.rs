@@ -36,8 +36,13 @@
 //!   file and its `reload_routes` push form;
 //! * [`canary`] — the pure promote/hold/rollback decision logic over
 //!   shadow-vs-primary deltas;
-//! * [`server`] — the accept loops, forwarding (hedge + failover),
+//! * [`server`] — the request handlers, forwarding (hedge + failover),
 //!   prober, table watcher, canary driver, and `ccsa_fleet_*` metrics.
+//!
+//! Connection lifecycle and request framing are not here: both of the
+//! fleet's doors run on `ccsa_gateway::transport` — the same accept
+//! loop, connection budget, JSON-lines session and HTTP/1.1 reader and
+//! writer a gateway's doors use.
 
 pub mod canary;
 pub mod replica;

@@ -7,7 +7,7 @@
 //! plane rewrites the routing table (promotion ramp and rollback)
 //! without restarting any gateway process.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use ccsa_fleet::{
     parse_table, CanaryConfig, Fleet, FleetConfig, ReplicaConfig, Ring, SpawnedFleet, TableSpec,
 };
+use ccsa_gateway::transport::POLL_INTERVAL;
 use ccsa_gateway::{Gateway, GatewayConfig, HttpGatewayClient, Route, Router, ShadowRoute};
 use ccsa_model::comparator::{Comparator, EncoderConfig};
 use ccsa_model::pipeline::TrainedModel;
@@ -796,4 +797,246 @@ fn canary_rolls_back_a_bad_candidate_and_records_why() {
     assert_eq!(table[0].get("version").and_then(Json::as_f64), Some(1.0));
 
     rig.teardown();
+}
+
+// ---------------------------------------------------------------------
+// One HTTP door: the same hostile / awkward clients at both tiers
+// ---------------------------------------------------------------------
+
+/// A raw HTTP client: no client library in the path, so the test owns
+/// every write boundary and sees every byte of the reply.
+struct RawHttp(BufReader<TcpStream>);
+
+impl RawHttp {
+    fn connect(addr: SocketAddr) -> RawHttp {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        stream.set_nodelay(true).expect("nodelay");
+        RawHttp(BufReader::new(stream))
+    }
+
+    fn send(&mut self, bytes: &str) {
+        // A door that has already answered and closed may reset a late
+        // write; the row's verdict is the reply, read next.
+        let _ = self.0.get_mut().write_all(bytes.as_bytes());
+    }
+
+    /// Reads one `Content-Length`-framed response: `(head, body)`.
+    fn response(&mut self) -> Result<(String, String), String> {
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            match self.0.read_line(&mut head) {
+                Ok(0) => return Err(format!("connection closed after head {head:?}")),
+                Ok(_) => {}
+                Err(e) => return Err(format!("no reply ({e}) after head {head:?}")),
+            }
+        }
+        let length = head
+            .lines()
+            .filter_map(|l| l.split_once(':'))
+            .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+            .map_or(Ok(0), |(_, v)| v.trim().parse::<usize>())
+            .map_err(|e| format!("bad Content-Length in {head:?}: {e}"))?;
+        let mut body = vec![0u8; length];
+        self.0
+            .read_exact(&mut body)
+            .map_err(|e| format!("body cut short ({e}) after head {head:?}"))?;
+        Ok((head, String::from_utf8_lossy(&body).into_owned()))
+    }
+
+    /// The next response must carry `status`.
+    fn expect(&mut self, status: u16) -> Result<String, String> {
+        let (head, body) = self.response()?;
+        if head.starts_with(&format!("HTTP/1.1 {status} ")) {
+            Ok(head)
+        } else {
+            Err(format!("wanted {status}, got {head:?} {body:?}"))
+        }
+    }
+
+    /// The door must have closed the connection.
+    fn expect_eof(&mut self) -> Result<(), String> {
+        let mut rest = Vec::new();
+        match self.0.read_to_end(&mut rest) {
+            Ok(0) => Ok(()),
+            // Closing with unread request bytes resets instead of FIN.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => Ok(()),
+            other => Err(format!("wanted EOF, got {other:?} {rest:?}")),
+        }
+    }
+}
+
+/// Runs the hostile / awkward-client table against one HTTP door whose
+/// tier was started with `max_connections = cap`, and panics with every
+/// row that failed.
+fn http_door_table(door: &str, addr: SocketAddr, cap: usize) {
+    let pause = 3 * POLL_INTERVAL;
+    let body = Json::obj(vec![
+        ("client", Json::str("door-table")),
+        ("first", Json::str(SLOW)),
+        ("second", Json::str(FAST)),
+    ])
+    .to_string();
+    let post = |extra: &str| {
+        format!(
+            "POST /v1/compare HTTP/1.1\r\nHost: t\r\n{extra}Content-Length: {}\r\n\r\n",
+            body.len()
+        )
+    };
+
+    type Row<'a> = (&'a str, Box<dyn Fn() -> Result<(), String> + 'a>);
+    let rows: Vec<Row<'_>> = vec![
+        (
+            "a request head split across two writes is one request",
+            Box::new(|| {
+                let mut client = RawHttp::connect(addr);
+                client.send("GET /rea");
+                std::thread::sleep(pause);
+                client.send("dyz HTTP/1.1\r\nHost: t\r\n\r\n");
+                client.expect(200).map(drop)
+            }),
+        ),
+        (
+            "a body that arrives after its head is waited for",
+            Box::new(|| {
+                let mut client = RawHttp::connect(addr);
+                client.send(&post(""));
+                std::thread::sleep(pause);
+                client.send(&body);
+                client.expect(200).map(drop)
+            }),
+        ),
+        (
+            "Expect: 100-continue gets the go-ahead, then the answer",
+            Box::new(|| {
+                let mut client = RawHttp::connect(addr);
+                client.send(&post("Expect: 100-continue\r\n"));
+                client.expect(100)?;
+                client.send(&body);
+                client.expect(200).map(drop)
+            }),
+        ),
+        (
+            "a 17 KiB header line is refused with 431 and the connection closed",
+            Box::new(|| {
+                let mut client = RawHttp::connect(addr);
+                let big = "a".repeat(17 << 10);
+                client.send(&format!("GET /healthz HTTP/1.1\r\nX-Big: {big}\r\n\r\n"));
+                client.expect(431)?;
+                client.expect_eof()
+            }),
+        ),
+        (
+            "a 9 MB Content-Length is refused with 413",
+            Box::new(|| {
+                let mut client = RawHttp::connect(addr);
+                client.send("POST /v1/compare HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n");
+                client.expect(413).map(drop)
+            }),
+        ),
+        (
+            "a garbage request line is answered with 400",
+            Box::new(|| {
+                let mut client = RawHttp::connect(addr);
+                client.send("NOT-HTTP\r\n\r\n");
+                client.expect(400).map(drop)
+            }),
+        ),
+        (
+            "Connection: close is echoed and honoured",
+            Box::new(|| {
+                let mut client = RawHttp::connect(addr);
+                client.send("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+                let head = client.expect(200)?;
+                if !head.to_ascii_lowercase().contains("connection: close") {
+                    return Err(format!("reply does not say it closes: {head:?}"));
+                }
+                client.expect_eof()
+            }),
+        ),
+        (
+            "the connection past max_connections gets a complete 503",
+            Box::new(|| {
+                // Fill the budget with idle keep-alive connections, each
+                // proven admitted by a round trip (earlier rows' sessions
+                // may still be letting go of their slots).
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let mut held = Vec::new();
+                while held.len() < cap {
+                    let mut client = RawHttp::connect(addr);
+                    client.send("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+                    match client.expect(200) {
+                        Ok(_) => held.push(client),
+                        Err(e) if Instant::now() > deadline => {
+                            return Err(format!("could not fill the budget: {e}"))
+                        }
+                        Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                    }
+                }
+                // The refusal arrives unsolicited, whole, and then EOF.
+                let mut refused = RawHttp::connect(addr);
+                let (head, body) = refused.response()?;
+                if !head.starts_with("HTTP/1.1 503 ") || !body.contains("capacity") {
+                    return Err(format!("wanted a 503 at capacity, got {head:?} {body:?}"));
+                }
+                refused.expect_eof()
+            }),
+        ),
+    ];
+
+    let failures: Vec<String> = rows
+        .iter()
+        .filter_map(|(name, row)| row().err().map(|e| format!("  {door}: {name}: {e}")))
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {} rows failed at the {door}'s HTTP door:\n{}",
+        failures.len(),
+        rows.len(),
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn gateway_http_door_passes_the_hostile_client_table() {
+    const CAP: usize = 4;
+    let gateway = Gateway::spawn(
+        engine_with(vec![(1, tiny_model(1))]),
+        single_route_router(1, None),
+        GatewayConfig {
+            http_addr: Some("127.0.0.1:0".to_string()),
+            max_connections: CAP,
+            ..GatewayConfig::default()
+        },
+    )
+    .expect("spawn gateway");
+    wait_until("gateway accepting", Duration::from_secs(5), || {
+        gateway.handle().accepting()
+    });
+    http_door_table("gateway", gateway.http_addr().expect("http addr"), CAP);
+    gateway.shutdown_and_join().expect("gateway drain");
+}
+
+#[test]
+fn fleet_http_door_passes_the_hostile_client_table() {
+    const CAP: usize = 4;
+    let engine = engine_with(vec![(1, tiny_model(1))]);
+    let (gateway, replica) = spawn_gateway(engine, single_route_router(1, None), "gw-0");
+    let fleet = Fleet::spawn(
+        vec![replica],
+        FleetConfig {
+            http_addr: Some("127.0.0.1:0".to_string()),
+            max_connections: CAP,
+            ..default_fleet_config()
+        },
+    )
+    .expect("spawn fleet");
+    wait_until("fleet accepting", Duration::from_secs(5), || {
+        fleet.handle().accepting()
+    });
+    http_door_table("fleet", fleet.http_addr().expect("http addr"), CAP);
+    fleet.shutdown_and_join().expect("fleet drain");
+    gateway.shutdown_and_join().expect("gateway drain");
 }

@@ -464,7 +464,6 @@ fn main() {
         drain_grace: Duration::from_secs(opts.drain_grace_secs),
         trace_log: opts.trace_log.clone(),
         trace_sample_percent: opts.trace_sample,
-        ..GatewayConfig::default()
     };
     let gateway = match Gateway::bind(Arc::clone(&engine), router, config) {
         Ok(g) => g,

@@ -1,6 +1,5 @@
-//! The HTTP/1.1 front door: health probes, Prometheus scrapes, and the
-//! scored verbs over plain HTTP — hand-rolled on `std::net`, no
-//! dependencies.
+//! The HTTP/1.1 front door's routes: health probes, Prometheus scrapes,
+//! and the scored verbs over plain HTTP.
 //!
 //! Endpoints:
 //!
@@ -27,445 +26,60 @@
 //! response header — never in the body, which must stay bit-identical
 //! across transports and across clients that did not send an ID.
 //!
-//! Connections are keep-alive by default (`Connection: close` honoured);
-//! request heads are capped at 16 KiB and bodies at
-//! [`MAX_LINE_BYTES`], the same budget as a JSON-lines request line. The
-//! accept loop runs on its own thread so probes and scrapes never queue
-//! behind JSON-lines sessions, and it shares the TCP transport's
-//! connection cap, so the two front doors cannot over-subscribe the
-//! process together.
+//! This module is routing only. Framing — keep-alive, the head and body
+//! caps, `Expect: 100-continue`, the 4xx answers to malformed requests,
+//! response serialization — lives in [`crate::transport`], which calls
+//! `handle_request` once per request; the accept loop runs on its own
+//! thread so probes and scrapes never queue behind JSON-lines sessions,
+//! and draws on the same connection budget as the JSON-lines door.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use ccsa_serve::json::Json;
-use ccsa_serve::proto::{self, Request};
-use ccsa_serve::ModelSelector;
+use ccsa_serve::proto;
 
-use crate::server::{
-    enqueue_shadow, gateway_stats_response, routes_response, serve_scored, AfterResponse, Shared,
-    MAX_LINE_BYTES,
-};
+use crate::server::{gateway_stats_response, routes_response, serve_scored, Shared};
 use crate::trace::generate_request_id;
-
-/// Request-head budget (request line + headers). Heads are small by
-/// construction; 16 KiB leaves room for generous tracing headers while
-/// keeping a hostile header stream from ballooning memory.
-const MAX_HEAD_BYTES: usize = 16 << 10;
-
-/// Response chunk size for chunked transfer-encoding (rank responses).
-const CHUNK_BYTES: usize = 8 << 10;
+use crate::transport::{self, After, HttpRequest, HttpResponse};
 
 const HTTP_REQUESTS_HELP: &str = "HTTP front-door requests, by path and status code.";
 
-/// One parsed request.
-struct HttpRequest {
-    method: String,
-    path: String,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-}
-
-impl HttpRequest {
-    /// A header value by lower-cased name.
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether the client asked to close after this response.
-    fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.to_ascii_lowercase().contains("close"))
-    }
-}
-
-/// One response, ready to serialize.
-struct HttpResponse {
-    status: u16,
-    reason: &'static str,
-    content_type: &'static str,
-    /// Echoed as `X-Request-Id` (scored endpoints only).
-    request_id: Option<String>,
-    body: Vec<u8>,
-    /// Stream the body with chunked transfer-encoding instead of
-    /// `Content-Length` (rank responses, unbounded in K).
-    chunked: bool,
-}
-
-impl HttpResponse {
-    fn text(status: u16, reason: &'static str, body: &str) -> HttpResponse {
-        HttpResponse {
-            status,
-            reason,
-            content_type: "text/plain; charset=utf-8",
-            request_id: None,
-            body: body.as_bytes().to_vec(),
-            chunked: false,
-        }
-    }
-
-    /// A JSON error body in the wire protocol's `ok:false` shape.
-    fn json_error(status: u16, reason: &'static str, message: &str) -> HttpResponse {
-        HttpResponse::json(status, reason, &proto::error_response(message))
-    }
-
-    fn json(status: u16, reason: &'static str, value: &Json) -> HttpResponse {
-        let mut body = value.to_string().into_bytes();
-        body.push(b'\n');
-        HttpResponse {
-            status,
-            reason,
-            content_type: "application/json",
-            request_id: None,
-            body,
-            chunked: false,
-        }
-    }
-}
-
-/// The HTTP accept loop. Runs until [`Shared::http_stop`] — which the
-/// TCP side sets only after `drain_grace` has elapsed, so `/readyz` can
-/// be observed returning 503 before this socket goes away.
-pub(crate) fn run_http_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    // The loop below now owns the socket and will accept: open the
-    // readiness/port-file gate (see `Shared::accepting`). SeqCst, like
-    // every lifecycle flag on this server.
-    shared.http_accepting.store(true, Ordering::SeqCst);
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    // SeqCst: lifecycle flag, pairs with the shutdown path's store.
-    while !shared.http_stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                // One cap across both front doors: HTTP connections and
-                // TCP sessions draw from the same budget. SeqCst: the
-                // admission gauge; Relaxed: the shed stats counter.
-                if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    refuse_http(stream, shared.config.max_connections);
-                    continue;
-                }
-                shared.active.fetch_add(1, Ordering::SeqCst); // SeqCst: take the slot
-                let conn_shared = Arc::clone(shared);
-                let worker = std::thread::Builder::new()
-                    .name(format!("ccsa-http-{peer}"))
-                    .spawn(move || {
-                        struct Slot<'a>(&'a std::sync::atomic::AtomicUsize);
-                        impl Drop for Slot<'_> {
-                            fn drop(&mut self) {
-                                // SeqCst: release the admission slot.
-                                self.0.fetch_sub(1, Ordering::SeqCst);
-                            }
-                        }
-                        let _slot = Slot(&conn_shared.active);
-                        serve_http_connection(&conn_shared, stream, peer);
-                    });
-                match worker {
-                    Ok(handle) => {
-                        // Relaxed: stats counter.
-                        shared.accepted.fetch_add(1, Ordering::Relaxed);
-                        workers.push(handle);
-                    }
-                    Err(_) => {
-                        // SeqCst: spawn failed — give the slot back;
-                        // Relaxed: the shed stats counter.
-                        shared.active.fetch_sub(1, Ordering::SeqCst);
-                        shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                workers.retain(|w| !w.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.config.poll_interval);
-                workers.retain(|w| !w.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(shared.config.poll_interval),
-        }
-    }
-    // Connection threads poll the same flag between requests (and on
-    // every read timeout), so they exit promptly.
-    for worker in workers {
-        let _ = worker.join();
-    }
-}
-
-/// Refuses an over-cap connection with one complete 503 response.
-fn refuse_http(mut stream: TcpStream, cap: usize) {
-    let resp = HttpResponse::json_error(
-        503,
-        "Service Unavailable",
-        &format!("gateway at capacity ({cap} connections) — retry later"),
-    );
-    let _ = write_response(&mut stream, &resp, false);
-}
-
-fn serve_http_connection(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
-    if stream
-        .set_read_timeout(Some(shared.config.poll_interval))
-        .is_err()
-    {
-        return;
-    }
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return,
-    };
-    let mut writer = stream;
+/// One keep-alive HTTP connection: the transport core frames,
+/// [`handle_request`] answers, and every response is counted.
+pub(crate) fn serve_connection(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
     // The sticky-routing fallback, as on TCP: the peer host.
     let fallback_key = peer.ip().to_string();
     let mut seq: u64 = 0;
-    loop {
-        // SeqCst: lifecycle flag, checked between requests.
-        if shared.http_stop.load(Ordering::SeqCst) {
-            return; // between requests, never mid-request
-        }
-        let request = match read_request(shared, &mut reader, &mut writer) {
-            ReadOutcome::Request(r) => r,
-            ReadOutcome::Closed => return,
-            ReadOutcome::Fail(status, reason, message) => {
-                // Framing is unrecoverable after a malformed head; answer
-                // once and close.
-                record_http(shared, "other", status);
-                let resp = HttpResponse::json_error(status, reason, &message);
-                let _ = write_response(&mut writer, &resp, false);
-                return;
-            }
-        };
-        // SeqCst: lifecycle flag — a stop seen here closes after reply.
-        let close = shared.http_stop.load(Ordering::SeqCst) || request.wants_close();
-        let (response, shadow) = handle_request(shared, &request, &fallback_key, seq);
-        seq += 1;
-        record_http(shared, path_label(&request.path), response.status);
-        if write_response(&mut writer, &response, !close).is_err() {
-            return;
-        }
-        // Mirror only after the client has its answer: shadow cost must
-        // never sit in front of the response.
-        if let Some((selector, scored)) = shadow {
-            enqueue_shadow(shared, selector, scored);
-        }
-        if close {
-            return;
-        }
-    }
-}
-
-/// How reading one request ended.
-enum ReadOutcome {
-    Request(HttpRequest),
-    /// EOF, idle timeout at a request boundary, or stop flag.
-    Closed,
-    /// Protocol violation: (status, reason, message). Connection closes
-    /// after the error response.
-    Fail(u16, &'static str, String),
-}
-
-/// Reads one full request (head + body), polling the stop flag on every
-/// read timeout. `writer` is only used for `Expect: 100-continue`.
-fn read_request(
-    shared: &Shared,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) -> ReadOutcome {
-    let mut head: Vec<u8> = Vec::new();
-    let mut last_progress = Instant::now();
-    // Head: accumulate lines until the blank terminator line.
-    loop {
-        // SeqCst: lifecycle flag.
-        if shared.http_stop.load(Ordering::SeqCst) {
-            return ReadOutcome::Closed;
-        }
-        let budget = (MAX_HEAD_BYTES + 1).saturating_sub(head.len()) as u64;
-        let before = head.len();
-        match reader.by_ref().take(budget).read_until(b'\n', &mut head) {
-            Ok(0) if head.len() > MAX_HEAD_BYTES => {
-                return ReadOutcome::Fail(
-                    431,
-                    "Request Header Fields Too Large",
-                    format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
-                );
-            }
-            Ok(0) => return ReadOutcome::Closed, // EOF (maybe mid-head)
-            Ok(_) => {
-                last_progress = Instant::now();
-                if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if head.len() > before {
-                    last_progress = Instant::now();
-                }
-                if let Some(idle) = shared.config.idle_timeout {
-                    if last_progress.elapsed() > idle {
-                        // Idle between requests closes quietly; a stalled
-                        // half-sent head (slowloris) gets a 408.
-                        return if head.is_empty() {
-                            ReadOutcome::Closed
-                        } else {
-                            ReadOutcome::Fail(
-                                408,
-                                "Request Timeout",
-                                "timed out mid-request".to_string(),
-                            )
-                        };
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-
-    let (method, path, headers) = match parse_head(&head) {
-        Ok(parts) => parts,
-        Err(message) => return ReadOutcome::Fail(400, "Bad Request", message),
-    };
-    let request = HttpRequest {
-        method,
-        path,
-        headers,
-        body: Vec::new(),
-    };
-
-    if request
-        .header("transfer-encoding")
-        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
-    {
-        return ReadOutcome::Fail(
-            501,
-            "Not Implemented",
-            "chunked request bodies are not supported — send Content-Length".to_string(),
-        );
-    }
-    let content_length = match request.header("content-length") {
-        None => 0usize,
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                return ReadOutcome::Fail(
-                    400,
-                    "Bad Request",
-                    format!("invalid Content-Length {v:?}"),
-                )
-            }
+    let failed = transport::serve_http(
+        stream,
+        // SeqCst: lifecycle flag, pairs with the store in `Gateway::run`.
+        &|| shared.http_stop.load(Ordering::SeqCst),
+        shared.config.idle_timeout,
+        |request| {
+            let answer = handle_request(shared, request, &fallback_key, seq);
+            seq += 1;
+            record_http(shared, path_label(&request.path), answer.0.status);
+            answer
         },
-    };
-    if content_length > MAX_LINE_BYTES {
-        return ReadOutcome::Fail(
-            413,
-            "Content Too Large",
-            format!("request body exceeds {MAX_LINE_BYTES} bytes"),
-        );
+    );
+    if let Some(status) = failed {
+        record_http(shared, "other", status);
     }
-    if content_length == 0 {
-        return ReadOutcome::Request(request);
-    }
-    // curl sends Expect: 100-continue for large bodies and waits for the
-    // go-ahead before transmitting them.
-    if request
-        .header("expect")
-        .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
-        && write_all_flushed(writer, b"HTTP/1.1 100 Continue\r\n\r\n").is_err()
-    {
-        return ReadOutcome::Closed;
-    }
-
-    let mut request = request;
-    request.body = vec![0u8; content_length];
-    let mut filled = 0usize;
-    let mut last_progress = Instant::now();
-    while filled < content_length {
-        // SeqCst: lifecycle flag.
-        if shared.http_stop.load(Ordering::SeqCst) {
-            return ReadOutcome::Closed;
-        }
-        match reader.read(&mut request.body[filled..]) {
-            Ok(0) => return ReadOutcome::Closed, // truncated body
-            Ok(n) => {
-                filled += n;
-                last_progress = Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if let Some(idle) = shared.config.idle_timeout {
-                    if last_progress.elapsed() > idle {
-                        return ReadOutcome::Fail(
-                            408,
-                            "Request Timeout",
-                            "timed out mid-body".to_string(),
-                        );
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-    ReadOutcome::Request(request)
 }
 
-/// (method, path, headers) from a parsed request head.
-type ParsedHead = (String, String, Vec<(String, String)>);
-
-/// Parses the request line and headers. Header names are lower-cased;
-/// values are trimmed.
-fn parse_head(head: &[u8]) -> Result<ParsedHead, String> {
-    let text = std::str::from_utf8(head).map_err(|_| "request head is not valid UTF-8")?;
-    let mut lines = text
-        .split('\n')
-        .map(|l| l.strip_suffix('\r').unwrap_or(l))
-        // Tolerate stray blank lines before the request line (RFC 9112
-        // §2.2); the terminator's blank line lands here too.
-        .filter(|l| !l.is_empty());
-    let request_line = lines.next().ok_or("empty request")?;
-    let mut parts = request_line.split_ascii_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v), None) => (m, p, v),
-        _ => return Err(format!("malformed request line {request_line:?}")),
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported protocol version {version:?}"));
-    }
-    let mut headers = Vec::new();
-    for line in lines {
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| format!("malformed header line {line:?}"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    Ok((method.to_string(), path.to_string(), headers))
-}
-
-/// Routes one request, returning the response plus any shadow mirror to
-/// enqueue after it is written.
-fn handle_request(
-    shared: &Shared,
+/// Routes one request, returning the response plus what to do once it
+/// is written (the shadow mirror, for a scored verb).
+fn handle_request<'a>(
+    shared: &'a Shared,
     request: &HttpRequest,
     fallback_key: &str,
     seq: u64,
-) -> (HttpResponse, Option<(ModelSelector, Request)>) {
+) -> (HttpResponse, After<'a>) {
     // Probes and scrapes routinely carry query strings (`?verbose=1`);
     // routing ignores them.
     let path = request.path.split('?').next().unwrap_or("");
-    let plain = |resp: HttpResponse| (resp, None);
+    let plain = |resp: HttpResponse| (resp, After::KeepGoing);
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => plain(HttpResponse::text(200, "OK", "ok\n")),
         ("GET", "/readyz") => {
@@ -511,13 +125,13 @@ fn handle_request(
 
 /// Serves `POST /v1/compare` / `POST /v1/rank` through the same
 /// [`serve_scored`] path as the TCP transport.
-fn serve_http_scored(
-    shared: &Shared,
+fn serve_http_scored<'a>(
+    shared: &'a Shared,
     request: &HttpRequest,
     verb: &'static str,
     fallback_key: &str,
     seq: u64,
-) -> (HttpResponse, Option<(ModelSelector, Request)>) {
+) -> (HttpResponse, After<'a>) {
     // Scored traffic is refused the moment a drain begins — only the
     // probes and /metrics stay up through the grace window, precisely so
     // balancers can watch readiness flip while no new work is admitted.
@@ -528,7 +142,7 @@ fn serve_http_scored(
         }
         return (
             HttpResponse::json(503, "Service Unavailable", &response),
-            None,
+            After::KeepGoing,
         );
     }
     let body = match std::str::from_utf8(&request.body) {
@@ -536,7 +150,7 @@ fn serve_http_scored(
         Err(_) => {
             return (
                 HttpResponse::json_error(400, "Bad Request", "request body is not valid UTF-8"),
-                None,
+                After::KeepGoing,
             )
         }
     };
@@ -545,7 +159,7 @@ fn serve_http_scored(
         Err(e) => {
             return (
                 HttpResponse::json_error(400, "Bad Request", &e.to_string()),
-                None,
+                After::KeepGoing,
             )
         }
     };
@@ -566,7 +180,7 @@ fn serve_http_scored(
                     "Bad Request",
                     &format!("body op {other:?} does not match endpoint /v1/{verb}"),
                 ),
-                None,
+                After::KeepGoing,
             )
         }
     }
@@ -593,7 +207,7 @@ fn serve_http_scored(
         Err(message) => {
             let mut resp = HttpResponse::json_error(400, "Bad Request", &message);
             resp.request_id = Some(request_id);
-            return (resp, None);
+            return (resp, After::KeepGoing);
         }
     };
     let (response, after) = serve_scored(shared, scored, &client_key, seq, &request_id, "http");
@@ -603,11 +217,7 @@ fn serve_http_scored(
     // Rank responses grow with K; stream them so the transport never
     // needs the length up front.
     resp.chunked = verb == "rank";
-    let shadow = match after {
-        AfterResponse::Shadow(selector, scored) => Some((selector, scored)),
-        _ => None,
-    };
-    (resp, shadow)
+    (resp, after)
 }
 
 /// Maps a scored-verb JSON response onto an HTTP status, so plain HTTP
@@ -661,82 +271,9 @@ fn record_http(shared: &Shared, path: &'static str, status: u16) {
         .inc();
 }
 
-fn write_all_flushed(w: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
-    w.write_all(bytes)?;
-    w.flush()
-}
-
-/// Serializes one response — head, body and, for a chunked one, the
-/// chunk framing — into one buffer and sends it in a single `write_all`
-/// (one segment per reply under `TCP_NODELAY`, not one per part);
-/// `keep_alive` decides the `Connection` header.
-fn write_response<W: Write>(
-    w: &mut W,
-    resp: &HttpResponse,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let mut out: Vec<u8> = Vec::with_capacity(256 + resp.body.len());
-    write!(out, "HTTP/1.1 {} {}\r\n", resp.status, resp.reason)?;
-    write!(out, "Content-Type: {}\r\n", resp.content_type)?;
-    if let Some(id) = &resp.request_id {
-        write!(out, "X-Request-Id: {id}\r\n")?;
-    }
-    let connection: &[u8] = if keep_alive {
-        b"Connection: keep-alive\r\n"
-    } else {
-        b"Connection: close\r\n"
-    };
-    out.extend_from_slice(connection);
-    if resp.chunked {
-        out.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
-        for chunk in resp.body.chunks(CHUNK_BYTES) {
-            write!(out, "{:x}\r\n", chunk.len())?;
-            out.extend_from_slice(chunk);
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(b"0\r\n\r\n");
-    } else {
-        write!(out, "Content-Length: {}\r\n\r\n", resp.body.len())?;
-        out.extend_from_slice(&resp.body);
-    }
-    w.write_all(&out)?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_head_splits_request_line_and_headers() {
-        let head = b"POST /v1/compare HTTP/1.1\r\nHost: x\r\nX-Request-Id: abc\r\n\r\n";
-        let (method, path, headers) = parse_head(head).unwrap();
-        assert_eq!(method, "POST");
-        assert_eq!(path, "/v1/compare");
-        assert_eq!(
-            headers,
-            vec![
-                ("host".to_string(), "x".to_string()),
-                ("x-request-id".to_string(), "abc".to_string()),
-            ]
-        );
-    }
-
-    #[test]
-    fn parse_head_tolerates_bare_lf_and_leading_blank_lines() {
-        let (method, path, headers) =
-            parse_head(b"\r\nGET /metrics HTTP/1.0\nAccept: */*\n\n").unwrap();
-        assert_eq!(method, "GET");
-        assert_eq!(path, "/metrics");
-        assert_eq!(headers, vec![("accept".to_string(), "*/*".to_string())]);
-    }
-
-    #[test]
-    fn parse_head_rejects_garbage() {
-        assert!(parse_head(b"NOT-HTTP\r\n\r\n").is_err());
-        assert!(parse_head(b"GET /x SPDY/3\r\n\r\n").is_err());
-        assert!(parse_head(b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n").is_err());
-    }
 
     #[test]
     fn scored_status_maps_outcomes() {
@@ -751,53 +288,6 @@ mod tests {
         assert_eq!(scored_status(&shed).0, 503);
         let failed = Json::obj(vec![("ok", Json::Bool(false))]);
         assert_eq!(scored_status(&failed).0, 400);
-    }
-
-    /// Counts `write` calls: each is a `write(2)` on a socket, and a
-    /// segment of its own under `TCP_NODELAY`.
-    #[derive(Default)]
-    struct CountingWriter {
-        writes: usize,
-        bytes: Vec<u8>,
-    }
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn plain_and_chunked_responses_leave_in_one_write() {
-        let mut resp = HttpResponse::json(200, "OK", &Json::obj(vec![("ok", Json::Bool(true))]));
-        resp.request_id = Some("req-7".to_string());
-        let mut socket = CountingWriter::default();
-        write_response(&mut socket, &resp, true).unwrap();
-        assert_eq!(socket.writes, 1);
-        assert_eq!(
-            String::from_utf8(socket.bytes).unwrap(),
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Request-Id: req-7\r\n\
-             Connection: keep-alive\r\nContent-Length: 12\r\n\r\n{\"ok\":true}\n"
-        );
-
-        // A rank-sized body spanning three chunks, framing included.
-        resp.body = vec![b'x'; 2 * CHUNK_BYTES + 5];
-        resp.chunked = true;
-        let mut socket = CountingWriter::default();
-        write_response(&mut socket, &resp, false).unwrap();
-        assert_eq!(socket.writes, 1);
-        let text = String::from_utf8(socket.bytes).unwrap();
-        let (head, framed) = text.split_once("\r\n\r\n").unwrap();
-        assert!(head.ends_with("Connection: close\r\nTransfer-Encoding: chunked"));
-        assert!(!head.contains("Content-Length"));
-        let full = format!("2000\r\n{}\r\n", "x".repeat(CHUNK_BYTES));
-        assert_eq!(framed, format!("{full}{full}5\r\nxxxxx\r\n0\r\n\r\n"));
     }
 
     #[test]

@@ -22,13 +22,17 @@
 //!  JSON-lines clients (keep-alive     HTTP clients (curl, LBs,
 //!  TCP, "client" sticky key)          Prometheus)
 //!    │ │ │                              │ │ │
-//!  ┌─▼─▼─▼──────────────────────┐    ┌──▼─▼─▼─────────────────────┐
-//!  │ server   accept loop →     │    │ http   /healthz /readyz    │
-//!  │   session thread per conn  │    │   /metrics  POST /v1/…     │
-//!  │   conn cap · idle timeout  │    │   keep-alive · chunked     │
-//!  │   8 MiB line cap · drain   │    │   rank · 503 on drain,     │
-//!  │   on SIGTERM / `shutdown`  │    │   outlives TCP by grace    │
-//!  └──────────┬─────────────────┘    └─────┬────────────────┬─────┘
+//!  ┌─▼─▼─▼──────────────────────────────▼─▼─▼──────────────────────┐
+//!  │ transport   one accept loop · thread per conn · one conn cap  │
+//!  │   across both doors · idle/slowloris clock · drain on stop    │
+//!  │   JSON-lines session: 8 MiB line cap · HTTP/1.1 session: head │
+//!  │   + body caps, keep-alive, chunked rank, 4xx on bad framing   │
+//!  ├────────────────────────────┐    ┌─────────────────────────────┤
+//!  │ server   verbs · drain on  │    │ http   /healthz /readyz     │
+//!  │   SIGTERM / `shutdown` ·   │    │   /metrics  POST /v1/… ·    │
+//!  │   reload_routes            │    │   503 on drain, outlives    │
+//!  │                            │    │   TCP by grace              │
+//!  └──────────┬─────────────────┘    └─────┬────────────────┬──────┘
 //!             │  serve_scored(request_id)  │                │scrape
 //!  ┌──────────▼────────────────────────────▼─────────┐ ┌────▼──────┐
 //!  │ router   sticky hash(client) → weighted route;  │ │ metrics   │
@@ -54,9 +58,13 @@
 //!
 //! * [`router`] — the weighted table, sticky hashing, shadow sampling;
 //! * [`limit`] — per-route token-bucket rate limiting;
-//! * [`server`] — TCP listener, sessions, admission, drain, and the
+//! * [`transport`] — the connection lifecycle and request framing both
+//!   doors (and `ccsa-fleet`'s two) run on: the accept loop, the
+//!   connection budget, the JSON-lines and HTTP/1.1 sessions, the
+//!   loopback gate;
+//! * [`server`] — binding, the JSON-lines verbs, drain, and the
 //!   transport-shared scored path ([`server::Gateway`]);
-//! * [`http`] — the HTTP/1.1 front door: probes, `GET /metrics`
+//! * [`http`] — the HTTP/1.1 front door's routes: probes, `GET /metrics`
 //!   (Prometheus text exposition), and the scored verbs with responses
 //!   bit-identical to TCP's;
 //! * [`stats`] — per-route rolling counters and latency percentiles,
@@ -117,10 +125,12 @@ pub mod server;
 pub mod signal;
 pub mod stats;
 pub mod trace;
+pub mod transport;
 
 pub use client::{ClientError, CompareReply, GatewayClient, HttpGatewayClient};
 pub use limit::{RateLimit, TokenBucket};
 pub use router::{selectors_match, Route, Router, RouterConfigError, ShadowRoute};
-pub use server::{Gateway, GatewayConfig, GatewayHandle, SpawnedGateway, MAX_LINE_BYTES};
+pub use server::{Gateway, GatewayConfig, GatewayHandle, SpawnedGateway};
 pub use stats::{RouteStats, RouteStatsSnapshot};
 pub use trace::{generate_request_id, TraceRecord, TraceSink};
+pub use transport::MAX_LINE_BYTES;

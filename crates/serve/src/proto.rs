@@ -68,12 +68,13 @@ pub enum Request {
 
 /// The verbs that mutate server state, as wire `op` strings. This is
 /// the source of truth the front doors gate on: every verb listed here
-/// must appear in the `LOOPBACK_GATED_VERBS` const of each network
-/// transport (gateway and fleet), which refuses it off-loopback unless
-/// remote administration was explicitly enabled. The lists are kept as
-/// separate literals on purpose — `ccsa-audit`'s `verbs` rule checks
-/// them against each other, so adding a verb here and forgetting a gate
-/// fails CI instead of shipping a remotely callable admin op.
+/// must appear in the `LOOPBACK_GATED_VERBS` const of the transport
+/// core (`ccsa_gateway::transport`), through which the gateway and the
+/// fleet refuse it off-loopback unless remote administration was
+/// explicitly enabled. The two lists are kept as separate literals on
+/// purpose — `ccsa-audit`'s `verbs` rule checks them against each
+/// other, so adding a verb here and forgetting the gate fails CI
+/// instead of shipping a remotely callable admin op.
 pub const MUTATING_VERBS: &[&str] = &["shutdown", "reload_routes"];
 
 /// Decodes one request line.
@@ -442,7 +443,7 @@ mod tests {
 
     #[test]
     fn mutating_verbs_are_recognized_ops() {
-        // The gate lists in the gateway and fleet are checked against
+        // The transport core's gate list is checked against
         // MUTATING_VERBS by ccsa-audit; this end anchors the const to
         // the parser so a renamed op can't silently orphan its gate.
         for verb in MUTATING_VERBS {
