@@ -140,7 +140,7 @@ impl Allowlist {
     pub fn allows(&mut self, finding: &Finding) -> bool {
         for (ix, e) in self.entries.iter().enumerate() {
             let rule_ok = e.rule == "*" || e.rule == finding.rule;
-            let line_ok = e.line.map_or(true, |l| l == finding.line);
+            let line_ok = e.line.is_none_or(|l| l == finding.line);
             if rule_ok && e.path == finding.path && line_ok {
                 self.hits[ix] = true;
                 return true;

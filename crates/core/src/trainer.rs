@@ -262,7 +262,11 @@ mod tests {
             (report, eval)
         };
 
-        let (report, eval) = run(7);
+        // Not seed 7: that initialisation sits on a plateau (loss ≥ 0.68)
+        // until the last epoch, so which side of 0.55 it lands on is
+        // decided by last-ulp differences between kernel backends. Seed
+        // 9 is below loss 0.4 from the third epoch on every backend.
+        let (report, eval) = run(9);
         assert!(
             report.epoch_loss.last().unwrap() < report.epoch_loss.first().unwrap(),
             "loss should fall: {:?}",
@@ -274,7 +278,13 @@ mod tests {
             eval.accuracy
         );
 
-        let (_report2, eval2) = run(7);
+        // To the bit, clipped steps included: this seed's gradients exceed
+        // the clip norm, whose sum must not depend on a hash order.
+        let (report2, eval2) = run(9);
+        assert_eq!(
+            report.epoch_loss, report2.epoch_loss,
+            "same seed must reproduce"
+        );
         assert_eq!(eval.accuracy, eval2.accuracy, "same seed must reproduce");
     }
 

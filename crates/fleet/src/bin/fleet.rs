@@ -204,6 +204,9 @@ fn main() {
     let mut opts = parse_options();
     opts.config.addr = format!("{}:{}", opts.addr, opts.port);
     opts.config.http_addr = opts.http_port.map(|port| format!("{}:{}", opts.addr, port));
+    // Resolves `CCSA_KERNEL` now, as the replicas do: a bad value stops
+    // the process here, before anything is bound or a port file written.
+    let kernel_backend = ccsa_serve::kernel_backend();
 
     let fleet = match Fleet::bind(opts.replicas.clone(), opts.config) {
         Ok(f) => f,
@@ -224,7 +227,7 @@ fn main() {
         eprintln!("[fleet] http front door on {http_addr} (healthz/readyz/metrics/v1)");
     }
     eprintln!(
-        "[fleet] listening on {addr} ({} replicas)",
+        "[fleet] listening on {addr} ({} replicas, kernels={kernel_backend})",
         opts.replicas.len()
     );
 

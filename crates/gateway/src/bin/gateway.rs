@@ -280,6 +280,9 @@ fn parse_options() -> Options {
 
 fn main() {
     let opts = parse_options();
+    // Resolves `CCSA_KERNEL` now: a bad value stops the process here,
+    // before anything is bound or a port file written.
+    let kernel_backend = ccsa_serve::kernel_backend();
     let mut registry = ModelRegistry::new();
 
     if let Some(tag) = opts.train {
@@ -477,7 +480,7 @@ fn main() {
         eprintln!("[gateway] http front door on {http_addr} (healthz/readyz/metrics/v1)");
     }
     eprintln!(
-        "[gateway] listening on {addr} (cache={} workers={} max_batch={} max_conns={})",
+        "[gateway] listening on {addr} (cache={} workers={} max_batch={} max_conns={} kernels={kernel_backend})",
         opts.cache, workers, opts.max_batch, opts.max_conns
     );
 

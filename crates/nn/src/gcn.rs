@@ -205,7 +205,7 @@ impl GcnEncoder {
         let mut inv = Vec::with_capacity(graphs.len() * self.config.hidden);
         for g in graphs {
             let scale = 1.0 / g.node_count().max(1) as f32;
-            inv.extend(std::iter::repeat(scale).take(self.config.hidden));
+            inv.extend(std::iter::repeat_n(scale, self.config.hidden));
         }
         let inv = ctx.tape.leaf(ccsa_tensor::Tensor::from_vec(
             inv,

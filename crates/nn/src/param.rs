@@ -1,7 +1,7 @@
 //! Parameter storage and per-tape parameter binding.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ccsa_tensor::{Gradients, Tape, Tensor, Var};
 
@@ -103,10 +103,13 @@ impl Params {
     }
 }
 
-/// Accumulated gradients keyed by parameter name.
+/// Accumulated gradients keyed by parameter name. An ordered map:
+/// [`GradStore::global_norm`] sums in iteration order, and a hash map's
+/// differs from one store to the next, which made a clipped step — and
+/// so a whole training run — differ in last ulps between identical runs.
 #[derive(Debug, Clone, Default)]
 pub struct GradStore {
-    grads: HashMap<String, Tensor>,
+    grads: BTreeMap<String, Tensor>,
 }
 
 impl GradStore {

@@ -606,7 +606,7 @@ impl TreeLstmEncoder {
                 Some(hk) => {
                     let mut edge_parent: Vec<usize> = Vec::with_capacity(edges);
                     for (local, window) in agg_offsets.windows(2).enumerate() {
-                        edge_parent.extend(std::iter::repeat(local).take(window[1] - window[0]));
+                        edge_parent.extend(std::iter::repeat_n(local, window[1] - window[0]));
                     }
                     let fx = wxb.slice_cols(3 * hidden, hidden).index_rows(edge_parent);
                     let ck = ctx.tape.gather_rows_multi(&level_c, agg_rows);

@@ -129,6 +129,9 @@ fn parse_options() -> Options {
 
 fn main() {
     let opts = parse_options();
+    // Resolves `CCSA_KERNEL` now: a bad value stops the process here,
+    // not at the first encode of a server that already looks ready.
+    let kernel_backend = ccsa_serve::kernel_backend();
     let mut registry = ModelRegistry::new();
 
     if let Some(tag) = opts.train {
@@ -196,7 +199,7 @@ fn main() {
         },
     );
     eprintln!(
-        "[serve] ready: cache={} ({}) workers={} max_batch={} — reading JSON lines from stdin",
+        "[serve] ready: cache={} ({}) workers={} max_batch={} kernels={kernel_backend} — reading JSON lines from stdin",
         opts.cache, opts.cache_precision, workers, opts.max_batch
     );
 

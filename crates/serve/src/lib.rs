@@ -138,7 +138,8 @@ pub use engine::{
     RankOutcome, ServeConfig, ServeEngine, ServeError, StageTimings, MAX_RANK_CANDIDATES,
 };
 pub use metrics::{
-    Counter, Gauge, Histogram, MetricKind, MetricsRegistry, Sample, SampleFamily, LATENCY_BUCKETS_S,
+    kernel_backend, Counter, Gauge, Histogram, MetricKind, MetricsRegistry, Sample, SampleFamily,
+    LATENCY_BUCKETS_S,
 };
 pub use rank::{rank_from_matrix, RankedCandidate};
 pub use registry::{ModelRegistry, ModelSelector, RegistryError, ServeModel, DEFAULT_MODEL};

@@ -37,6 +37,19 @@ pub fn build_info() -> (&'static str, &'static str) {
     (env!("CARGO_PKG_VERSION"), env!("CCSA_GIT_DESCRIBE"))
 }
 
+/// The tensor kernel backend this process computes with — `scalar`,
+/// `avx2` or `avx512` — resolving `CCSA_KERNEL` if nothing has yet.
+/// `scalar` and the FMA backends differ in last ulps, so the `stats`
+/// verb reports it; the binaries call this before they bind a socket.
+///
+/// # Panics
+///
+/// Panics (see [`ccsa_tensor::kernels::active`]) if `CCSA_KERNEL` names
+/// no backend, or one this host lacks.
+pub fn kernel_backend() -> ccsa_tensor::KernelBackend {
+    ccsa_tensor::kernels::active().backend
+}
+
 /// Latency histogram bounds in seconds: 250 µs to 10 s, roughly
 /// geometric. Chosen for a predictor whose p50 sits in the low
 /// milliseconds warm and tens of milliseconds cold.

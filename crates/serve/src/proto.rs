@@ -318,6 +318,10 @@ pub fn stats_response(stats: &EngineStats) -> Json {
         ("cache_stripes", Json::num(stats.cache_stripes as f64)),
         ("uptime_seconds", Json::num(stats.uptime_seconds)),
         ("build", build_info_json()),
+        (
+            "kernel_backend",
+            Json::str(crate::metrics::kernel_backend().to_string()),
+        ),
         ("models", Json::Arr(models)),
         ("model_cache", Json::Arr(model_cache)),
     ])
@@ -695,5 +699,10 @@ mod tests {
         let (version, revision) = crate::metrics::build_info();
         assert_eq!(build.get("version").unwrap().as_str(), Some(version));
         assert_eq!(build.get("revision").unwrap().as_str(), Some(revision));
+        // Which kernels computed the answers: scalar and the FMA backends
+        // differ in last ulps, so a mixed fleet must be able to tell.
+        let backend = ccsa_tensor::kernels::active().backend.to_string();
+        assert!(["scalar", "avx2", "avx512"].contains(&backend.as_str()));
+        assert_eq!(v.get("kernel_backend").unwrap().as_str(), Some(&*backend));
     }
 }

@@ -15,10 +15,12 @@
 //! * [`grad_check`] — central-finite-difference gradient verification used
 //!   throughout the test suite.
 //! * [`kernels`] — the explicit SIMD layer underneath it all: blocked
-//!   scalar reference kernels plus AVX2+FMA implementations of
-//!   matmul / matvec / segment-sum row accumulation, resolved once at
-//!   first use via runtime feature detection (`CCSA_KERNEL=scalar|avx2`
-//!   overrides for A/B testing).
+//!   scalar reference kernels plus AVX2+FMA and AVX-512 implementations
+//!   of matmul / matvec / segment-sum row accumulation, and the
+//!   sigmoid / tanh slice kernels (one polynomial `exp`, the same bits
+//!   on every backend), resolved once at first use via runtime feature
+//!   detection (`CCSA_KERNEL=scalar|avx2|avx512` overrides, strictly:
+//!   a value the host cannot honor is an error, not a fall-back).
 //!
 //! # Example
 //!

@@ -939,33 +939,6 @@ fn stacked_rows_shape(v: &Tensor) -> (usize, usize) {
     }
 }
 
-/// `tanh` in plain f32 arithmetic with one `exp`, at a third of the cost
-/// of libm's `tanhf` (a tree-LSTM cell takes two per hidden unit per
-/// node). The Cephes `tanhf` split — an odd polynomial below 0.625,
-/// `1 − 2/(e^{2|x|} + 1)` above — evaluated on `|x|` with the sign
-/// copied back, so it is odd to the bit and keeps `−0`. Within 2e-7 of
-/// the exact value everywhere; NaN stays NaN, and the formula saturates
-/// to ±1 (from |x| ≈ 9) without a branch of its own.
-///
-/// Deliberately not `mul_add`: outside an FMA-enabled function that is a
-/// libm call, and the result must not depend on the kernel backend.
-#[inline]
-fn tanh(x: f32) -> f32 {
-    let a = x.abs();
-    let y = if a < 0.625 {
-        let z = a * a;
-        let p = ((((-5.704_988_7e-3 * z + 2.063_908_8e-2) * z - 5.373_971_5e-2) * z
-            + 1.333_144_2e-1)
-            * z
-            - 3.333_328e-1)
-            * z;
-        a + a * p
-    } else {
-        1.0 - 2.0 / ((a + a).exp() + 1.0)
-    };
-    y.copysign(x)
-}
-
 fn accumulate(grads: &mut [Option<Tensor>], id: usize, delta: Tensor, nodes: &[Node]) {
     debug_assert_eq!(
         delta.shape(),
@@ -1104,16 +1077,17 @@ impl<'t> Var<'t> {
         )
     }
 
-    /// Elementwise logistic sigmoid.
+    /// Elementwise logistic sigmoid: within 2e-7 of exact, and the same
+    /// bits under every kernel backend.
     pub fn sigmoid(self) -> Var<'t> {
-        let v = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value().map_kernel(crate::kernels::active().sigmoid);
         self.tape.push(Op::Sigmoid(self.id), v)
     }
 
     /// Elementwise hyperbolic tangent: within 2e-7 of exact, and the same
-    /// bits under either kernel backend.
+    /// bits under every kernel backend.
     pub fn tanh(self) -> Var<'t> {
-        let v = self.value().map(tanh);
+        let v = self.value().map_kernel(crate::kernels::active().tanh);
         self.tape.push(Op::Tanh(self.id), v)
     }
 
@@ -1387,6 +1361,13 @@ impl Gradients {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`Var::tanh`]'s kernel on one value.
+    fn tanh(x: f32) -> f32 {
+        let mut y = [0.0];
+        (crate::kernels::active().tanh)(&[x], &mut y);
+        y[0]
+    }
 
     #[test]
     fn add_backward() {

@@ -262,6 +262,17 @@ impl Tensor {
         }
     }
 
+    /// Applies a slice kernel from the [`kernels`] table elementwise,
+    /// producing a new tensor (pooled buffer).
+    pub(crate) fn map_kernel(&self, f: kernels::ActivationFn) -> Tensor {
+        let mut out = pool::take_zeroed(self.len());
+        f(&self.data, &mut out);
+        Tensor {
+            shape: self.shape,
+            data: Arc::new(PoolBuf::new(out)),
+        }
+    }
+
     /// Elementwise binary combination of two same-shape tensors.
     ///
     /// # Panics
@@ -610,7 +621,7 @@ mod tests {
     fn matmul_matches_reference_kernel_all_block_shapes() {
         // The dispatched kernel must agree bit-for-bit with a naive i-k-j
         // triple loop in the active backend's per-term rounding (mul+add
-        // for scalar, single-rounding `mul_add` for avx2), across row
+        // for scalar, single-rounding `mul_add` for avx2 and avx512), across row
         // counts that hit the blocked/vector paths, the remainder rows,
         // and column counts that hit the unrolled and remainder j paths.
         let backend = kernels::active().backend;
@@ -648,7 +659,9 @@ mod tests {
                         let cur = expect[i * n + j];
                         expect[i * n + j] = match backend {
                             kernels::KernelBackend::Scalar => cur + aik * term,
-                            kernels::KernelBackend::Avx2 => aik.mul_add(term, cur),
+                            kernels::KernelBackend::Avx2 | kernels::KernelBackend::Avx512 => {
+                                aik.mul_add(term, cur)
+                            }
                         };
                     }
                 }
