@@ -203,17 +203,17 @@ impl Comparator {
         params: &Params,
         graphs: &[&AstGraph],
     ) -> (Vec<Tensor>, ccsa_nn::FusedStats) {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let ctx = Ctx::new(&tape, params);
         let (codes, stats) = self.encoder.encode_batch_with_stats(&ctx, graphs);
         (codes.into_iter().map(|v| v.value()).collect(), stats)
     }
 
     /// [`Comparator::encode_codes_with_stats`] running on a worker-owned
-    /// [`ccsa_nn::EncodeScratch`]: the tape and scheduling buffers are
-    /// recycled batch to batch, so a warmed worker encodes with ~0 heap
-    /// allocations (tensor buffers come from the
-    /// [pool](ccsa_tensor::pool)). Results are identical to the fresh-
+    /// [`ccsa_nn::EncodeScratch`]: the tape, its weight transposes and
+    /// the scheduling buffers are recycled batch to batch, and a warmed
+    /// worker draws every tensor buffer from the
+    /// [pool](ccsa_tensor::pool). Results are identical to the fresh-
     /// tape path — the scratch only changes where memory comes from.
     pub fn encode_codes_with_scratch(
         &self,

@@ -2,17 +2,25 @@
 //!
 //! A batched encode pass needs a tape (thousands of nodes for a real
 //! batch) and several scheduling buffers (per-node level numbers, level
-//! bucket lists, flattened kind ids). Building these fresh per batch
-//! makes the allocator the steady-state bottleneck once tensor buffers
-//! themselves are pooled. [`EncodeScratch`] keeps them alive across
-//! batches: the tape spine and every scheduling vector retain their
-//! capacity, so a warmed worker re-runs the whole encode with ~0 heap
-//! allocations (the residual is the per-op `Arc<Vec<usize>>` index
-//! lists the tape ops take ownership of — small, and bounded by the
-//! number of ops, not the number of nodes).
+//! bucket lists, flattened kind ids). [`EncodeScratch`] keeps them alive
+//! across batches: the tape spine and every scheduling vector retain
+//! their capacity, and the tape's weight transposes survive from one
+//! batch to the next while the model lives.
+//!
+//! The tape is an [inference tape](Tape::inference): it keeps values,
+//! not operations, and the level-fused encoder releases each level's
+//! temporaries when the level ends, so their buffers return to the
+//! [pool](ccsa_tensor::pool) while the pass runs. A warmed worker's pass
+//! therefore draws every tensor buffer from the pool. It is not
+//! allocation-free: each op's output tensor still allocates the `Arc`
+//! around its pooled buffer, and each level allocates its index lists.
+//! Encoding two unseen paper-width trees (289 nodes) on a warmed scratch
+//! makes ~1.7k heap allocations, a bound `ccsa-serve`'s
+//! `alloc_steady_state.rs` pins; a whole cold request through the
+//! benchmark's `cold_http` makes ~3.1k.
 //!
 //! Each [`EncodePool`] worker owns one `EncodeScratch` for its whole
-//! life; training code can keep using plain per-batch tapes.
+//! life; training code keeps using recording tapes.
 //!
 //! [`EncodePool`]: https://docs.rs/ccsa-serve
 
@@ -47,8 +55,8 @@ impl SchedBufs {
 }
 
 /// A worker-owned arena for steady-state batched encoding: one
-/// long-lived [`Tape`] plus the scheduling buffers, recycled batch to
-/// batch.
+/// long-lived inference [`Tape`] plus the scheduling buffers, recycled
+/// batch to batch.
 ///
 /// ```
 /// use ccsa_nn::EncodeScratch;
@@ -57,23 +65,33 @@ impl SchedBufs {
 /// let (tape, _sched) = scratch.parts();
 /// assert!(tape.is_empty());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EncodeScratch {
     tape: Tape,
     sched: SchedBufs,
 }
 
+impl Default for EncodeScratch {
+    fn default() -> EncodeScratch {
+        EncodeScratch {
+            tape: Tape::inference(),
+            sched: SchedBufs::default(),
+        }
+    }
+}
+
 impl EncodeScratch {
-    /// An empty scratch; buffers grow to steady-state size over the
-    /// first few batches and then stop allocating.
+    /// An empty scratch; its buffers grow to steady-state size over the
+    /// first few batches and then stop growing.
     pub fn new() -> EncodeScratch {
         EncodeScratch::default()
     }
 
     /// Prepares the scratch for a new batch: resets the tape (dropping
     /// the previous batch's node tensors back into the buffer pool,
-    /// keeping the node spine's capacity) and clears the scheduling
-    /// buffers. Any `Var` from a previous batch is invalidated.
+    /// keeping the node spine's capacity and the transposes of weights
+    /// that are still alive) and clears the scheduling buffers. Any
+    /// `Var` from a previous batch is invalidated.
     pub fn reset(&mut self) {
         self.tape.reset();
         self.sched.clear();
@@ -90,6 +108,99 @@ impl EncodeScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::{Ctx, Params};
+    use crate::treelstm::{Direction, TreeLstmConfig, TreeLstmEncoder};
+    use ccsa_cppast::{parse_program, AstGraph};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn model(seed: u64) -> (TreeLstmEncoder, Params) {
+        let config = TreeLstmConfig {
+            embed_dim: 6,
+            hidden: 5,
+            layers: 3,
+            direction: Direction::Alternating,
+            sigmoid_candidate: false,
+        };
+        let mut params = Params::new();
+        let enc = TreeLstmEncoder::new(&config, &mut params, &mut StdRng::seed_from_u64(seed));
+        (enc, params)
+    }
+
+    fn graphs() -> Vec<AstGraph> {
+        [
+            "int main() { int s = 0; for (int i = 0; i < 9; i++) s += i; return s; }",
+            "int f(int x) { if (x > 0) { return x; } return -x; } int main() { return f(3); }",
+        ]
+        .iter()
+        .map(|s| AstGraph::from_program(&parse_program(s).unwrap()))
+        .collect()
+    }
+
+    /// The codes' bits, encoded on `scratch`.
+    fn encode(
+        scratch: &mut EncodeScratch,
+        (enc, params): &(TreeLstmEncoder, Params),
+        graphs: &[AstGraph],
+    ) -> Vec<Vec<u32>> {
+        let refs: Vec<&AstGraph> = graphs.iter().collect();
+        scratch.reset();
+        let (tape, sched) = scratch.parts();
+        let ctx = Ctx::new(tape, params);
+        let (codes, _) = enc.encode_batch_with_stats_in(&ctx, &refs, sched);
+        codes
+            .iter()
+            .map(|c| c.value().as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn one_scratch_serves_models_in_turn_like_fresh_scratches() {
+        let graphs = graphs();
+        let a = model(1);
+        let b = model(2);
+        let fresh_a = encode(&mut EncodeScratch::new(), &a, &graphs);
+        let fresh_b = encode(&mut EncodeScratch::new(), &b, &graphs);
+        assert_ne!(fresh_a, fresh_b);
+
+        let mut scratch = EncodeScratch::new();
+        assert_eq!(encode(&mut scratch, &a, &graphs), fresh_a, "A");
+        assert_eq!(encode(&mut scratch, &b, &graphs), fresh_b, "B");
+        assert_eq!(encode(&mut scratch, &a, &graphs), fresh_a, "A again");
+
+        // What a scratch that only ever saw A keeps across a reset.
+        let mut only_a = EncodeScratch::new();
+        encode(&mut only_a, &a, &graphs);
+        only_a.reset();
+        let a_entries = only_a.tape.memo_len();
+        assert!(a_entries > 0, "A's bound weights stay transposed");
+
+        drop(b);
+        scratch.reset();
+        assert_eq!(scratch.tape.memo_len(), a_entries, "B's entries are gone");
+        assert_eq!(
+            encode(&mut scratch, &a, &graphs),
+            fresh_a,
+            "A after B dropped"
+        );
+    }
+
+    #[test]
+    fn scratches_sharing_a_model_keep_none_of_its_transposes_once_it_drops() {
+        let graphs = graphs();
+        let shared = model(3);
+        let mut scratches = [EncodeScratch::new(), EncodeScratch::new()];
+        for scratch in &mut scratches {
+            encode(scratch, &shared, &graphs);
+            scratch.reset();
+            assert!(scratch.tape.memo_len() > 0);
+        }
+        drop(shared);
+        for scratch in &mut scratches {
+            scratch.reset();
+            assert_eq!(scratch.tape.memo_len(), 0);
+        }
+    }
 
     #[test]
     fn reset_keeps_capacity() {

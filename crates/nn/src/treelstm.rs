@@ -425,27 +425,32 @@ impl TreeLstmEncoder {
         offsets.push(total);
         let layout = BatchLayout { graphs, offsets };
 
+        // On an inference tape each layer frees its input once its passes
+        // have run: `input_from` marks where that input was recorded.
+        let mut input_from = ctx.tape.len();
         let mut x = self.embedding.lookup(ctx, &sched.ids);
         let mut last = None;
         for layer in &self.layers {
-            match layer {
+            let layer_from = ctx.tape.len();
+            let (h, next) = match layer {
                 LayerKind::Up(cell) => {
                     let h = self.fused_pass(ctx, &layout, cell, x, true, &mut stats, sched);
-                    last = Some(h);
-                    x = h;
+                    (h, h)
                 }
                 LayerKind::Down(cell) => {
                     let h = self.fused_pass(ctx, &layout, cell, x, false, &mut stats, sched);
-                    last = Some(h);
-                    x = h;
+                    (h, h)
                 }
                 LayerKind::UpDown(up, down) => {
                     let hu = self.fused_pass(ctx, &layout, up, x, true, &mut stats, sched);
                     let hd = self.fused_pass(ctx, &layout, down, x, false, &mut stats, sched);
-                    last = Some(hu);
-                    x = hu.concat_cols(hd);
+                    (hu, hu.concat_cols(hd))
                 }
-            }
+            };
+            ctx.tape.release_since(input_from, &[h, next]);
+            input_from = layer_from;
+            last = Some(h);
+            x = next;
         }
         // The code vector per graph: its root's hidden state in the final
         // pass (roots sit at each graph's global offset).
@@ -458,6 +463,11 @@ impl TreeLstmEncoder {
     /// One level-scheduled pass (upward when `up`, else downward) over
     /// every graph in the batch. `x` is `[N, x_dim]` in global node
     /// order; the result is `[N, hidden]` in the same order.
+    ///
+    /// On an inference tape a level's temporaries are released as soon
+    /// as its `h` and `c` rows exist, and the pass's per-level state as
+    /// soon as the result is gathered, so a pass holds one level's gate
+    /// buffers at a time instead of every level's.
     #[allow(clippy::too_many_arguments)]
     fn fused_pass<'t>(
         &self,
@@ -529,6 +539,7 @@ impl TreeLstmEncoder {
         // multiplies h̃, so projecting against the prefix saves a quarter
         // of the level matmul — and the forget block (last h rows) for
         // the per-edge forget gate.
+        let pass_from = ctx.tape.len();
         let u_iou = ctx
             .param(&cell.u)
             .index_rows((0..3 * hidden).collect::<Vec<usize>>());
@@ -538,6 +549,7 @@ impl TreeLstmEncoder {
 
         for sel in levels {
             let width = sel.len();
+            let level_from = ctx.tape.len();
 
             // Aggregated incoming state h̃: the child-sum for the upward
             // pass, the single parent state for the downward pass. The
@@ -615,6 +627,7 @@ impl TreeLstmEncoder {
                 }
             };
             let h_l = o.mul(c_l.tanh());
+            ctx.tape.release_since(level_from, &[h_l, c_l]);
 
             done += width;
             level_h.push(h_l);
@@ -625,7 +638,9 @@ impl TreeLstmEncoder {
 
         // Back to global node order for the next layer / root readout.
         let perm: Vec<usize> = proc_row;
-        ctx.tape.gather_rows_multi(&level_h, perm)
+        let out = ctx.tape.gather_rows_multi(&level_h, perm);
+        ctx.tape.release_since(pass_from, &[out]);
+        out
     }
 
     /// Encodes an AST into its code vector (the root hidden state of the
@@ -882,6 +897,37 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    fn code_bits(codes: &[Var<'_>]) -> Vec<Vec<u32>> {
+        codes
+            .iter()
+            .map(|c| c.value().as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// Encodes each batch on a fresh recording tape and on one reused
+    /// [`crate::EncodeScratch`] (an inference tape that releases as it
+    /// goes); the codes must agree to the bit.
+    fn assert_inference_matches_recording(
+        what: &str,
+        params: &Params,
+        batches: &[Vec<&AstGraph>],
+        encode: impl Fn(&Ctx<'_, '_>, &[&AstGraph], &mut crate::SchedBufs) -> Vec<Vec<u32>>,
+    ) {
+        let mut scratch = crate::EncodeScratch::new();
+        for (b, batch) in batches.iter().enumerate() {
+            let tape = Tape::new();
+            let recorded = encode(
+                &Ctx::new(&tape, params),
+                batch,
+                &mut crate::SchedBufs::default(),
+            );
+            scratch.reset();
+            let (tape, sched) = scratch.parts();
+            let inferred = encode(&Ctx::new(tape, params), batch, sched);
+            assert_eq!(inferred, recorded, "{what}: batch {b}");
+        }
+    }
+
     #[test]
     fn fused_batch_matches_sequential_all_variants() {
         let sources = [
@@ -892,6 +938,13 @@ mod tests {
         ];
         let graphs: Vec<AstGraph> = sources.iter().map(|s| graph(s)).collect();
         let refs: Vec<&AstGraph> = graphs.iter().collect();
+        // Three compositions for the inference arm: its scratch must not
+        // carry anything from one batch into the next.
+        let batches = [
+            refs.clone(),
+            refs.iter().rev().copied().collect(),
+            vec![refs[2], refs[0]],
+        ];
         for direction in [Direction::Uni, Direction::Bi, Direction::Alternating] {
             for layers in 1..=3 {
                 for sigmoid_candidate in [false, true] {
@@ -918,8 +971,35 @@ mod tests {
                              fused diverged by {diff}"
                         );
                     }
+                    assert_inference_matches_recording(
+                        &format!("{direction} {layers}-layer sc={sigmoid_candidate}"),
+                        &params,
+                        &batches,
+                        |ctx: &Ctx<'_, '_>, batch: &[&AstGraph], sched: &mut crate::SchedBufs| {
+                            code_bits(&enc.encode_batch_with_stats_in(ctx, batch, sched).0)
+                        },
+                    );
                 }
             }
+        }
+        for activation in [crate::Activation::Relu, crate::Activation::Tanh] {
+            let config = crate::GcnConfig {
+                embed_dim: 5,
+                hidden: 4,
+                layers: 3,
+                activation,
+            };
+            let mut params = Params::new();
+            let mut rng = StdRng::seed_from_u64(13);
+            let enc = crate::GcnEncoder::new(&config, &mut params, &mut rng);
+            assert_inference_matches_recording(
+                &format!("GCN {activation:?}"),
+                &params,
+                &batches,
+                |ctx: &Ctx<'_, '_>, batch: &[&AstGraph], sched: &mut crate::SchedBufs| {
+                    code_bits(&enc.encode_batch_with_stats_in(ctx, batch, sched).0)
+                },
+            );
         }
     }
 

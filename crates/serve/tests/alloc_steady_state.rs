@@ -5,7 +5,9 @@
 //! (JSON in, source memo, cache, classifier, JSON out) stays under a
 //! fixed small bound. The cold request is allowed to allocate (cache
 //! fill, pool growth, lazy histograms); every request after the second
-//! must not.
+//! must not. A cold *encode* on a warmed worker scratch takes every
+//! tensor buffer from the pool, and its remaining allocations stay
+//! under a measured bound.
 //!
 //! The harness swaps in a `#[global_allocator]` that counts every
 //! `alloc`/`realloc`/`alloc_zeroed`, so a single stray `Vec` or `Arc`
@@ -14,13 +16,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use ccsa_corpus::{generate_program, ProblemSpec, ProblemTag};
 use ccsa_cppast::tree::AstGraph;
 use ccsa_model::comparator::{Comparator, EncoderConfig};
 use ccsa_model::pipeline::TrainedModel;
 use ccsa_nn::param::Params;
 use ccsa_nn::treelstm::{Direction, TreeLstmConfig};
+use ccsa_nn::EncodeScratch;
 use ccsa_serve::cache::CachePrecision;
 use ccsa_serve::json::Json;
 use ccsa_serve::{proto, BatchConfig, MetricsRegistry, ModelSelector, ServeConfig, ServeEngine};
@@ -32,11 +36,10 @@ use rand::SeedableRng;
 struct CountingAlloc;
 
 thread_local! {
-    // Per thread, so the sibling test (libtest runs the two on parallel
-    // threads) cannot charge its cold-path allocations to this thread's
-    // measuring window. Const-initialised and without a destructor, so
-    // touching it inside the allocator neither allocates nor outlives
-    // the thread's storage.
+    // Per thread, so an engine's encode workers cannot charge their
+    // allocations to the measuring thread's window. Const-initialised
+    // and without a destructor, so touching it inside the allocator
+    // neither allocates nor outlives the thread's storage.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -84,6 +87,15 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Every test here holds this lock: the cold-encode pin counts pool
+/// misses, and the pool's counters are process-wide, so another test's
+/// encode workers must not run beside its window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn tiny_model(seed: u64) -> TrainedModel {
     let config = EncoderConfig::TreeLstm(TreeLstmConfig {
         embed_dim: 6,
@@ -104,6 +116,7 @@ const SLOW: &str = "int main() { int n; cin >> n; long long s = 0; \
 
 #[test]
 fn warm_compare_requests_allocate_nothing() {
+    let _serial = serial();
     let engine = ServeEngine::with_model(
         tiny_model(7),
         &ServeConfig {
@@ -163,6 +176,7 @@ fn warm_compare_requests_allocate_nothing() {
 
 #[test]
 fn swapped_operands_stay_alloc_free_once_both_codes_are_cached() {
+    let _serial = serial();
     let engine = ServeEngine::with_model(
         tiny_model(11),
         &ServeConfig {
@@ -198,6 +212,7 @@ fn swapped_operands_stay_alloc_free_once_both_codes_are_cached() {
 
 #[test]
 fn a_warm_protocol_line_allocates_a_bounded_handful() {
+    let _serial = serial();
     let engine = ServeEngine::with_model(
         tiny_model(13),
         &ServeConfig {
@@ -243,8 +258,58 @@ fn a_warm_protocol_line_allocates_a_bounded_handful() {
     assert!(per_line <= 64, "{per_line} allocations per warm line");
 }
 
+/// `count` generated corpus submissions, parsed.
+fn submissions(seed: u64, count: usize) -> Vec<AstGraph> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count)
+        .map(|i| {
+            let spec = ProblemSpec::curated(ProblemTag::ALL[i % ProblemTag::ALL.len()]);
+            let strategy = spec.sample_strategy(&mut rng);
+            AstGraph::from_program(&generate_program(&spec, strategy, &mut rng))
+        })
+        .collect()
+}
+
+#[test]
+fn a_warmed_scratch_encodes_unseen_paper_width_trees_from_the_pool() {
+    let _serial = serial();
+    let mut params = Params::new();
+    let model = Comparator::new(
+        &EncoderConfig::TreeLstm(TreeLstmConfig::paper()),
+        &mut params,
+        &mut StdRng::seed_from_u64(5),
+    );
+    let mut scratch = EncodeScratch::new();
+    for pair in submissions(1, 16).chunks(2) {
+        let refs: Vec<&AstGraph> = pair.iter().collect();
+        model.encode_codes_with_scratch(&params, &refs, &mut scratch);
+    }
+    let unseen = submissions(2, 2);
+    let refs: Vec<&AstGraph> = unseen.iter().collect();
+
+    let (misses, before) = (ccsa_tensor::pool::stats().misses, allocs());
+    let (codes, _) = model.encode_codes_with_scratch(&params, &refs, &mut scratch);
+    let (misses, during) = (
+        ccsa_tensor::pool::stats().misses - misses,
+        allocs() - before,
+    );
+
+    assert_eq!(codes, model.encode_codes(&params, &refs));
+    let nodes: usize = unseen.iter().map(AstGraph::node_count).sum();
+    assert_eq!(misses, 0, "every tensor buffer comes from the pool");
+    // Not 0: every op's output tensor is a pooled buffer inside a new
+    // `Arc`, and every level allocates its gather and segment index
+    // lists. Both scale with levels and ops, not with node rows. These
+    // two trees (289 nodes) measured 1,659.
+    assert!(
+        during <= 2_000,
+        "{during} allocations to encode {nodes} nodes"
+    );
+}
+
 #[test]
 fn finding_an_existing_metric_series_allocates_nothing() {
+    let _serial = serial();
     let registry = MetricsRegistry::new();
     let bump = |code: &str| {
         registry

@@ -8,11 +8,34 @@
 //! Dynamic graphs are required by tree-structured models: every AST induces
 //! a different circuit, so the graph is rebuilt per example (define-by-run,
 //! as in PyTorch which the original paper used).
+//!
+//! # Two modes, one set of ops
+//!
+//! * A **recording** tape ([`Tape::new`]) keeps every node's operation,
+//!   operand ids and value until [`Tape::reset`], because
+//!   [`Tape::backward`] needs all three. Training uses it.
+//! * An **inference** tape ([`Tape::inference`]) keeps values but no
+//!   operations: each op still computes its value, through the same code,
+//!   but records a payload-free node instead of its operand list. Calling
+//!   [`Tape::backward`] on it panics. [`Tape::release_since`] drops the
+//!   values of nodes the caller is done with, so their buffers go back to
+//!   the [pool](crate::pool) while the pass is still running; the level-
+//!   fused encoders call it after every level. Serving uses this mode.
+//!
+//! Both modes produce bit-identical values. On a recording tape
+//! `release_since` does nothing.
+//!
+//! Either kind memoises the transposed right operand of
+//! [`Var::matmul_nt`], keyed by the identity of the operand's buffer. An
+//! entry outlives [`Tape::reset`] for as long as its source buffer is
+//! alive somewhere, so a long-lived tape transposes each weight of a
+//! model once, not once per batch.
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
+use crate::tensor::PoolBuf;
 use crate::{Shape, Tensor};
 
 /// A row-normalised sparse adjacency operator for graph convolutions.
@@ -125,6 +148,9 @@ impl Adjacency {
 /// The operation recorded at a tape node. Input operands are node ids.
 enum Op {
     Leaf,
+    /// Any non-leaf node of an inference tape: a value with no record of
+    /// how it was computed.
+    Value,
     Add(usize, usize),
     Sub(usize, usize),
     Mul(usize, usize),
@@ -132,8 +158,8 @@ enum Op {
     MatMul(usize, usize),
     /// `A · Bᵀ` (batched linear, weights stored `[out, in]`). The forward
     /// pass multiplies by a materialised `Bᵀ` that the tape transposes
-    /// once per distinct `B` and keeps until [`Tape::reset`]; the
-    /// backward pass needs `B` itself and `Gᵀ`, never `Bᵀ`.
+    /// once per distinct `B` buffer (see [`Transposed`]); the backward
+    /// pass needs `B` itself and `Gᵀ`, never `Bᵀ`.
     MatMulNt(usize, usize),
     /// Fused `W·x (+ b)` — the hot path of every LSTM gate.
     Linear {
@@ -197,28 +223,53 @@ enum Op {
 
 struct Node {
     op: Op,
+    /// `None` once [`Tape::release_since`] has dropped it.
+    value: Option<Tensor>,
+}
+
+impl Node {
+    /// The value, for [`Tape::backward`]: only inference tapes release
+    /// values, and backward refuses those.
+    fn value(&self) -> &Tensor {
+        self.value
+            .as_ref()
+            .expect("a recording tape never releases a value")
+    }
+}
+
+/// One memoised `Bᵀ` of [`Var::matmul_nt`]. `source` names `B`'s buffer
+/// without keeping it alive: a tape never holds a strong reference to a
+/// model's weights beyond its own nodes, so tapes that share a model
+/// cannot keep each other's entries alive once the model is dropped.
+/// The shape is part of the key because [`Tensor::reshape`] shares a
+/// buffer between shapes.
+struct Transposed {
+    source: Weak<PoolBuf>,
+    shape: Shape,
     value: Tensor,
 }
 
-/// A recording tape for reverse-mode automatic differentiation.
+/// A tape for reverse-mode automatic differentiation, recording or
+/// inference-only (see the [module documentation](self)).
 ///
 /// Create variables with [`Tape::leaf`], combine them with the methods on
 /// [`Var`], then call [`Tape::backward`] on a scalar result.
 ///
 /// A tape is intended to be built and consumed for a single example (or
-/// mini-batch member); build a fresh tape per forward pass.
+/// mini-batch member); build a fresh tape per forward pass, or
+/// [`Tape::reset`] a long-lived one.
 #[derive(Default)]
 pub struct Tape {
     nodes: RefCell<Vec<Node>>,
-    /// `(node id, transposed value)` for every node that has been the
-    /// right operand of [`Var::matmul_nt`] since the last reset. Node
-    /// values never change, so an entry stays valid exactly as long as
-    /// its id does — [`Tape::reset`] clears both together. A level-fused
-    /// encode multiplies each level by the same few weights, so this is
-    /// a handful of entries (nine at paper depth) found by linear scan.
-    // pool-exempt: (id, tensor handle) pairs, one per distinct weight;
-    // the transposed buffers themselves come from the pool.
-    transposed: RefCell<Vec<(usize, Tensor)>>,
+    /// Set by [`Tape::inference`]: record values but no operations.
+    inference: bool,
+    /// The transposes [`Var::matmul_nt`] has made. A level-fused encode
+    /// multiplies each level by the same few weights, so this is a
+    /// handful of entries found by linear scan. [`Tape::reset`] drops
+    /// the entries whose source buffer has been freed, and only those.
+    // pool-exempt: one small struct per distinct weight; the transposed
+    // buffers themselves come from the pool.
+    transposed: RefCell<Vec<Transposed>>,
 }
 
 impl fmt::Debug for Tape {
@@ -244,9 +295,20 @@ impl fmt::Debug for Var<'_> {
 }
 
 impl Tape {
-    /// Creates an empty tape.
+    /// Creates an empty recording tape.
     pub fn new() -> Tape {
         Tape::default()
+    }
+
+    /// Creates an empty inference tape: every op computes its value as
+    /// on a recording tape, but the node keeps no operation or operands,
+    /// [`Tape::release_since`] can free values early, and
+    /// [`Tape::backward`] panics.
+    pub fn inference() -> Tape {
+        Tape {
+            inference: true,
+            ..Tape::default()
+        }
     }
 
     /// Number of recorded nodes.
@@ -270,40 +332,105 @@ impl Tape {
     /// one afterwards panics (id out of range) or silently refers to a
     /// new node, exactly as with a fresh tape the borrow checker can't
     /// see. Callers own that discipline (the encode scratch types do).
+    ///
+    /// Memoised weight transposes survive the reset while their source
+    /// buffer lives, so the next batch on this tape finds them. Entries
+    /// whose source has been freed (a swapped-out model, a per-batch
+    /// intermediate) are dropped here.
     pub fn reset(&self) {
+        // Nodes first: they may hold the last strong handle on a source.
         self.nodes.borrow_mut().clear();
-        // Ids are about to be reused by other values.
-        self.transposed.borrow_mut().clear();
+        self.transposed
+            .borrow_mut()
+            .retain(|t| t.source.strong_count() > 0);
     }
 
-    fn push(&self, op: Op, value: Tensor) -> Var<'_> {
+    /// Appends a node. `op` is only called on a recording tape, so an
+    /// inference tape never builds an operand list it would throw away.
+    fn push(&self, op: impl FnOnce() -> Op, value: Tensor) -> Var<'_> {
+        self.push_node(if self.inference { Op::Value } else { op() }, value)
+    }
+
+    fn push_node(&self, op: Op, value: Tensor) -> Var<'_> {
         let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node { op, value });
+        nodes.push(Node {
+            op,
+            value: Some(value),
+        });
         Var {
             tape: self,
             id: nodes.len() - 1,
         }
     }
 
+    /// Node `id`'s value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Tape::release_since`] has dropped it.
     fn value_of(&self, id: usize) -> Tensor {
-        self.nodes.borrow()[id].value.clone()
+        match &self.nodes.borrow()[id].value {
+            Some(value) => value.clone(),
+            None => panic!("the value of tape node {id} was released and cannot be read"),
+        }
     }
 
-    /// The transpose of node `id`'s value, computed on first request and
-    /// shared by every later one until [`Tape::reset`].
+    /// The transpose of node `id`'s value, made on first request and
+    /// shared by every later request for the same buffer and shape.
     fn transposed_of(&self, id: usize) -> Tensor {
-        let mut memo = self.transposed.borrow_mut();
-        if let Some((_, t)) = memo.iter().find(|(node, _)| *node == id) {
-            return t.clone();
+        let source = self.value_of(id);
+        if source.shape().rank() < 2 {
+            // Such a "transpose" is a view of the source's own buffer: a
+            // memo entry would keep its source alive for ever.
+            return source.t();
         }
-        let t = self.nodes.borrow()[id].value.t();
-        memo.push((id, t.clone()));
-        t
+        let mut memo = self.transposed.borrow_mut();
+        if let Some(t) = memo
+            .iter()
+            .find(|t| t.shape == source.shape() && source.owns_buffer(&t.source))
+        {
+            return t.value.clone();
+        }
+        let value = source.t();
+        memo.push(Transposed {
+            source: source.buffer_handle(),
+            shape: source.shape(),
+            value: value.clone(),
+        });
+        value
+    }
+
+    /// Number of transposes the [`Var::matmul_nt`] memo holds, including
+    /// those whose source has been freed since the last [`Tape::reset`].
+    pub fn memo_len(&self) -> usize {
+        self.transposed.borrow().len()
+    }
+
+    /// Drops the values of all non-leaf nodes recorded since `mark` (a
+    /// [`Tape::len`] taken earlier) except those in `keep`, returning
+    /// their buffers to the [pool](crate::pool). Reading a dropped value
+    /// afterwards panics. Leaves stay, because a bound parameter's `Var`
+    /// is reused long after it was recorded.
+    ///
+    /// On a recording tape this does nothing: [`Tape::backward`] needs
+    /// every value.
+    ///
+    /// Never allocates.
+    pub fn release_since(&self, mark: usize, keep: &[Var<'_>]) {
+        if !self.inference {
+            return;
+        }
+        let mut nodes = self.nodes.borrow_mut();
+        for (id, node) in nodes.iter_mut().enumerate().skip(mark) {
+            if !matches!(node.op, Op::Leaf) && !keep.iter().any(|k| k.id == id) {
+                node.value = None;
+            }
+        }
     }
 
     /// Records an input or parameter leaf.
     pub fn leaf(&self, value: Tensor) -> Var<'_> {
-        self.push(Op::Leaf, value)
+        self.push_node(Op::Leaf, value)
     }
 
     /// A leaf of zeros of the given shape (used e.g. for the initial hidden
@@ -332,7 +459,7 @@ impl Tape {
         }
         let n = data.len();
         self.push(
-            Op::Concat(parts.iter().map(|p| p.id).collect()),
+            || Op::Concat(parts.iter().map(|p| p.id).collect()),
             Tensor::from_vec(data, [n]),
         )
     }
@@ -354,7 +481,7 @@ impl Tape {
             }
         }
         let value = Tensor::from_vec(acc, first.shape());
-        self.push(Op::AddN(parts.iter().map(|p| p.id).collect()), value)
+        self.push(|| Op::AddN(parts.iter().map(|p| p.id).collect()), value)
     }
 
     /// Stacks `k` vectors of length `d` into a `[k, d]` matrix.
@@ -373,7 +500,7 @@ impl Tape {
         }
         let k = parts.len();
         self.push(
-            Op::Stack(parts.iter().map(|p| p.id).collect()),
+            || Op::Stack(parts.iter().map(|p| p.id).collect()),
             Tensor::from_vec(data, [k, d]),
         )
     }
@@ -405,7 +532,7 @@ impl Tape {
             data.extend_from_slice(v.as_slice());
         }
         self.push(
-            Op::StackRows(parts.iter().map(|p| p.id).collect()),
+            || Op::StackRows(parts.iter().map(|p| p.id).collect()),
             Tensor::from_vec(data, [rows, d]),
         )
     }
@@ -475,7 +602,7 @@ impl Tape {
         }
         let k = indices.len();
         self.push(
-            Op::GatherRowsMulti {
+            || Op::GatherRowsMulti {
                 sources: sources.iter().map(|s| s.id).collect(),
                 indices,
             },
@@ -567,7 +694,7 @@ impl Tape {
             }
         }
         self.push(
-            Op::SegmentSum {
+            || Op::SegmentSum {
                 m: m.id,
                 offsets,
                 init: init.map(|v| v.id),
@@ -605,7 +732,7 @@ impl Tape {
         }
         let k = indices.len();
         self.push(
-            Op::Gather {
+            || Op::Gather {
                 table: table.id,
                 indices,
             },
@@ -621,7 +748,7 @@ impl Tape {
     pub fn spmm<'t>(&'t self, adj: Arc<Adjacency>, h: Var<'t>) -> Var<'t> {
         let hv = self.value_of(h.id);
         let value = adj.matmul(&hv);
-        self.push(Op::SpMm { adj, h: h.id }, value)
+        self.push(|| Op::SpMm { adj, h: h.id }, value)
     }
 
     /// Runs the reverse sweep from a scalar `root`, returning gradients for
@@ -629,21 +756,26 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `root` does not hold exactly one element or belongs to a
-    /// different tape.
+    /// Panics if this is an [inference tape](Tape::inference), or if
+    /// `root` does not hold exactly one element or belongs to a different
+    /// tape.
     pub fn backward(&self, root: Var<'_>) -> Gradients {
+        assert!(
+            !self.inference,
+            "backward on an inference tape: it records values, not operations"
+        );
         assert!(
             std::ptr::eq(root.tape, self),
             "backward: var from another tape"
         );
         let nodes = self.nodes.borrow();
         assert_eq!(
-            nodes[root.id].value.len(),
+            nodes[root.id].value().len(),
             1,
             "backward root must be scalar"
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        grads[root.id] = Some(Tensor::ones(nodes[root.id].value.shape()));
+        grads[root.id] = Some(Tensor::ones(nodes[root.id].value().shape()));
 
         for id in (0..=root.id).rev() {
             let Some(g) = grads[id].take() else { continue };
@@ -653,6 +785,7 @@ impl Tape {
                     grads[id] = Some(g);
                     continue;
                 }
+                Op::Value => unreachable!("a recording tape records every operation"),
                 Op::Add(a, b) => {
                     accumulate(&mut grads, *a, g.clone(), &nodes);
                     accumulate(&mut grads, *b, g.clone(), &nodes);
@@ -662,8 +795,8 @@ impl Tape {
                     accumulate(&mut grads, *b, g.scale(-1.0), &nodes);
                 }
                 Op::Mul(a, b) => {
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
+                    let av = nodes[*a].value();
+                    let bv = nodes[*b].value();
                     accumulate(&mut grads, *a, g.mul(bv), &nodes);
                     accumulate(&mut grads, *b, g.mul(av), &nodes);
                 }
@@ -671,21 +804,21 @@ impl Tape {
                     accumulate(&mut grads, *a, g.scale(*s), &nodes);
                 }
                 Op::MatMul(a, b) => {
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
+                    let av = nodes[*a].value();
+                    let bv = nodes[*b].value();
                     accumulate(&mut grads, *a, g.matmul(&bv.t()), &nodes);
                     accumulate(&mut grads, *b, av.t().matmul(&g), &nodes);
                 }
                 Op::MatMulNt(a, b) => {
                     // y = A·Bᵀ ⇒ dA += G·B, dB += Gᵀ·A.
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
+                    let av = nodes[*a].value();
+                    let bv = nodes[*b].value();
                     accumulate(&mut grads, *a, g.matmul(bv), &nodes);
                     accumulate(&mut grads, *b, g.t().matmul(av), &nodes);
                 }
                 Op::Linear { w, x, b } => {
-                    let wv = &nodes[*w].value;
-                    let xv = &nodes[*x].value;
+                    let wv = nodes[*w].value();
+                    let xv = nodes[*x].value();
                     accumulate(&mut grads, *w, g.outer(xv), &nodes);
                     accumulate(&mut grads, *x, wv.t().matvec(&g), &nodes);
                     if let Some(b) = b {
@@ -693,17 +826,17 @@ impl Tape {
                     }
                 }
                 Op::Sigmoid(a) => {
-                    let y = &node.value;
+                    let y = node.value();
                     let dg = g.zip(y, |gi, yi| gi * yi * (1.0 - yi));
                     accumulate(&mut grads, *a, dg, &nodes);
                 }
                 Op::Tanh(a) => {
-                    let y = &node.value;
+                    let y = node.value();
                     let dg = g.zip(y, |gi, yi| gi * (1.0 - yi * yi));
                     accumulate(&mut grads, *a, dg, &nodes);
                 }
                 Op::Relu(a) => {
-                    let xv = &nodes[*a].value;
+                    let xv = nodes[*a].value();
                     let dg = g.zip(xv, |gi, xi| if xi > 0.0 { gi } else { 0.0 });
                     accumulate(&mut grads, *a, dg, &nodes);
                 }
@@ -712,24 +845,24 @@ impl Tape {
                     accumulate(
                         &mut grads,
                         *a,
-                        Tensor::full(nodes[*a].value.shape(), gi),
+                        Tensor::full(nodes[*a].value().shape(), gi),
                         &nodes,
                     );
                 }
                 Op::Mean(a) => {
-                    let n = nodes[*a].value.len().max(1) as f32;
+                    let n = nodes[*a].value().len().max(1) as f32;
                     let gi = g.item() / n;
                     accumulate(
                         &mut grads,
                         *a,
-                        Tensor::full(nodes[*a].value.shape(), gi),
+                        Tensor::full(nodes[*a].value().shape(), gi),
                         &nodes,
                     );
                 }
                 Op::Dot(a, b) => {
                     let gi = g.item();
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
+                    let av = nodes[*a].value();
+                    let bv = nodes[*b].value();
                     accumulate(&mut grads, *a, bv.scale(gi), &nodes);
                     accumulate(&mut grads, *b, av.scale(gi), &nodes);
                 }
@@ -737,8 +870,8 @@ impl Tape {
                     let gs = g.as_slice();
                     let mut off = 0;
                     for &p in parts {
-                        let len = nodes[p].value.len();
-                        let shape = nodes[p].value.shape();
+                        let len = nodes[p].value().len();
+                        let shape = nodes[p].value().shape();
                         let part =
                             Tensor::from_vec(crate::pool::take_copy(&gs[off..off + len]), shape);
                         accumulate(&mut grads, p, part, &nodes);
@@ -751,10 +884,10 @@ impl Tape {
                     }
                 }
                 Op::Stack(parts) => {
-                    let d = nodes[parts[0]].value.len();
+                    let d = nodes[parts[0]].value().len();
                     let gs = g.as_slice();
                     for (k, &p) in parts.iter().enumerate() {
-                        let shape = nodes[p].value.shape();
+                        let shape = nodes[p].value().shape();
                         let part = Tensor::from_vec(
                             crate::pool::take_copy(&gs[k * d..(k + 1) * d]),
                             shape,
@@ -764,11 +897,11 @@ impl Tape {
                 }
                 Op::StackRows(parts) => {
                     let gs = g.as_slice();
-                    let d = node.value.shape().cols();
+                    let d = node.value().shape().cols();
                     let mut off = 0;
                     for &p in parts {
-                        let shape = nodes[p].value.shape();
-                        let (rows, _) = stacked_rows_shape(&nodes[p].value);
+                        let shape = nodes[p].value().shape();
+                        let (rows, _) = stacked_rows_shape(nodes[p].value());
                         let part = Tensor::from_vec(
                             crate::pool::take_copy(&gs[off * d..(off + rows) * d]),
                             shape,
@@ -778,7 +911,7 @@ impl Tape {
                     }
                 }
                 Op::ConcatCols(a, b) => {
-                    let (sa, sb) = (nodes[*a].value.shape(), nodes[*b].value.shape());
+                    let (sa, sb) = (nodes[*a].value().shape(), nodes[*b].value().shape());
                     let (n, da, db) = (sa.rows(), sa.cols(), sb.cols());
                     let gs = g.as_slice();
                     let mut ga = crate::pool::take_zeroed(n * da);
@@ -792,7 +925,7 @@ impl Tape {
                     accumulate(&mut grads, *b, Tensor::from_vec(gb, sb), &nodes);
                 }
                 Op::SliceCols { src, start } => {
-                    let shape = nodes[*src].value.shape();
+                    let shape = nodes[*src].value().shape();
                     let mut scatter = Tensor::zeros(shape);
                     let gs = g.as_slice();
                     {
@@ -801,7 +934,7 @@ impl Tape {
                             1 => dst[*start..*start + gs.len()].copy_from_slice(gs),
                             _ => {
                                 let (n, d) = (shape.rows(), shape.cols());
-                                let len = node.value.shape().cols();
+                                let len = node.value().shape().cols();
                                 for i in 0..n {
                                     dst[i * d + start..i * d + start + len]
                                         .copy_from_slice(&gs[i * len..(i + 1) * len]);
@@ -812,14 +945,14 @@ impl Tape {
                     accumulate(&mut grads, *src, scatter, &nodes);
                 }
                 Op::GatherRowsMulti { sources, indices } => {
-                    let d = node.value.shape().cols();
+                    let d = node.value().shape().cols();
                     let gs = g.as_slice();
                     // pool-exempt: usize offset table, bounded by op fan-in.
                     let mut offsets = Vec::with_capacity(sources.len() + 1);
                     let mut total = 0usize;
                     for &s in sources {
                         offsets.push(total);
-                        total += nodes[s].value.shape().rows();
+                        total += nodes[s].value().shape().rows();
                     }
                     offsets.push(total);
                     // Scatter lazily: only sources actually gathered from
@@ -828,8 +961,9 @@ impl Tape {
                     for (kth, &ix) in indices.iter().enumerate() {
                         let s = offsets.partition_point(|&o| o <= ix) - 1;
                         let local = ix - offsets[s];
-                        let t = scatters[s]
-                            .get_or_insert_with(|| Tensor::zeros(nodes[sources[s]].value.shape()));
+                        let t = scatters[s].get_or_insert_with(|| {
+                            Tensor::zeros(nodes[sources[s]].value().shape())
+                        });
                         let dst = &mut t.make_mut()[local * d..(local + 1) * d];
                         for (o, &v) in dst.iter_mut().zip(&gs[kth * d..(kth + 1) * d]) {
                             *o += v;
@@ -845,7 +979,7 @@ impl Tape {
                     if let Some(init) = init {
                         accumulate(&mut grads, *init, g.clone(), &nodes);
                     }
-                    let shape = nodes[*m].value.shape();
+                    let shape = nodes[*m].value().shape();
                     let d = shape.cols();
                     let gs = g.as_slice();
                     let mut gm = crate::pool::take_zeroed(shape.len());
@@ -858,14 +992,14 @@ impl Tape {
                     accumulate(&mut grads, *m, Tensor::from_vec(gm, shape), &nodes);
                 }
                 Op::Row(a, r) => {
-                    let shape = nodes[*a].value.shape();
+                    let shape = nodes[*a].value().shape();
                     let cols = shape.cols();
                     let mut scatter = Tensor::zeros(shape);
                     scatter.make_mut()[r * cols..(r + 1) * cols].copy_from_slice(g.as_slice());
                     accumulate(&mut grads, *a, scatter, &nodes);
                 }
                 Op::Gather { table, indices } => {
-                    let shape = nodes[*table].value.shape();
+                    let shape = nodes[*table].value().shape();
                     let d = shape.cols();
                     let mut scatter = Tensor::zeros(shape);
                     {
@@ -886,7 +1020,7 @@ impl Tape {
                 Op::AddRowBroadcast { m, v } => {
                     accumulate(&mut grads, *m, g.clone(), &nodes);
                     // dv = column sums of g.
-                    let shape = nodes[*m].value.shape();
+                    let shape = nodes[*m].value().shape();
                     let (n, d) = (shape.rows(), shape.cols());
                     let gs = g.as_slice();
                     let mut dv = crate::pool::take_zeroed(d);
@@ -898,7 +1032,7 @@ impl Tape {
                     accumulate(&mut grads, *v, Tensor::from_vec(dv, [d]), &nodes);
                 }
                 Op::MeanRows(a) => {
-                    let shape = nodes[*a].value.shape();
+                    let shape = nodes[*a].value().shape();
                     let (n, d) = (shape.rows(), shape.cols());
                     let gs = g.as_slice();
                     let mut out = crate::pool::take_zeroed(n * d);
@@ -911,7 +1045,7 @@ impl Tape {
                     accumulate(&mut grads, *a, Tensor::from_vec(out, shape), &nodes);
                 }
                 Op::BceWithLogits { logit, target } => {
-                    let z = nodes[*logit].value.item();
+                    let z = nodes[*logit].value().item();
                     let sig = 1.0 / (1.0 + (-z).exp());
                     let d = (sig - target) * g.item();
                     accumulate(&mut grads, *logit, Tensor::scalar(d), &nodes);
@@ -942,7 +1076,7 @@ fn stacked_rows_shape(v: &Tensor) -> (usize, usize) {
 fn accumulate(grads: &mut [Option<Tensor>], id: usize, delta: Tensor, nodes: &[Node]) {
     debug_assert_eq!(
         delta.shape(),
-        nodes[id].value.shape(),
+        nodes[id].value().shape(),
         "gradient shape mismatch at node {id}"
     );
     match &mut grads[id] {
@@ -981,7 +1115,7 @@ impl<'t> Var<'t> {
     pub fn add(self, other: Var<'t>) -> Var<'t> {
         self.same_tape(&other);
         let v = self.value().add(&other.value());
-        self.tape.push(Op::Add(self.id, other.id), v)
+        self.tape.push(|| Op::Add(self.id, other.id), v)
     }
 
     /// Elementwise difference.
@@ -993,7 +1127,7 @@ impl<'t> Var<'t> {
     pub fn sub(self, other: Var<'t>) -> Var<'t> {
         self.same_tape(&other);
         let v = self.value().sub(&other.value());
-        self.tape.push(Op::Sub(self.id, other.id), v)
+        self.tape.push(|| Op::Sub(self.id, other.id), v)
     }
 
     /// Elementwise (Hadamard) product.
@@ -1005,13 +1139,13 @@ impl<'t> Var<'t> {
     pub fn mul(self, other: Var<'t>) -> Var<'t> {
         self.same_tape(&other);
         let v = self.value().mul(&other.value());
-        self.tape.push(Op::Mul(self.id, other.id), v)
+        self.tape.push(|| Op::Mul(self.id, other.id), v)
     }
 
     /// Multiplication by a constant.
     pub fn scale(self, s: f32) -> Var<'t> {
         let v = self.value().scale(s);
-        self.tape.push(Op::Scale(self.id, s), v)
+        self.tape.push(|| Op::Scale(self.id, s), v)
     }
 
     /// Matrix product `self · other` (`[m,k] · [k,n]`).
@@ -1022,7 +1156,7 @@ impl<'t> Var<'t> {
     pub fn matmul(self, other: Var<'t>) -> Var<'t> {
         self.same_tape(&other);
         let v = self.value().matmul(&other.value());
-        self.tape.push(Op::MatMul(self.id, other.id), v)
+        self.tape.push(|| Op::MatMul(self.id, other.id), v)
     }
 
     /// Matrix product with transposed right operand: `self · otherᵀ`
@@ -1036,7 +1170,7 @@ impl<'t> Var<'t> {
     pub fn matmul_nt(self, other: Var<'t>) -> Var<'t> {
         self.same_tape(&other);
         let v = self.value().matmul(&self.tape.transposed_of(other.id));
-        self.tape.push(Op::MatMulNt(self.id, other.id), v)
+        self.tape.push(|| Op::MatMulNt(self.id, other.id), v)
     }
 
     /// Matrix–vector product `self · x`.
@@ -1048,7 +1182,7 @@ impl<'t> Var<'t> {
         self.same_tape(&x);
         let v = self.value().matvec(&x.value());
         self.tape.push(
-            Op::Linear {
+            || Op::Linear {
                 w: self.id,
                 x: x.id,
                 b: None,
@@ -1068,7 +1202,7 @@ impl<'t> Var<'t> {
         self.same_tape(&b);
         let v = self.value().matvec(&x.value()).add(&b.value());
         self.tape.push(
-            Op::Linear {
+            || Op::Linear {
                 w: self.id,
                 x: x.id,
                 b: Some(b.id),
@@ -1081,32 +1215,32 @@ impl<'t> Var<'t> {
     /// bits under every kernel backend.
     pub fn sigmoid(self) -> Var<'t> {
         let v = self.value().map_kernel(crate::kernels::active().sigmoid);
-        self.tape.push(Op::Sigmoid(self.id), v)
+        self.tape.push(|| Op::Sigmoid(self.id), v)
     }
 
     /// Elementwise hyperbolic tangent: within 2e-7 of exact, and the same
     /// bits under every kernel backend.
     pub fn tanh(self) -> Var<'t> {
         let v = self.value().map_kernel(crate::kernels::active().tanh);
-        self.tape.push(Op::Tanh(self.id), v)
+        self.tape.push(|| Op::Tanh(self.id), v)
     }
 
     /// Elementwise rectified linear unit.
     pub fn relu(self) -> Var<'t> {
         let v = self.value().map(|x| x.max(0.0));
-        self.tape.push(Op::Relu(self.id), v)
+        self.tape.push(|| Op::Relu(self.id), v)
     }
 
     /// Sum of all elements (scalar result).
     pub fn sum(self) -> Var<'t> {
         let v = Tensor::scalar(self.value().sum());
-        self.tape.push(Op::Sum(self.id), v)
+        self.tape.push(|| Op::Sum(self.id), v)
     }
 
     /// Mean of all elements (scalar result).
     pub fn mean(self) -> Var<'t> {
         let v = Tensor::scalar(self.value().mean());
-        self.tape.push(Op::Mean(self.id), v)
+        self.tape.push(|| Op::Mean(self.id), v)
     }
 
     /// Dot product with another variable of the same length (scalar).
@@ -1117,7 +1251,7 @@ impl<'t> Var<'t> {
     pub fn dot(self, other: Var<'t>) -> Var<'t> {
         self.same_tape(&other);
         let v = Tensor::scalar(self.value().dot(&other.value()));
-        self.tape.push(Op::Dot(self.id, other.id), v)
+        self.tape.push(|| Op::Dot(self.id, other.id), v)
     }
 
     /// Extracts row `r` of a matrix as a vector.
@@ -1127,7 +1261,7 @@ impl<'t> Var<'t> {
     /// Panics if not rank 2 or `r` out of bounds.
     pub fn row(self, r: usize) -> Var<'t> {
         let v = self.value().row(r);
-        self.tape.push(Op::Row(self.id, r), v)
+        self.tape.push(|| Op::Row(self.id, r), v)
     }
 
     /// Selects rows of a rank-2 matrix by (repeatable) indices, producing
@@ -1180,7 +1314,7 @@ impl<'t> Var<'t> {
             out.extend_from_slice(&sb[i * db..(i + 1) * db]);
         }
         self.tape.push(
-            Op::ConcatCols(self.id, other.id),
+            || Op::ConcatCols(self.id, other.id),
             Tensor::from_vec(out, [n, da + db]),
         )
     }
@@ -1210,7 +1344,7 @@ impl<'t> Var<'t> {
                 );
                 let out = crate::pool::take_copy(&v.as_slice()[start..start + len]);
                 self.tape.push(
-                    Op::SliceCols {
+                    || Op::SliceCols {
                         src: self.id,
                         start,
                     },
@@ -1231,7 +1365,7 @@ impl<'t> Var<'t> {
                     out.extend_from_slice(&src[i * d + start..i * d + start + len]);
                 }
                 self.tape.push(
-                    Op::SliceCols {
+                    || Op::SliceCols {
                         src: self.id,
                         start,
                     },
@@ -1273,7 +1407,7 @@ impl<'t> Var<'t> {
             }
         }
         self.tape.push(
-            Op::AddRowBroadcast {
+            || Op::AddRowBroadcast {
                 m: self.id,
                 v: v.id,
             },
@@ -1304,7 +1438,7 @@ impl<'t> Var<'t> {
             *o *= inv;
         }
         self.tape
-            .push(Op::MeanRows(self.id), Tensor::from_vec(out, [d]))
+            .push(|| Op::MeanRows(self.id), Tensor::from_vec(out, [d]))
     }
 
     /// Numerically stable binary cross-entropy between `sigmoid(self)` and a
@@ -1320,7 +1454,7 @@ impl<'t> Var<'t> {
         let z = self.value().item();
         let loss = z.max(0.0) - z * target + (1.0 + (-z.abs()).exp()).ln();
         self.tape.push(
-            Op::BceWithLogits {
+            || Op::BceWithLogits {
                 logit: self.id,
                 target,
             },
@@ -1420,8 +1554,8 @@ mod tests {
     fn matmul_nt_after_reset_uses_the_new_operand() {
         // The hot-swap case: a worker's long-lived tape is reset and the
         // next batch binds a *different* weight to the node id the old
-        // one had. A transpose kept across the reset would answer with
-        // the retired model's weights.
+        // one had. A memo keyed by node id would answer with the retired
+        // model's transpose, which outlives the reset.
         let tape = Tape::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
         let w_old = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0], [2, 3]);
@@ -1441,6 +1575,154 @@ mod tests {
         assert_eq!(id_old, id_new, "the new weight must reuse the old node id");
         assert_eq!(y_new, x.matmul(&w_new.t()));
         assert_eq!(y_new.as_slice(), &[6.0, 6.0, 12.0, 15.0]);
+    }
+
+    /// `[2, 3]` operands for the memo tests.
+    fn memo_operands() -> (Tensor, Tensor) {
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
+        let w = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, 0.25, -0.75], [2, 3]);
+        (x, w)
+    }
+
+    #[test]
+    fn matmul_nt_memo_survives_reset_while_its_source_lives() {
+        let (x, w) = memo_operands();
+        let tape = Tape::inference();
+        let product = || tape.leaf(x.clone()).matmul_nt(tape.leaf(w.clone())).value();
+        let first = product();
+        assert_eq!(tape.memo_len(), 1);
+        tape.reset();
+        assert_eq!(tape.memo_len(), 1, "the weight is alive, so is its entry");
+        assert_eq!(product(), first);
+        assert_eq!(tape.memo_len(), 1, "the second batch found the entry");
+        assert_eq!(first, x.matmul(&w.t()));
+    }
+
+    #[test]
+    fn matmul_nt_memo_drops_an_entry_once_its_source_is_gone() {
+        let (x, w) = memo_operands();
+        let tape = Tape::inference();
+        let _ = tape.leaf(x).matmul_nt(tape.leaf(w)).value();
+        // Only the tape's leaf holds the weight now; the reset drops it,
+        // and with it the entry.
+        tape.reset();
+        assert_eq!(tape.memo_len(), 0);
+    }
+
+    #[test]
+    fn matmul_nt_memo_tells_reshaped_views_apart() {
+        // `[2, 3]` and `[3, 2]` views of one buffer transpose differently.
+        let (_, w) = memo_operands();
+        let square = Tensor::from_vec((0..9).map(|v| v as f32).collect(), [3, 3]);
+        let tall = w.reshape([3, 2]);
+        let tape = Tape::inference();
+        let a = tape.leaf(square.clone()).matmul_nt(tape.leaf(w.clone()));
+        let b = tape
+            .leaf(Tensor::from_vec(vec![1.0, -1.0], [1, 2]))
+            .matmul_nt(tape.leaf(tall.clone()));
+        assert_eq!(a.value(), square.matmul(&w.t()));
+        assert_eq!(b.value().as_slice(), &[1.5, 0.5, 1.0]);
+        assert_eq!(tape.memo_len(), 2);
+    }
+
+    #[test]
+    fn matmul_nt_memo_sees_a_weight_updated_in_place() {
+        // An optimizer step between batches writes the weight through
+        // `make_mut`; the next batch must multiply by the new values.
+        let (x, mut w) = memo_operands();
+        let tape = Tape::inference();
+        let product = |w: &Tensor| tape.leaf(x.clone()).matmul_nt(tape.leaf(w.clone())).value();
+        let before = product(&w);
+        tape.reset();
+        w.make_mut()[0] = 10.0;
+        let after = product(&w);
+        assert_ne!(after, before);
+        assert_eq!(after, x.matmul(&w.t()));
+    }
+
+    #[test]
+    fn matmul_nt_memo_of_two_tapes_dies_with_the_shared_weight() {
+        // Two workers' tapes share one model: neither may keep the
+        // other's entry alive once the model is gone.
+        let (x, w) = memo_operands();
+        let tapes = [Tape::inference(), Tape::inference()];
+        for tape in &tapes {
+            let _ = tape.leaf(x.clone()).matmul_nt(tape.leaf(w.clone())).value();
+            tape.reset();
+            assert_eq!(tape.memo_len(), 1);
+        }
+        drop(w);
+        for tape in &tapes {
+            tape.reset();
+            assert_eq!(tape.memo_len(), 0);
+        }
+    }
+
+    #[test]
+    fn release_drops_only_unkept_non_leaf_nodes_since_the_mark() {
+        let tape = Tape::inference();
+        let x = tape.leaf(Tensor::from_vec(vec![0.5, -1.0], [2]));
+        let before = x.tanh();
+        let mark = tape.len();
+        let w = tape.leaf(Tensor::from_vec(vec![2.0, 3.0], [2]));
+        let dead = before.mul(w);
+        let kept = dead.sigmoid();
+        let expect = kept.value();
+        tape.release_since(mark, &[kept]);
+        let released = |v: Var<'_>| tape.nodes.borrow()[v.id()].value.is_none();
+        assert!(released(dead));
+        for live in [x, before, w, kept] {
+            assert!(!released(live), "node {} was dropped", live.id());
+        }
+        assert_eq!(kept.value(), expect);
+    }
+
+    #[test]
+    fn release_on_a_recording_tape_keeps_everything() {
+        let tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(vec![0.5, -1.0], [2]));
+        let y = x.tanh();
+        let loss = y.sum();
+        tape.release_since(0, &[loss]);
+        assert_eq!(
+            y.value(),
+            x.value().map_kernel(crate::kernels::active().tanh)
+        );
+        let g = tape.backward(loss);
+        assert_eq!(g.get(x).len(), 2);
+    }
+
+    #[test]
+    fn inference_tape_records_no_operations() {
+        let tape = Tape::inference();
+        let a = tape.leaf(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]));
+        let parts = tape.stack_rows(&[a, a]);
+        let g = tape.gather_rows_multi(&[a, parts], vec![5usize, 0]);
+        assert_eq!(g.value().as_slice(), &[3.0, 4.0, 1.0, 2.0]);
+        let nodes = tape.nodes.borrow();
+        assert!(matches!(nodes[a.id()].op, Op::Leaf));
+        assert!(matches!(nodes[parts.id()].op, Op::Value));
+        assert!(matches!(nodes[g.id()].op, Op::Value));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on an inference tape")]
+    fn inference_tape_backward_panics_naming_the_mode() {
+        let tape = Tape::inference();
+        let x = tape.leaf(Tensor::scalar(0.5));
+        let _ = tape.backward(x.sigmoid());
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 1 was released")]
+    fn release_then_read_panics_naming_the_node() {
+        let tape = Tape::inference();
+        let x = tape.leaf(Tensor::from_vec(vec![0.5, -1.0], [2]));
+        let mark = tape.len();
+        let dead = x.tanh();
+        let kept = dead.sigmoid();
+        tape.release_since(mark, &[kept]);
+        let _ = dead.value();
     }
 
     #[test]

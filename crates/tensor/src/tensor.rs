@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::kernels;
 use crate::{pool, Shape};
@@ -167,6 +167,21 @@ impl Tensor {
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.data
+    }
+
+    /// A handle naming this tensor's buffer without keeping its elements
+    /// alive. While the handle lives the buffer's allocation cannot be
+    /// reused, so [`Tensor::owns_buffer`] never confuses a new buffer with
+    /// a dead one at the same address; and an in-place write through
+    /// [`Tensor::make_mut`] moves the elements to a new buffer, so the
+    /// handle never names changed contents either.
+    pub(crate) fn buffer_handle(&self) -> Weak<PoolBuf> {
+        Arc::downgrade(&self.data)
+    }
+
+    /// Whether `handle` was taken from this tensor's buffer.
+    pub(crate) fn owns_buffer(&self, handle: &Weak<PoolBuf>) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.data), handle.as_ptr())
     }
 
     /// Mutable access to the elements, copying the buffer first if it is
