@@ -288,6 +288,8 @@ pub fn save_model<W: Write>(model: &TrainedModel, mut w: W) -> Result<(), Persis
 /// the stored architecture and its weights are replaced with the stored
 /// tensors (names and shapes are cross-checked against a fresh
 /// construction, so file/architecture drift is caught at load time).
+/// Tree-LSTM cells load only in the fused gate layout; a checkpoint
+/// with per-gate tensors (`….w_i`, …) fails that check.
 ///
 /// # Errors
 ///
@@ -312,7 +314,6 @@ pub fn load_model<R: Read>(mut r: R) -> Result<TrainedModel, PersistError> {
     // every scratch tensor is replaced.
     let mut scratch = Params::new();
     let comparator = Comparator::new(&config, &mut scratch, &mut StdRng::seed_from_u64(0));
-    let params = migrate_legacy_gate_params(params, &scratch)?;
     if scratch.len() != params.len() {
         return Err(PersistError::Corrupt(format!(
             "architecture expects {} parameters, file holds {}",
@@ -336,75 +337,6 @@ pub fn load_model<R: Read>(mut r: R) -> Result<TrainedModel, PersistError> {
         }
     }
     Ok(TrainedModel { comparator, params })
-}
-
-/// Folds pre-fusion tree-LSTM checkpoints into the fused gate layout.
-///
-/// Artefacts written before the 4-gate fusion stored each gate's
-/// projections as separate tensors (`….w_i`, `….u_f`, `….b_o`, …); the
-/// fused architecture expects single `[4h, d]` / `[4h, h]` / `[4h]`
-/// tensors with gate row blocks ordered as
-/// [`ccsa_nn::treelstm::GATE_ORDER`]. Concatenating the legacy blocks is
-/// bit-exact, so old checkpoints keep producing identical predictions.
-///
-/// Files already in the fused layout pass through untouched (including
-/// their registration order, which the caller cross-checks).
-fn migrate_legacy_gate_params(file: Params, expected: &Params) -> Result<Params, PersistError> {
-    let legacy_suffix = |name: &str, gate: char| {
-        // "tree.l0.up.w" + 'i' → "tree.l0.up.w_i".
-        format!("{name}_{gate}")
-    };
-    let has_legacy = expected.iter().any(|(name, _)| {
-        (name.ends_with(".w") || name.ends_with(".u") || name.ends_with(".b"))
-            && file.iter().any(|(n, _)| n == legacy_suffix(name, 'i'))
-    });
-    if !has_legacy {
-        return Ok(file);
-    }
-    let mut migrated = Params::new();
-    let mut consumed = 0usize;
-    for (name, _) in expected.iter() {
-        if let Some(t) = file.iter().find(|(n, _)| *n == name).map(|(_, t)| t) {
-            migrated.insert(name, t.clone());
-            consumed += 1;
-            continue;
-        }
-        let fusable = name.ends_with(".w") || name.ends_with(".u") || name.ends_with(".b");
-        if !fusable {
-            return Err(PersistError::Corrupt(format!(
-                "parameter '{name}' missing from checkpoint"
-            )));
-        }
-        let mut blocks = Vec::with_capacity(4);
-        for gate in ccsa_nn::treelstm::GATE_ORDER {
-            let legacy = legacy_suffix(name, gate);
-            match file.iter().find(|(n, _)| *n == legacy).map(|(_, t)| t) {
-                Some(t) => blocks.push(t),
-                None => {
-                    return Err(PersistError::Corrupt(format!(
-                        "parameter '{name}' missing and no legacy '{legacy}' to migrate"
-                    )))
-                }
-            }
-        }
-        if blocks.iter().any(|b| b.shape() != blocks[0].shape()) {
-            return Err(PersistError::Corrupt(format!(
-                "legacy gate blocks for '{name}' disagree in shape"
-            )));
-        }
-        migrated.insert(
-            name,
-            ccsa_nn::treelstm::fuse_gate_blocks([blocks[0], blocks[1], blocks[2], blocks[3]]),
-        );
-        consumed += 4;
-    }
-    if consumed != file.len() {
-        return Err(PersistError::Corrupt(format!(
-            "checkpoint holds {} parameters, migration consumed {consumed}",
-            file.len()
-        )));
-    }
-    Ok(migrated)
 }
 
 /// The artefact path for one model version inside `dir`.
@@ -598,112 +530,6 @@ mod tests {
         assert_eq!(before, loaded.compare_graphs(&a, &b).prob_first_slower);
     }
 
-    /// Extracts one gate's block from a fused `[4h, d]` / `[4h]` tensor
-    /// (`block` indexes [`ccsa_nn::treelstm::GATE_ORDER`]).
-    fn gate_block(t: &Tensor, block: usize) -> Tensor {
-        let dims: Vec<usize> = t.shape().dims().to_vec();
-        if dims.len() == 1 {
-            let h = dims[0] / 4;
-            Tensor::from_vec(t.as_slice()[block * h..(block + 1) * h].to_vec(), [h])
-        } else {
-            let (h, c) = (dims[0] / 4, dims[1]);
-            Tensor::from_vec(
-                t.as_slice()[block * h * c..(block + 1) * h * c].to_vec(),
-                [h, c],
-            )
-        }
-    }
-
-    /// Rebuilds the pre-fusion parameter store of `model`: per-gate
-    /// tensors under the legacy names, in the legacy registration order
-    /// (w_i, u_i, w_f, u_f, w_o, u_o, w_u, u_u, then the four biases).
-    fn legacy_param_layout(model: &TrainedModel) -> Params {
-        // Fused row blocks sit in GATE_ORDER = [i, o, u, f].
-        let (gi, go, gu, gf) = (0usize, 1usize, 2usize, 3usize);
-        let mut legacy = Params::new();
-        for (name, tensor) in model.params.iter() {
-            let is_cell = name.contains(".up.") || name.contains(".down.");
-            if let Some(prefix) = name.strip_suffix(".w") {
-                if is_cell {
-                    let u = model.params.get(&format!("{prefix}.u"));
-                    let b = model.params.get(&format!("{prefix}.b"));
-                    for (gate, block) in [('i', gi), ('f', gf), ('o', go), ('u', gu)] {
-                        legacy.insert(format!("{prefix}.w_{gate}"), gate_block(tensor, block));
-                        legacy.insert(format!("{prefix}.u_{gate}"), gate_block(u, block));
-                    }
-                    for (gate, block) in [('i', gi), ('f', gf), ('o', go), ('u', gu)] {
-                        legacy.insert(format!("{prefix}.b_{gate}"), gate_block(b, block));
-                    }
-                    continue;
-                }
-            }
-            if is_cell && (name.ends_with(".u") || name.ends_with(".b")) {
-                continue; // emitted with the cell's .w
-            }
-            legacy.insert(name, tensor.clone());
-        }
-        legacy
-    }
-
-    fn legacy_artefact_bytes(model: &TrainedModel, legacy: &Params) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MODEL_MAGIC);
-        buf.extend_from_slice(&MODEL_VERSION.to_le_bytes());
-        write_encoder_config(model.comparator.config(), &mut buf).unwrap();
-        save_params(legacy, &mut buf).unwrap();
-        buf
-    }
-
-    #[test]
-    fn legacy_per_gate_checkpoint_loads_into_fused_layout_bit_exactly() {
-        // Artefacts persisted before the 4-gate fusion stored twelve
-        // tensors per cell; they must keep loading — folded into the
-        // fused [4h, d] layout with identical bits and predictions.
-        let model = sample_model(33);
-        let legacy = legacy_param_layout(&model);
-        assert!(
-            legacy.len() > model.params.len(),
-            "legacy layout must actually be split"
-        );
-        let buf = legacy_artefact_bytes(&model, &legacy);
-        let loaded = load_model(buf.as_slice()).unwrap();
-
-        assert_eq!(loaded.params.len(), model.params.len());
-        for ((en, et), (ln, lt)) in model.params.iter().zip(loaded.params.iter()) {
-            assert_eq!(en, ln, "migrated order must match the architecture");
-            assert_eq!(et.shape(), lt.shape());
-            assert_eq!(
-                et.as_slice(),
-                lt.as_slice(),
-                "'{en}' must migrate bit-exactly"
-            );
-        }
-        let (a, b) = graphs();
-        assert_eq!(
-            model.compare_graphs(&a, &b).prob_first_slower,
-            loaded.compare_graphs(&a, &b).prob_first_slower
-        );
-    }
-
-    #[test]
-    fn legacy_checkpoint_with_missing_gate_is_rejected() {
-        let model = sample_model(34);
-        let legacy = legacy_param_layout(&model);
-        // Drop one gate tensor: migration must fail loudly, not guess.
-        let mut partial = Params::new();
-        for (name, t) in legacy.iter() {
-            if name.ends_with(".u_f") {
-                continue;
-            }
-            partial.insert(name, t.clone());
-        }
-        let buf = legacy_artefact_bytes(&model, &partial);
-        assert!(matches!(
-            load_model(buf.as_slice()),
-            Err(PersistError::Corrupt(_))
-        ));
-    }
-
     #[test]
     fn model_load_rejects_corruption() {
         let model = sample_model(5);
@@ -719,6 +545,28 @@ mod tests {
         let mut bad_tag = buf.clone();
         bad_tag[8] = 9; // encoder tag
         assert!(load_model(bad_tag.as_slice()).is_err());
+        // A per-gate checkpoint (a cell's `….w` split into `….w_i` and
+        // siblings) fails the name cross-check: refused, not migrated.
+        let mut per_gate = Params::new();
+        let mut renamed = 0;
+        for (name, t) in model.params.iter() {
+            if renamed == 0 && name.ends_with(".up.w") {
+                per_gate.insert(format!("{name}_i"), t.clone());
+                renamed += 1;
+            } else {
+                per_gate.insert(name, t.clone());
+            }
+        }
+        assert_eq!(renamed, 1, "the sample model has an upward cell");
+        let mut legacy = Vec::new();
+        legacy.extend_from_slice(MODEL_MAGIC);
+        legacy.extend_from_slice(&MODEL_VERSION.to_le_bytes());
+        write_encoder_config(model.comparator.config(), &mut legacy).unwrap();
+        save_params(&per_gate, &mut legacy).unwrap();
+        assert!(matches!(
+            load_model(legacy.as_slice()),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     fn temp_model_dir(label: &str) -> std::path::PathBuf {

@@ -74,7 +74,6 @@ fn engine_with(versions: Vec<(u32, TrainedModel)>) -> Arc<ServeEngine> {
         &ServeConfig {
             cache_capacity: 512,
             cache_stripes: 0,
-            cache_precision: Default::default(),
             batch: BatchConfig {
                 workers: 2,
                 max_batch: 8,

@@ -25,8 +25,7 @@ use ccsa_corpus::ProblemTag;
 use ccsa_gateway::{signal, Gateway, GatewayConfig, RateLimit, Route, Router, ShadowRoute};
 use ccsa_model::pipeline::{Pipeline, PipelineConfig};
 use ccsa_serve::{
-    BatchConfig, CachePrecision, ModelRegistry, ModelSelector, ServeConfig, ServeEngine,
-    DEFAULT_MODEL,
+    BatchConfig, ModelRegistry, ModelSelector, ServeConfig, ServeEngine, DEFAULT_MODEL,
 };
 
 struct Options {
@@ -43,7 +42,6 @@ struct Options {
     train_seed: u64,
     cache: usize,
     cache_stripes: usize,
-    cache_precision: CachePrecision,
     workers: usize,
     max_batch: usize,
     max_conns: usize,
@@ -65,8 +63,7 @@ fn usage_abort(msg: &str) -> ! {
          \x20              [--drain-grace SECS]\n\
          \x20              [--trace-log PATH] [--trace-sample PCT]\n\
          \x20              [--model-dir DIR] [--train A..I] [--seed N]\n\
-         \x20              [--cache N] [--cache-stripes N]\n\
-         \x20              [--cache-precision f32|f16|int8] [--workers N]\n\
+         \x20              [--cache N] [--cache-stripes N] [--workers N]\n\
          \x20              [--max-batch N]\n\
          \x20              [--max-conns N] [--idle-timeout SECS]\n\
          \x20              [--route NAME[@vN]=WEIGHT]... [--shadow NAME[@vN]=FRACTION]\n\
@@ -94,12 +91,7 @@ fn usage_abort(msg: &str) -> ! {
          --cache-snapshot warms the embedding cache at boot and spills\n\
          it at shutdown, one file per route/shadow selector\n\
          (<PATH>.<model>.<version>); a snapshot from different weights\n\
-         is refused, never silently served.\n\
-         --cache-precision stores cached embeddings at f32 (lossless,\n\
-         default), f16, or int8 (per-code affine quantization, 4x\n\
-         denser); snapshots record their precision and a file written\n\
-         at a different precision is refused, never transcoded\n\
-         implicitly."
+         or in another format is refused, never silently served."
     );
     std::process::exit(2);
 }
@@ -146,7 +138,6 @@ fn parse_options() -> Options {
         train_seed: 42,
         cache: 4096,
         cache_stripes: 0,
-        cache_precision: CachePrecision::F32,
         workers: 0,
         max_batch: 16,
         max_conns: 64,
@@ -222,11 +213,6 @@ fn parse_options() -> Options {
                 opts.cache_stripes = value(&mut i)
                     .parse()
                     .unwrap_or_else(|_| usage_abort("bad --cache-stripes"))
-            }
-            "--cache-precision" => {
-                opts.cache_precision = value(&mut i)
-                    .parse()
-                    .unwrap_or_else(|e: String| usage_abort(&e))
             }
             "--workers" => {
                 opts.workers = value(&mut i)
@@ -397,7 +383,6 @@ fn main() {
         &ServeConfig {
             cache_capacity: opts.cache,
             cache_stripes: opts.cache_stripes,
-            cache_precision: opts.cache_precision,
             batch: BatchConfig {
                 workers,
                 max_batch: opts.max_batch,

@@ -55,7 +55,6 @@ fn two_version_engine() -> Arc<ServeEngine> {
         &ServeConfig {
             cache_capacity: 512,
             cache_stripes: 0,
-            cache_precision: Default::default(),
             batch: BatchConfig {
                 workers: 2,
                 max_batch: 8,

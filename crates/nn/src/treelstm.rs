@@ -119,13 +119,10 @@ pub const GATE_ORDER: [char; 4] = ['i', 'o', 'u', 'f'];
 /// fused row-block layout of [`GATE_ORDER`]: `[h, d]` parts become
 /// `[4h, d]`, `[h]` parts become `[4h]`.
 ///
-/// Exposed so checkpoint migration can fold pre-fusion per-gate tensors
-/// into the fused layout bit-exactly.
-///
 /// # Panics
 ///
 /// Panics if shapes disagree or parts are not all rank 1 or all rank 2.
-pub fn fuse_gate_blocks(parts: [&ccsa_tensor::Tensor; 4]) -> ccsa_tensor::Tensor {
+fn fuse_gate_blocks(parts: [&ccsa_tensor::Tensor; 4]) -> ccsa_tensor::Tensor {
     let shape = parts[0].shape();
     let mut data = Vec::with_capacity(shape.len() * 4);
     for p in parts {

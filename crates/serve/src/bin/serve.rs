@@ -22,9 +22,7 @@ use std::path::PathBuf;
 
 use ccsa_corpus::ProblemTag;
 use ccsa_model::pipeline::{Pipeline, PipelineConfig};
-use ccsa_serve::{
-    proto, BatchConfig, CachePrecision, ModelRegistry, ServeConfig, ServeEngine, DEFAULT_MODEL,
-};
+use ccsa_serve::{proto, BatchConfig, ModelRegistry, ServeConfig, ServeEngine, DEFAULT_MODEL};
 
 struct Options {
     model_dir: Option<PathBuf>,
@@ -32,7 +30,6 @@ struct Options {
     train_seed: u64,
     cache: usize,
     cache_stripes: usize,
-    cache_precision: CachePrecision,
     workers: usize,
     max_batch: usize,
 }
@@ -43,8 +40,7 @@ fn usage_abort(msg: &str) -> ! {
     }
     eprintln!(
         "usage: serve [--model-dir DIR] [--train A..I] [--seed N]\n\
-         \x20            [--cache N] [--cache-stripes N]\n\
-         \x20            [--cache-precision f32|f16|int8] [--workers N]\n\
+         \x20            [--cache N] [--cache-stripes N] [--workers N]\n\
          \x20            [--max-batch N]\n\
          \n\
          Loads every model version in DIR (name 'default'); --train first\n\
@@ -64,7 +60,6 @@ fn parse_options() -> Options {
         train_seed: 42,
         cache: 4096,
         cache_stripes: 0,
-        cache_precision: CachePrecision::F32,
         workers: 0,
         max_batch: 16,
     };
@@ -103,11 +98,6 @@ fn parse_options() -> Options {
                 opts.cache_stripes = value(&mut i)
                     .parse()
                     .unwrap_or_else(|_| usage_abort("bad --cache-stripes"))
-            }
-            "--cache-precision" => {
-                opts.cache_precision = value(&mut i)
-                    .parse()
-                    .unwrap_or_else(|e: String| usage_abort(&e))
             }
             "--workers" => {
                 opts.workers = value(&mut i)
@@ -190,7 +180,6 @@ fn main() {
         &ServeConfig {
             cache_capacity: opts.cache,
             cache_stripes: opts.cache_stripes,
-            cache_precision: opts.cache_precision,
             batch: BatchConfig {
                 workers,
                 max_batch: opts.max_batch,
@@ -199,8 +188,8 @@ fn main() {
         },
     );
     eprintln!(
-        "[serve] ready: cache={} ({}) workers={} max_batch={} kernels={kernel_backend} — reading JSON lines from stdin",
-        opts.cache, opts.cache_precision, workers, opts.max_batch
+        "[serve] ready: cache={} workers={} max_batch={} kernels={kernel_backend} — reading JSON lines from stdin",
+        opts.cache, workers, opts.max_batch
     );
 
     let stdin = std::io::stdin();

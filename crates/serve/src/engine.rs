@@ -37,7 +37,7 @@ use ccsa_cppast::{parse_program, AstGraph, ParseError};
 use ccsa_tensor::Tensor;
 
 use crate::batch::{BatchConfig, BatchStats, EncodeError, EncodePool};
-use crate::cache::{CachePrecision, CacheStats, ShardedCache, SnapshotError};
+use crate::cache::{CacheStats, ShardedCache, SnapshotError};
 use crate::memo::SourceMemo;
 use crate::metrics::{
     Histogram, MetricKind, MetricsRegistry, Sample, SampleFamily, LATENCY_BUCKETS_S,
@@ -55,11 +55,6 @@ pub struct ServeConfig {
     /// Capacity is split evenly across stripes; 1 reproduces the old
     /// single-lock cache.
     pub cache_stripes: usize,
-    /// Storage precision for cached latent codes (f32 lossless; f16 and
-    /// int8 quantize on insert and dequantize on classifier read,
-    /// trading a bounded embedding perturbation for 2–4× capacity per
-    /// byte).
-    pub cache_precision: CachePrecision,
     /// Worker-pool shape.
     pub batch: BatchConfig,
 }
@@ -69,7 +64,6 @@ impl Default for ServeConfig {
         ServeConfig {
             cache_capacity: 4096,
             cache_stripes: 0,
-            cache_precision: CachePrecision::F32,
             batch: BatchConfig::default(),
         }
     }
@@ -268,11 +262,9 @@ pub struct EngineStats {
     pub cache: CacheStats,
     /// Cached codes currently held.
     pub cache_len: usize,
-    /// Payload bytes at rest across all stripes (always the exact sum
-    /// of the per-stripe byte counts in [`EngineStats::stripe_cache`]).
+    /// Payload bytes held across all stripes (always the exact sum of
+    /// the per-stripe byte counts in [`EngineStats::stripe_cache`]).
     pub cache_bytes: usize,
-    /// Storage precision of cached codes.
-    pub cache_precision: CachePrecision,
     /// Per-stripe cache counters plus entry counts and payload bytes,
     /// in stripe order — the skew diagnostic behind
     /// `ccsa_cache_hits_total{stripe}`.
@@ -352,11 +344,7 @@ impl ServeEngine {
     pub fn new(registry: ModelRegistry, config: &ServeConfig) -> ServeEngine {
         ServeEngine {
             registry: DRwLock::new("serve.engine.registry", registry),
-            cache: ShardedCache::with_precision(
-                config.cache_capacity,
-                config.cache_stripes,
-                config.cache_precision,
-            ),
+            cache: ShardedCache::new(config.cache_capacity, config.cache_stripes),
             memo: SourceMemo::new(config.cache_capacity),
             pool: EncodePool::new(&config.batch),
             compares: AtomicU64::new(0),
@@ -431,10 +419,9 @@ impl ServeEngine {
 
     /// Scores one pre-parsed pair — the steady-state fast path. With
     /// both codes cached (the warm case) this performs **zero heap
-    /// allocations**: the memoized canonical hashes key the cache, F32
-    /// hits hand back `Arc` clones (F16/int8 decode into pooled
-    /// buffers), and the classifier head runs tape-free on a pooled
-    /// scratch buffer. An integration test pins the zero-alloc claim
+    /// allocations**: the memoized canonical hashes key the cache, hits
+    /// hand back `Arc` clones, and the classifier head runs tape-free on
+    /// a pooled scratch buffer. An integration test pins the zero-alloc claim
     /// with a counting global allocator. Scores are bit-identical to
     /// [`ServeEngine::compare`] on the same sources.
     ///
@@ -702,7 +689,6 @@ impl ServeEngine {
             cache,
             cache_len,
             cache_bytes,
-            cache_precision: self.cache.precision(),
             stripe_cache,
             batch: self.pool.stats(),
             queue_depth,
@@ -1039,17 +1025,6 @@ pub fn engine_metric_families(stats: &EngineStats) -> Vec<SampleFamily> {
         ),
     ];
 
-    // The precision is exposed Prometheus-style: a constant-1 info
-    // gauge whose label carries the value, so dashboards can join on
-    // it without parsing strings out of sample values.
-    let precision = stats.cache_precision.to_string();
-    out.push(SampleFamily::new(
-        "ccsa_cache_precision_info",
-        "Storage precision of cached latent codes (label `precision`).",
-        Gauge,
-        vec![Sample::new(&[("precision", precision.as_str())], 1.0)],
-    ));
-
     // Per-stripe cache counters: the aggregate is the label-sum, so a
     // hot stripe is visible without a second metric family.
     let mut hits = Vec::new();
@@ -1092,9 +1067,7 @@ pub fn engine_metric_families(stats: &EngineStats) -> Vec<SampleFamily> {
     ));
     out.push(SampleFamily::new(
         "ccsa_cache_bytes",
-        "Payload bytes of cached codes at rest, per stripe (the \
-         quantization win shows up here: f16 halves it, int8 quarters \
-         it, at the same entry count).",
+        "Payload bytes of cached codes, per stripe.",
         Gauge,
         bytes,
     ));
@@ -1222,16 +1195,11 @@ mod tests {
     }
 
     fn engine(cache_capacity: usize) -> ServeEngine {
-        engine_with_precision(cache_capacity, CachePrecision::F32)
-    }
-
-    fn engine_with_precision(cache_capacity: usize, precision: CachePrecision) -> ServeEngine {
         ServeEngine::with_model(
             tiny_model(1),
             &ServeConfig {
                 cache_capacity,
                 cache_stripes: 0,
-                cache_precision: precision,
                 batch: BatchConfig {
                     workers: 2,
                     max_batch: 8,
@@ -1286,7 +1254,6 @@ mod tests {
             &ServeConfig {
                 cache_capacity: 64,
                 cache_stripes: 1,
-                cache_precision: CachePrecision::F32,
                 batch: BatchConfig {
                     workers: 2,
                     max_batch: 8,
@@ -1629,7 +1596,6 @@ mod tests {
             &ServeConfig {
                 cache_capacity: 64,
                 cache_stripes: 0,
-                cache_precision: CachePrecision::F32,
                 batch: BatchConfig {
                     workers: 2,
                     max_batch: 8,
@@ -1660,71 +1626,11 @@ mod tests {
     }
 
     #[test]
-    fn quantized_cache_pins_probability_drift_and_rank_agreement() {
-        // The accuracy contract for narrow cache precisions: the cold
-        // path (fresh encodes) is bit-identical to f32, the warm path
-        // (dequantized codes) drifts by at most the quantization bound,
-        // and rank decisions agree with the f32 engine.
-        let sel = ModelSelector::default();
-        let baseline = engine(64);
-        let pairs = [(SLOW, FAST), (FAST, MID), (MID, SLOW)];
-        for (a, b) in pairs {
-            baseline.compare(&sel, a, b).unwrap(); // warm the f32 cache
-        }
-        let reference: Vec<f32> = pairs
-            .iter()
-            .map(|&(a, b)| baseline.compare(&sel, a, b).unwrap().prob_first_slower)
-            .collect();
-        let base_order: Vec<usize> = baseline
-            .rank(&sel, &[FAST, MID, SLOW])
-            .unwrap()
-            .ranking
-            .iter()
-            .map(|r| r.index)
-            .collect();
-
-        for (precision, bound) in [
-            (CachePrecision::F16, 1e-3f32),
-            (CachePrecision::Int8, 2e-2f32),
-        ] {
-            // A fresh engine per pair keeps the cold pass genuinely
-            // cold (pairs share sources, so one engine would hit).
-            for (&(a, b), &want) in pairs.iter().zip(&reference) {
-                let e = engine_with_precision(64, precision);
-                // Cold: misses are scored from the freshly encoded f32
-                // codes, so quantization cannot perturb a first touch.
-                let cold = e.compare(&sel, a, b).unwrap();
-                assert_eq!(cold.cache_hits, 0);
-                assert_eq!(
-                    cold.prob_first_slower, want,
-                    "{precision} cold path must match f32 bitwise"
-                );
-                // Warm: codes come back dequantized; drift is bounded.
-                let warm = e.compare(&sel, a, b).unwrap();
-                assert_eq!(warm.cache_hits, 2);
-                let drift = (warm.prob_first_slower - want).abs();
-                assert!(
-                    drift <= bound,
-                    "{precision} warm drift {drift} exceeds bound {bound}"
-                );
-            }
-            // The ranking verb reaches the same fastest-first order
-            // from fully quantized (warm) codes.
-            let e = engine_with_precision(64, precision);
-            e.rank(&sel, &[FAST, MID, SLOW]).unwrap(); // warm the cache
-            let order: Vec<usize> = e
-                .rank(&sel, &[FAST, MID, SLOW])
-                .unwrap()
-                .ranking
-                .iter()
-                .map(|r| r.index)
-                .collect();
-            assert_eq!(order, base_order, "{precision} rank decision changed");
-        }
-    }
-
-    #[test]
     fn engine_snapshots_carry_precision_and_refuse_cross_precision_warm() {
+        // A spilled snapshot carries the f32 format byte (0). The same
+        // file re-tagged as f16 (1), the tag narrow cache stores once
+        // wrote, is refused as corrupt, and the engine stays cold rather
+        // than serving codes it cannot read.
         let dir = std::env::temp_dir().join(format!(
             "ccsa-warm-precision-{}-{:?}",
             std::process::id(),
@@ -1734,34 +1640,21 @@ mod tests {
         let path = dir.join("cache.ccsc");
         let sel = ModelSelector::default();
 
-        let f16 = engine_with_precision(64, CachePrecision::F16);
-        let cold = f16.compare(&sel, SLOW, FAST).unwrap();
-        assert_eq!(f16.snapshot_cache(&sel, &path).unwrap(), 2);
-        assert_eq!(f16.stats().cache_precision, CachePrecision::F16);
-        assert!(f16.stats().cache_bytes > 0);
+        let before = engine(64);
+        before.compare(&sel, SLOW, FAST).unwrap();
+        assert_eq!(before.snapshot_cache(&sel, &path).unwrap(), 2);
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[16], 0, "format byte after magic, version, digest");
 
-        // Same precision warms; probabilities match the restored codes'
-        // dequantized values exactly (snapshots are bit-exact at rest).
-        let twin = engine_with_precision(64, CachePrecision::F16);
-        assert_eq!(twin.warm_cache(&sel, &path).unwrap(), 2);
-        let warm = twin.compare(&sel, SLOW, FAST).unwrap();
-        assert_eq!(warm.cache_hits, 2);
-        let f16_warm = f16.compare(&sel, SLOW, FAST).unwrap();
-        assert_eq!(warm.prob_first_slower, f16_warm.prob_first_slower);
-        // Cold (fresh-encode) and warm (dequantized) may differ — but
-        // only inside the f16 error envelope.
-        assert!((warm.prob_first_slower - cold.prob_first_slower).abs() <= 1e-3);
-
-        // A different precision refuses the snapshot and stays empty.
-        let wide = engine(64);
+        bytes[16] = 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let after = engine(64);
         assert!(matches!(
-            wide.warm_cache(&sel, &path),
-            Err(ServeError::Cache(SnapshotError::PrecisionMismatch {
-                snapshot: CachePrecision::F16,
-                cache: CachePrecision::F32,
-            }))
+            after.warm_cache(&sel, &path),
+            Err(ServeError::Cache(SnapshotError::Corrupt(_)))
         ));
-        assert_eq!(wide.compare(&sel, SLOW, FAST).unwrap().cache_hits, 0);
+        assert_eq!(after.stats().cache_len, 0);
+        assert_eq!(after.compare(&sel, SLOW, FAST).unwrap().cache_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -130,9 +130,7 @@ pub mod rank;
 pub mod registry;
 
 pub use batch::{BatchConfig, BatchStats, EncodeError, EncodePool};
-pub use cache::{
-    CachePrecision, CacheStats, ShardedCache, SnapshotError, StoredCode, DEFAULT_CACHE_STRIPES,
-};
+pub use cache::{CacheStats, ShardedCache, SnapshotError, DEFAULT_CACHE_STRIPES};
 pub use engine::{
     engine_metric_families, CompareOutcome, CompareScore, EngineStats, ModelCacheStats,
     RankOutcome, ServeConfig, ServeEngine, ServeError, StageTimings, MAX_RANK_CANDIDATES,

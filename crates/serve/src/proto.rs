@@ -287,10 +287,6 @@ pub fn stats_response(stats: &EngineStats) -> Json {
         ("cache_hit_rate", Json::num(stats.cache.hit_rate())),
         ("cache_len", Json::num(stats.cache_len as f64)),
         ("cache_bytes", Json::num(stats.cache_bytes as f64)),
-        (
-            "cache_precision",
-            Json::str(stats.cache_precision.to_string()),
-        ),
         ("encode_batches", Json::num(stats.batch.batches as f64)),
         ("encode_jobs", Json::num(stats.batch.jobs as f64)),
         ("mean_batch_size", Json::num(stats.batch.mean_batch_size())),
@@ -679,10 +675,8 @@ mod tests {
         // the batch first may legitimately record a steal.
         assert!(v.get("steals").unwrap().as_u64().is_some());
         assert!(v.get("cache_stripes").unwrap().as_u64().unwrap() >= 1);
-        // Quantized-cache observability: at-rest bytes (two cold codes
-        // are resident after one compare) and the storage precision.
+        // Cache bytes: two cold codes are resident after one compare.
         assert!(v.get("cache_bytes").unwrap().as_u64().unwrap() > 0);
-        assert_eq!(v.get("cache_precision").unwrap().as_str(), Some("f32"));
         // Per-model cache attribution: one compare = 2 cold lookups.
         let per_model = v.get("model_cache").unwrap().as_arr().unwrap();
         assert_eq!(per_model.len(), 1);

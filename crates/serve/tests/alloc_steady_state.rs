@@ -25,7 +25,6 @@ use ccsa_model::pipeline::TrainedModel;
 use ccsa_nn::param::Params;
 use ccsa_nn::treelstm::{Direction, TreeLstmConfig};
 use ccsa_nn::EncodeScratch;
-use ccsa_serve::cache::CachePrecision;
 use ccsa_serve::json::Json;
 use ccsa_serve::{proto, BatchConfig, MetricsRegistry, ModelSelector, ServeConfig, ServeEngine};
 use rand::rngs::StdRng;
@@ -122,7 +121,6 @@ fn warm_compare_requests_allocate_nothing() {
         &ServeConfig {
             cache_capacity: 64,
             cache_stripes: 1,
-            cache_precision: CachePrecision::F32,
             batch: BatchConfig {
                 workers: 1,
                 max_batch: 8,
@@ -182,7 +180,6 @@ fn swapped_operands_stay_alloc_free_once_both_codes_are_cached() {
         &ServeConfig {
             cache_capacity: 64,
             cache_stripes: 1,
-            cache_precision: CachePrecision::F32,
             batch: BatchConfig {
                 workers: 1,
                 max_batch: 8,
@@ -218,7 +215,6 @@ fn a_warm_protocol_line_allocates_a_bounded_handful() {
         &ServeConfig {
             cache_capacity: 64,
             cache_stripes: 1,
-            cache_precision: CachePrecision::F32,
             batch: BatchConfig {
                 workers: 1,
                 max_batch: 8,

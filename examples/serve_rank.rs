@@ -42,7 +42,6 @@ fn main() {
         &ServeConfig {
             cache_capacity: 256,
             cache_stripes: 0,
-            cache_precision: Default::default(),
             batch: BatchConfig {
                 workers: 2,
                 max_batch: 8,

@@ -76,7 +76,6 @@ fn serving_stack_is_score_preserving_end_to_end() {
         &ServeConfig {
             cache_capacity: 32,
             cache_stripes: 0,
-            cache_precision: Default::default(),
             batch: BatchConfig {
                 workers: 2,
                 max_batch: 4,
@@ -117,7 +116,6 @@ fn engine_ranks_generated_candidates_and_respects_round_robin() {
         &ServeConfig {
             cache_capacity: 64,
             cache_stripes: 0,
-            cache_precision: Default::default(),
             batch: BatchConfig {
                 workers: 2,
                 max_batch: 8,
@@ -203,7 +201,6 @@ fn concurrent_clients_get_consistent_scores() {
         &ServeConfig {
             cache_capacity: 16,
             cache_stripes: 0,
-            cache_precision: Default::default(),
             batch: BatchConfig {
                 workers: 3,
                 max_batch: 4,
