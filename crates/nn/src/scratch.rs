@@ -15,9 +15,9 @@
 //! allocation-free: each op's output tensor still allocates the `Arc`
 //! around its pooled buffer, and each level allocates its index lists.
 //! Encoding two unseen paper-width trees (289 nodes) on a warmed scratch
-//! makes ~1.7k heap allocations, a bound `ccsa-serve`'s
+//! makes ~960 heap allocations, a bound `ccsa-serve`'s
 //! `alloc_steady_state.rs` pins; a whole cold request through the
-//! benchmark's `cold_http` makes ~3.1k.
+//! benchmark's `cold_http` makes ~2.4k.
 //!
 //! Each [`EncodePool`] worker owns one `EncodeScratch` for its whole
 //! life; training code keeps using recording tapes.

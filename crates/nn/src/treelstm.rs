@@ -44,7 +44,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use ccsa_cppast::AstGraph;
-use ccsa_tensor::Var;
+use ccsa_tensor::{ChildSumIncoming, Var};
 
 use crate::init;
 use crate::param::{Ctx, Params};
@@ -548,10 +548,10 @@ impl TreeLstmEncoder {
             let width = sel.len();
             let level_from = ctx.tape.len();
 
-            // Aggregated incoming state h̃: the child-sum for the upward
-            // pass, the single parent state for the downward pass. The
-            // gathered source rows (`hk`) are shared with the forget
-            // edges below, and so are the two index lists, behind `Arc`s.
+            // The incoming edges: children for the upward pass, the
+            // parent for the downward pass, listed per node. The gathered
+            // source rows (`hk`) feed both h̃ and the forget gates, and
+            // the index lists are shared behind `Arc`s.
             let mut agg_rows: Vec<usize> = Vec::new();
             let mut agg_offsets: Vec<usize> = Vec::with_capacity(width + 1);
             agg_offsets.push(0);
@@ -568,15 +568,21 @@ impl TreeLstmEncoder {
                 }
                 agg_offsets.push(agg_rows.len());
             }
-            let edges = agg_rows.len();
-            let agg_rows = Arc::new(agg_rows);
-            let agg_offsets = Arc::new(agg_offsets);
-            let hk =
-                (edges > 0).then(|| ctx.tape.gather_rows_multi(&level_h, Arc::clone(&agg_rows)));
-            let h_tilde = match hk {
-                None => ctx.tape.zeros([width, hidden]),
-                Some(hk) => ctx.tape.segment_sum(hk, Arc::clone(&agg_offsets)),
-            };
+            // A level either aggregates along every node or along none
+            // (leaves going up, roots going down); with none, the cell
+            // has no hidden projection of zero state to add.
+            let incoming = (!agg_rows.is_empty()).then(|| {
+                let agg_rows = Arc::new(agg_rows);
+                let offsets = Arc::new(agg_offsets);
+                let hk = ctx.tape.gather_rows_multi(&level_h, Arc::clone(&agg_rows));
+                let h_tilde = ctx.tape.segment_sum(hk, Arc::clone(&offsets));
+                ChildSumIncoming {
+                    uh: h_tilde.matmul_nt(u_iou),
+                    ufh: hk.matmul_nt(u_f),
+                    ck: ctx.tape.gather_rows_multi(&level_c, agg_rows),
+                    offsets,
+                }
+            });
 
             for (local, &node) in sel.iter().enumerate() {
                 proc_row[node] = done + local;
@@ -585,45 +591,18 @@ impl TreeLstmEncoder {
             // next batch, the tape op owns its index list.
             let xl = x.index_rows(sel.clone());
 
-            // One matmul per projection for all four gates: the fused
-            // `[width, d] · [d, 4h]` input projection (+ bias) and the
-            // `[width, h] · [h, 3h]` hidden projection (i/o/u prefix),
-            // sliced into gate blocks afterwards. Per-element arithmetic
-            // matches the per-gate matmuls (and the sequential cell)
-            // bit-for-bit.
+            // One matmul per projection for all four gates — the fused
+            // `[width, d] · [d, 4h]` input projection (+ bias) here, the
+            // `[width, h] · [h, 3h]` i/o/u and `[E, h] · [h, h]` forget
+            // projections above — then one op for the cell's gate
+            // algebra. Per element it runs the per-gate arithmetic of the
+            // sequential cell, so the two agree bit for bit.
             let wxb = xl
                 .matmul_nt(ctx.param(&cell.w))
                 .add_row_broadcast(ctx.param(&cell.b));
-            let pre = wxb.slice_cols(0, 3 * hidden).add(h_tilde.matmul_nt(u_iou));
-            let i = pre.slice_cols(0, hidden).sigmoid();
-            let o = pre.slice_cols(hidden, hidden).sigmoid();
-            let u_pre = pre.slice_cols(2 * hidden, hidden);
-            let u = if self.config.sigmoid_candidate {
-                u_pre.sigmoid()
-            } else {
-                u_pre.tanh()
-            };
-            let iu = i.mul(u);
-
-            // Forget edges: one σ(W_f x_j + U_f h_src + b_f) ⊙ c_src per
-            // incoming edge, folded into c starting from i⊙u (the same
-            // left-to-right association as the sequential cell). The
-            // W_f x + b_f part is the fused pre-activation's last block,
-            // computed once per node and gathered per edge.
-            let c_l = match hk {
-                None => iu,
-                Some(hk) => {
-                    let mut edge_parent: Vec<usize> = Vec::with_capacity(edges);
-                    for (local, window) in agg_offsets.windows(2).enumerate() {
-                        edge_parent.extend(std::iter::repeat_n(local, window[1] - window[0]));
-                    }
-                    let fx = wxb.slice_cols(3 * hidden, hidden).index_rows(edge_parent);
-                    let ck = ctx.tape.gather_rows_multi(&level_c, agg_rows);
-                    let f = fx.add(hk.matmul_nt(u_f)).sigmoid();
-                    ctx.tape.segment_sum_init(iu, f.mul(ck), agg_offsets)
-                }
-            };
-            let h_l = o.mul(c_l.tanh());
+            let (h_l, c_l) = ctx
+                .tape
+                .child_sum_cell(wxb, incoming, self.config.sigmoid_candidate);
             ctx.tape.release_since(level_from, &[h_l, c_l]);
 
             done += width;

@@ -1214,6 +1214,31 @@ mod tests {
     }
 
     #[test]
+    fn activations_on_row_chunks_match_the_whole_slice() {
+        // The child-sum cell activates gate blocks and single rows where
+        // a tensor op activates the whole buffer: an element's bits may
+        // not depend on where its chunk starts or how long it is.
+        let xs: Vec<f32> = (0..701).map(|i| i as f32 * 0.093 - 32.0).collect();
+        for kern in backends() {
+            for (name, f) in [("sigmoid", kern.sigmoid), ("tanh", kern.tanh)] {
+                let whole = apply(f, &xs);
+                for chunk in [1usize, 3, 16, 19, 38, 100, 200, 300] {
+                    let mut chunked = vec![0.0f32; xs.len()];
+                    for (src, dst) in xs.chunks(chunk).zip(chunked.chunks_mut(chunk)) {
+                        f(src, dst);
+                    }
+                    assert_eq!(
+                        bits(&chunked),
+                        bits(&whole),
+                        "{} {name} in chunks of {chunk}",
+                        kern.backend
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn activations_stay_within_2e7_of_f64() {
         // Scalar table only: the other backends are its bits (above).
         let mut xs = activation_inputs(ACTIVATION_STRIDE);

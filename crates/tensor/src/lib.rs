@@ -47,5 +47,5 @@ pub use grad_check::{grad_check, GradCheckReport, TapeScalar};
 pub use kernels::{KernelBackend, Kernels};
 pub use pool::PoolStats;
 pub use shape::Shape;
-pub use tape::{Adjacency, Gradients, Tape, Var};
+pub use tape::{Adjacency, ChildSumIncoming, Gradients, Tape, Var};
 pub use tensor::Tensor;

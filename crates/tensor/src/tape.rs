@@ -219,6 +219,147 @@ enum Op {
         logit: usize,
         target: f32,
     },
+    /// Both outputs of [`Tape::child_sum_cell`] hold the one record.
+    ChildSumCell(Arc<ChildSumRecord>),
+}
+
+/// What [`Tape::child_sum_cell`] hands its backward: the operand ids and
+/// the activations the forward computed anyway.
+struct ChildSumRecord {
+    /// The output nodes; `h` was pushed right after `c`.
+    c: usize,
+    h: usize,
+    wxb: usize,
+    /// `(uh, ufh, ck)` and the edge offsets, for a level with incoming
+    /// state.
+    incoming: Option<([usize; 3], Arc<Vec<usize>>)>,
+    sigmoid_candidate: bool,
+    /// `[w, 3h]`: `σ(pre_i) | σ(pre_o) | u` per row.
+    gates: Tensor,
+    /// `[E, h]`: each edge's forget gate.
+    forget: Tensor,
+    /// `[w, h]`: `tanh(c)`.
+    tanh_c: Tensor,
+}
+
+impl ChildSumRecord {
+    /// The gradients of `wxb` and, on a level with incoming state, of
+    /// `[uh, ufh, ck]`, from those reaching `h` and `c` (either may be
+    /// absent). `ck` is the incoming cells' value.
+    ///
+    /// Per node: `dc += dh·o·(1 − t²)`; `d pre_o = dh·t·o·(1 − o)`,
+    /// `d pre_i = dc·u·i·(1 − i)`, `d pre_u = dc·i·u'`; per edge, in
+    /// order, `d ufh_e = dc·c_e·f_e·(1 − f_e)`, added into the `f` block
+    /// of `d wxb`, and `d c_e = dc·f_e`. `d uh` is `d wxb[:, :3h]`.
+    fn backward(
+        &self,
+        dh: Option<&Tensor>,
+        dc_out: Option<&Tensor>,
+        ck: Option<&Tensor>,
+    ) -> (Tensor, Option<[Tensor; 3]>) {
+        let (w, h3) = (self.gates.shape().rows(), self.gates.shape().cols());
+        let (hd, edges) = (h3 / 3, self.forget.shape().rows());
+        let (h2, h4) = (2 * hd, 4 * hd);
+        let (gates, tanh_c, forget) = (
+            self.gates.as_slice(),
+            self.tanh_c.as_slice(),
+            self.forget.as_slice(),
+        );
+        let mut dwxb = crate::pool::take_zeroed(w * h4);
+        let mut dc = crate::pool::take_zeroed(hd);
+        let (mut dufh, mut dck) = if edges > 0 {
+            (
+                crate::pool::take_zeroed(edges * hd),
+                crate::pool::take_zeroed(edges * hd),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        for r in 0..w {
+            let rows = r * hd..(r + 1) * hd;
+            let g = &gates[r * h3..(r + 1) * h3];
+            let (i, o, u) = (&g[..hd], &g[hd..h2], &g[h2..]);
+            let t = &tanh_c[rows.clone()];
+            let dx = &mut dwxb[r * h4..(r + 1) * h4];
+            match dc_out {
+                Some(d) => dc.copy_from_slice(&d.as_slice()[rows.clone()]),
+                None => dc.fill(0.0),
+            }
+            if let Some(dh) = dh {
+                let dh = &dh.as_slice()[rows];
+                let d_o = &mut dx[hd..h2];
+                for ((((dcv, dov), &dhv), &ov), &tv) in dc.iter_mut().zip(d_o).zip(dh).zip(o).zip(t)
+                {
+                    *dcv += dhv * ov * (1.0 - tv * tv);
+                    *dov = dhv * tv * ov * (1.0 - ov);
+                }
+            }
+            let (d_i, rest) = dx.split_at_mut(hd);
+            for (((div, &dcv), &iv), &uv) in d_i.iter_mut().zip(&dc).zip(i).zip(u) {
+                *div = dcv * uv * iv * (1.0 - iv);
+            }
+            let d_u = &mut rest[hd..h2];
+            if self.sigmoid_candidate {
+                for (((duv, &dcv), &iv), &uv) in d_u.iter_mut().zip(&dc).zip(i).zip(u) {
+                    *duv = dcv * iv * uv * (1.0 - uv);
+                }
+            } else {
+                for (((duv, &dcv), &iv), &uv) in d_u.iter_mut().zip(&dc).zip(i).zip(u) {
+                    *duv = dcv * iv * (1.0 - uv * uv);
+                }
+            }
+            let (Some((_, offsets)), Some(ck)) = (&self.incoming, ck) else {
+                continue;
+            };
+            let d_f = &mut rest[h2..];
+            for e in offsets[r]..offsets[r + 1] {
+                let edge = e * hd..(e + 1) * hd;
+                let (f, cke) = (&forget[edge.clone()], &ck.as_slice()[edge.clone()]);
+                let rows = d_f
+                    .iter_mut()
+                    .zip(&mut dufh[edge.clone()])
+                    .zip(&mut dck[edge]);
+                for ((((dfx, dfh), dce), &dcv), (&fv, &kv)) in rows.zip(&dc).zip(f.iter().zip(cke))
+                {
+                    let d_pre = dcv * kv * fv * (1.0 - fv);
+                    *dfh = d_pre;
+                    *dfx += d_pre;
+                    *dce = dcv * fv;
+                }
+            }
+        }
+        crate::pool::put(dc);
+        let dincoming = self.incoming.as_ref().map(|_| {
+            let mut duh = crate::pool::take_cap(w * h3);
+            for row in dwxb.chunks_exact(h4) {
+                duh.extend_from_slice(&row[..h3]);
+            }
+            [
+                Tensor::from_vec(duh, [w, h3]),
+                Tensor::from_vec(dufh, [edges, hd]),
+                Tensor::from_vec(dck, [edges, hd]),
+            ]
+        });
+        (Tensor::from_vec(dwxb, [w, h4]), dincoming)
+    }
+}
+
+/// The state a level of child-sum cells aggregates (see
+/// [`Tape::child_sum_cell`]): projections of the incoming hidden states
+/// and the incoming memory cells, `E` edges over `w` nodes.
+#[derive(Clone, Debug)]
+pub struct ChildSumIncoming<'t> {
+    /// `h̃·U_iouᵀ`, `[w, 3h]`: each node's summed incoming hidden state
+    /// through the input, output and candidate blocks of `U`.
+    pub uh: Var<'t>,
+    /// `h_k·U_fᵀ`, `[E, h]`: each edge's hidden state through the
+    /// forget block of `U`.
+    pub ufh: Var<'t>,
+    /// `c_k`, `[E, h]`: each edge's memory cell.
+    pub ck: Var<'t>,
+    /// `w + 1` ascending cut points: node `r`'s edges are rows
+    /// `offsets[r]..offsets[r + 1]` of `ufh` and `ck`.
+    pub offsets: Arc<Vec<usize>>,
 }
 
 struct Node {
@@ -703,6 +844,170 @@ impl Tape {
         )
     }
 
+    /// One level of child-sum tree-LSTM cells (Eq. (4) of the paper) from
+    /// its matmul outputs, as one op with outputs `(h, c)`, both `[w, h]`.
+    ///
+    /// `wxb` is `W·x + b`, `[w, 4h]` with gate blocks `i | o | u | f`;
+    /// `incoming` is `None` on a level that aggregates nothing (leaves
+    /// going up, roots going down). Per element, in this order:
+    ///
+    /// ```text
+    /// pre  = wxb[:, :3h] + uh                 (+ 0.0 without incoming)
+    /// i, o = σ(pre_i), σ(pre_o);  u = tanh(pre_u), or σ(pre_u) when `sigmoid_candidate`
+    /// c    = i·u
+    /// c    = c + σ(wxb_f + ufh_e)·c_e         for each edge e, in order
+    /// h    = o·tanh(c)
+    /// ```
+    ///
+    /// That is the IEEE sequence of the composed ops (`slice_cols`, `add`,
+    /// `sigmoid`, `tanh`, `mul`, `index_rows`, `segment_sum_init`), so
+    /// the values are theirs to the bit, without their per-op buffers.
+    /// On a recording tape the op keeps `i, o, u`, the forget gates and
+    /// `tanh(c)` for its backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wxb` is not `[w, 4h]`, `uh` not `[w, 3h]`, `ufh` and
+    /// `ck` not both `[E, h]`, or `offsets` not `w + 1` ascending cut
+    /// points ending at `E`.
+    pub fn child_sum_cell<'t>(
+        &'t self,
+        wxb: Var<'t>,
+        incoming: Option<ChildSumIncoming<'t>>,
+        sigmoid_candidate: bool,
+    ) -> (Var<'t>, Var<'t>) {
+        let wv = self.value_of(wxb.id);
+        let shape = wv.shape();
+        assert!(
+            shape.rank() == 2 && shape.cols() > 0 && shape.cols().is_multiple_of(4),
+            "child_sum_cell wxb must be [w, 4h], got {shape}"
+        );
+        let (w, hd) = (shape.rows(), shape.cols() / 4);
+        let in_vals = incoming.as_ref().map(|inc| {
+            let offsets = &inc.offsets[..];
+            assert!(
+                offsets.len() == w + 1
+                    && offsets[0] == 0
+                    && offsets.windows(2).all(|p| p[0] <= p[1]),
+                "child_sum_cell needs {} ascending edge offsets from 0",
+                w + 1
+            );
+            let (uh, ufh, ck) = (
+                self.value_of(inc.uh.id),
+                self.value_of(inc.ufh.id),
+                self.value_of(inc.ck.id),
+            );
+            assert_eq!(
+                uh.shape().dims(),
+                &[w, 3 * hd],
+                "child_sum_cell uh must be [{w}, {}], got {}",
+                3 * hd,
+                uh.shape()
+            );
+            for (name, v) in [("ufh", &ufh), ("ck", &ck)] {
+                assert_eq!(
+                    v.shape().dims(),
+                    &[offsets[w], hd],
+                    "child_sum_cell {name} must be [{}, {hd}], got {}",
+                    offsets[w],
+                    v.shape()
+                );
+            }
+            (uh, ufh, ck, offsets)
+        });
+        let edges = in_vals.as_ref().map_or(0, |v| v.3[w]);
+
+        let kern = crate::kernels::active();
+        let candidate = if sigmoid_candidate {
+            kern.sigmoid
+        } else {
+            kern.tanh
+        };
+        let (h2, h3, h4) = (2 * hd, 3 * hd, 4 * hd);
+        let mut pre = crate::pool::take_zeroed(h3);
+        let mut gates = crate::pool::take_zeroed(w * h3);
+        // A zero-length take would count as a pool miss.
+        let mut forget = if edges > 0 {
+            crate::pool::take_zeroed(edges * hd)
+        } else {
+            Vec::new()
+        };
+        let mut c = crate::pool::take_zeroed(w * hd);
+        let x = wv.as_slice();
+        for r in 0..w {
+            let (x_iou, x_f) = x[r * h4..(r + 1) * h4].split_at(h3);
+            match &in_vals {
+                Some((uh, ..)) => {
+                    let uh = &uh.as_slice()[r * h3..(r + 1) * h3];
+                    for ((p, &a), &b) in pre.iter_mut().zip(x_iou).zip(uh) {
+                        *p = a + b;
+                    }
+                }
+                // The `+ 0.0` of a zero `h̃·U` product: it turns a `-0.0`
+                // pre-activation into `+0.0`, as that product did.
+                None => {
+                    for (p, &a) in pre.iter_mut().zip(x_iou) {
+                        *p = a + 0.0;
+                    }
+                }
+            }
+            let g = &mut gates[r * h3..(r + 1) * h3];
+            (kern.sigmoid)(&pre[..h2], &mut g[..h2]);
+            candidate(&pre[h2..], &mut g[h2..]);
+            let (i, u) = (&g[..hd], &g[h2..]);
+            let c_row = &mut c[r * hd..(r + 1) * hd];
+            for ((cv, &iv), &uv) in c_row.iter_mut().zip(i).zip(u) {
+                *cv = iv * uv;
+            }
+            let Some((_, ufh, ck, offsets)) = &in_vals else {
+                continue;
+            };
+            for e in offsets[r]..offsets[r + 1] {
+                let f_pre = &mut pre[..hd];
+                for ((p, &a), &b) in f_pre.iter_mut().zip(x_f).zip(&ufh.as_slice()[e * hd..]) {
+                    *p = a + b;
+                }
+                let f = &mut forget[e * hd..(e + 1) * hd];
+                (kern.sigmoid)(f_pre, f);
+                for ((cv, &fv), &kv) in c_row.iter_mut().zip(&*f).zip(&ck.as_slice()[e * hd..]) {
+                    *cv += fv * kv;
+                }
+            }
+        }
+        crate::pool::put(pre);
+        let mut tanh_c = crate::pool::take_zeroed(w * hd);
+        (kern.tanh)(&c, &mut tanh_c);
+        let mut h = crate::pool::take_cap(w * hd);
+        for r in 0..w {
+            let o = &gates[r * h3 + hd..r * h3 + h2];
+            let t = &tanh_c[r * hd..(r + 1) * hd];
+            h.extend(o.iter().zip(t).map(|(&ov, &tv)| ov * tv));
+        }
+
+        let record = if self.inference {
+            for buf in [gates, forget, tanh_c] {
+                crate::pool::put(buf);
+            }
+            None
+        } else {
+            let c_id = self.len();
+            Some(Arc::new(ChildSumRecord {
+                c: c_id,
+                h: c_id + 1,
+                wxb: wxb.id,
+                incoming: incoming.map(|inc| ([inc.uh.id, inc.ufh.id, inc.ck.id], inc.offsets)),
+                sigmoid_candidate,
+                gates: Tensor::from_vec(gates, [w, h3]),
+                forget: Tensor::from_vec(forget, [edges, hd]),
+                tanh_c: Tensor::from_vec(tanh_c, [w, hd]),
+            }))
+        };
+        let op = || record.clone().map_or(Op::Value, Op::ChildSumCell);
+        let c = self.push_node(op(), Tensor::from_vec(c, [w, hd]));
+        let h = self.push_node(op(), Tensor::from_vec(h, [w, hd]));
+        (h, c)
+    }
+
     /// Gathers rows of an embedding `table` (`[v, d]`): output is `[k, d]`
     /// for `k` indices.
     ///
@@ -955,24 +1260,17 @@ impl Tape {
                         total += nodes[s].value().shape().rows();
                     }
                     offsets.push(total);
-                    // Scatter lazily: only sources actually gathered from
-                    // allocate (and receive) a gradient tensor.
-                    let mut scatters: Vec<Option<Tensor>> = vec![None; sources.len()];
+                    // Rows add straight into the sources' gradients; a
+                    // source no index touches gets none.
+                    let accum = crate::kernels::active().seg_accum;
                     for (kth, &ix) in indices.iter().enumerate() {
                         let s = offsets.partition_point(|&o| o <= ix) - 1;
                         let local = ix - offsets[s];
-                        let t = scatters[s].get_or_insert_with(|| {
-                            Tensor::zeros(nodes[sources[s]].value().shape())
-                        });
-                        let dst = &mut t.make_mut()[local * d..(local + 1) * d];
-                        for (o, &v) in dst.iter_mut().zip(&gs[kth * d..(kth + 1) * d]) {
-                            *o += v;
-                        }
-                    }
-                    for (s, t) in scatters.into_iter().enumerate() {
-                        if let Some(t) = t {
-                            accumulate(&mut grads, sources[s], t, &nodes);
-                        }
+                        let dst = grad_slot(&mut grads, sources[s], &nodes);
+                        accum(
+                            &mut dst[local * d..(local + 1) * d],
+                            &gs[kth * d..(kth + 1) * d],
+                        );
                     }
                 }
                 Op::SegmentSum { m, offsets, init } => {
@@ -999,20 +1297,13 @@ impl Tape {
                     accumulate(&mut grads, *a, scatter, &nodes);
                 }
                 Op::Gather { table, indices } => {
-                    let shape = nodes[*table].value().shape();
-                    let d = shape.cols();
-                    let mut scatter = Tensor::zeros(shape);
-                    {
-                        let dst = scatter.make_mut();
-                        let gs = g.as_slice();
-                        for (k, &ix) in indices.iter().enumerate() {
-                            let row = &mut dst[ix * d..(ix + 1) * d];
-                            for (o, &v) in row.iter_mut().zip(&gs[k * d..(k + 1) * d]) {
-                                *o += v;
-                            }
-                        }
+                    let d = nodes[*table].value().shape().cols();
+                    let gs = g.as_slice();
+                    let accum = crate::kernels::active().seg_accum;
+                    let dst = grad_slot(&mut grads, *table, &nodes);
+                    for (k, &ix) in indices.iter().enumerate() {
+                        accum(&mut dst[ix * d..(ix + 1) * d], &gs[k * d..(k + 1) * d]);
                     }
-                    accumulate(&mut grads, *table, scatter, &nodes);
                 }
                 Op::SpMm { adj, h } => {
                     accumulate(&mut grads, *h, adj.matmul_t(&g), &nodes);
@@ -1050,6 +1341,24 @@ impl Tape {
                     let d = (sig - target) * g.item();
                     accumulate(&mut grads, *logit, Tensor::scalar(d), &nodes);
                 }
+                Op::ChildSumCell(cell) => {
+                    // The sweep meets `h` first, when every reader of `c`
+                    // has already added its share, and runs the cell for
+                    // both outputs. `c` runs it only if `h` got nothing.
+                    let (dh, dc) = if id == cell.h {
+                        (Some(g), grads[cell.c].take())
+                    } else {
+                        (None, Some(g))
+                    };
+                    let ck = cell.incoming.as_ref().map(|(ids, _)| nodes[ids[2]].value());
+                    let (dwxb, dincoming) = cell.backward(dh.as_ref(), dc.as_ref(), ck);
+                    accumulate(&mut grads, cell.wxb, dwxb, &nodes);
+                    if let (Some((ids, _)), Some(ds)) = (&cell.incoming, dincoming) {
+                        for (&id, d) in ids.iter().zip(ds) {
+                            accumulate(&mut grads, id, d, &nodes);
+                        }
+                    }
+                }
             }
         }
 
@@ -1071,6 +1380,14 @@ fn stacked_rows_shape(v: &Tensor) -> (usize, usize) {
         2 => (shape.rows(), shape.cols()),
         _ => panic!("stack_rows expects rows/matrices, got {shape}"),
     }
+}
+
+/// Node `id`'s gradient for adding into in place, zeros shaped like its
+/// value until something has been added.
+fn grad_slot<'g>(grads: &'g mut [Option<Tensor>], id: usize, nodes: &[Node]) -> &'g mut [f32] {
+    grads[id]
+        .get_or_insert_with(|| Tensor::zeros(nodes[id].value().shape()))
+        .make_mut()
 }
 
 fn accumulate(grads: &mut [Option<Tensor>], id: usize, delta: Tensor, nodes: &[Node]) {
@@ -2102,6 +2419,221 @@ mod tests {
         let tape = Tape::new();
         let m = tape.leaf(Tensor::zeros([3, 2]));
         let _ = tape.segment_sum(m, vec![0usize, 2]);
+    }
+
+    #[test]
+    fn row_gathers_add_into_one_gradient() {
+        // Three row reads of one matrix, two repeating an index: each
+        // adds its rows into the same gradient.
+        let tape = Tape::new();
+        let m = tape.leaf(Tensor::from_vec((0..6).map(|x| x as f32).collect(), [3, 2]));
+        let a = m.index_rows(vec![0usize, 2, 0]);
+        let b = tape.gather_rows_multi(&[m], vec![2usize]);
+        let w = tape.leaf(Tensor::from_vec(vec![0.5, 4.0], [1, 2]));
+        let loss = a.sum().add(b.mul(w).sum());
+        let g = tape.backward(loss);
+        assert_eq!(g.get(m).as_slice(), &[2.0, 2.0, 0.0, 0.0, 1.5, 5.0]);
+        assert_eq!(g.get(w).as_slice(), &[4.0, 5.0]);
+    }
+
+    /// Hidden width of the child-sum tests: past a 16-lane vector, with a
+    /// ragged tail in every gate block.
+    const HD: usize = 19;
+
+    /// `len` values spread over `[-2, 2]`, a different walk per `seed`.
+    fn spread(len: usize, seed: usize) -> Vec<f32> {
+        (0..len)
+            .map(|x| ((x * 37 + seed * 101) % 97) as f32 / 24.0 - 2.0)
+            .collect()
+    }
+
+    /// Leaves for one child-sum level of `offsets.len() - 1` nodes,
+    /// `hd` wide: `wxb`, and `(uh, ufh, ck)` when `offsets` has edges.
+    struct CellLeaves {
+        wxb: Tensor,
+        incoming: Option<[Tensor; 3]>,
+        offsets: Arc<Vec<usize>>,
+    }
+
+    fn cell_leaves(offsets: &[usize], hd: usize) -> CellLeaves {
+        let (w, edges) = (
+            offsets.len() - 1,
+            *offsets.last().expect("w + 1 cut points"),
+        );
+        let mut wxb = spread(w * 4 * hd, 1);
+        // A `-0.0` pre-activation: `+ 0.0` turns it into `+0.0`, as the
+        // zero product of the composed chain does.
+        wxb[3] = -0.0;
+        CellLeaves {
+            wxb: Tensor::from_vec(wxb, [w, 4 * hd]),
+            incoming: (edges > 0).then(|| {
+                [
+                    Tensor::from_vec(spread(w * 3 * hd, 2), [w, 3 * hd]),
+                    Tensor::from_vec(spread(edges * hd, 3), [edges, hd]),
+                    Tensor::from_vec(spread(edges * hd, 4), [edges, hd]),
+                ]
+            }),
+            offsets: Arc::new(offsets.to_vec()),
+        }
+    }
+
+    /// `vars` as the op's operands: `wxb`, then `uh, ufh, ck` if present.
+    fn incoming_of<'t>(
+        vars: &[Var<'t>],
+        offsets: &Arc<Vec<usize>>,
+    ) -> Option<ChildSumIncoming<'t>> {
+        (vars.len() == 4).then(|| ChildSumIncoming {
+            uh: vars[1],
+            ufh: vars[2],
+            ck: vars[3],
+            offsets: Arc::clone(offsets),
+        })
+    }
+
+    /// The level as the tree-LSTM encoder composed it before
+    /// [`Tape::child_sum_cell`] existed, op by op, including the
+    /// `zeros · U` hidden projection of a level without incoming state.
+    fn composed_cell<'t>(
+        tape: &'t Tape,
+        wxb: Var<'t>,
+        incoming: Option<&ChildSumIncoming<'t>>,
+        sigmoid_candidate: bool,
+    ) -> (Var<'t>, Var<'t>) {
+        let w = wxb.value().shape().rows();
+        let uh = match incoming {
+            Some(inc) => inc.uh,
+            None => tape
+                .zeros([w, HD])
+                .matmul_nt(tape.leaf(Tensor::from_vec(spread(3 * HD * HD, 5), [3 * HD, HD]))),
+        };
+        let pre = wxb.slice_cols(0, 3 * HD).add(uh);
+        let i = pre.slice_cols(0, HD).sigmoid();
+        let o = pre.slice_cols(HD, HD).sigmoid();
+        let u_pre = pre.slice_cols(2 * HD, HD);
+        let u = if sigmoid_candidate {
+            u_pre.sigmoid()
+        } else {
+            u_pre.tanh()
+        };
+        let iu = i.mul(u);
+        let c = match incoming {
+            None => iu,
+            Some(inc) => {
+                let edge_parent: Vec<usize> = inc
+                    .offsets
+                    .windows(2)
+                    .enumerate()
+                    .flat_map(|(r, p)| std::iter::repeat_n(r, p[1] - p[0]))
+                    .collect();
+                let fx = wxb.slice_cols(3 * HD, HD).index_rows(edge_parent);
+                let f = fx.add(inc.ufh).sigmoid();
+                tape.segment_sum_init(iu, f.mul(inc.ck), Arc::clone(&inc.offsets))
+            }
+        };
+        (o.mul(c.tanh()), c)
+    }
+
+    /// No incoming state; a level mixing nodes with no, one and several
+    /// edges; one edge per node.
+    const CELL_LEVELS: [&[usize]; 3] = [&[0, 0, 0, 0], &[0, 2, 2, 5, 6], &[0, 1, 2]];
+
+    #[test]
+    fn child_sum_cell_matches_the_composed_chain_to_the_bit() {
+        let bits =
+            |v: Var<'_>| -> Vec<u32> { v.value().as_slice().iter().map(|x| x.to_bits()).collect() };
+        for offsets in CELL_LEVELS {
+            let leaves = cell_leaves(offsets, HD);
+            for sigmoid_candidate in [false, true] {
+                let what = format!("offsets {offsets:?}, σ candidate {sigmoid_candidate}");
+                let oracle = Tape::new();
+                let vars: Vec<Var<'_>> = std::iter::once(&leaves.wxb)
+                    .chain(leaves.incoming.iter().flatten())
+                    .map(|t| oracle.leaf(t.clone()))
+                    .collect();
+                let incoming = incoming_of(&vars, &leaves.offsets);
+                let (h, c) = composed_cell(&oracle, vars[0], incoming.as_ref(), sigmoid_candidate);
+                for tape in [Tape::new(), Tape::inference()] {
+                    let vars: Vec<Var<'_>> = std::iter::once(&leaves.wxb)
+                        .chain(leaves.incoming.iter().flatten())
+                        .map(|t| tape.leaf(t.clone()))
+                        .collect();
+                    let incoming = incoming_of(&vars, &leaves.offsets);
+                    let (fh, fc) = tape.child_sum_cell(vars[0], incoming, sigmoid_candidate);
+                    assert_eq!(bits(fh), bits(h), "h, {what}");
+                    assert_eq!(bits(fc), bits(c), "c, {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn child_sum_cell_backward_matches_the_composed_chain() {
+        // Losses reading both outputs, only `h` and only `c` (whose
+        // visit then runs the backward), with `c` weighted apart from `h`.
+        type Loss = for<'t> fn(Var<'t>, Var<'t>, Var<'t>) -> Var<'t>;
+        let losses: [(&str, Loss); 3] = [
+            ("h and c", |h, c, w| h.mul(w).sum().add(c.tanh().sum())),
+            ("h only", |h, _, w| h.mul(w).sum()),
+            ("c only", |_, c, w| c.mul(w).sum()),
+        ];
+        for offsets in CELL_LEVELS {
+            let leaves = cell_leaves(offsets, HD);
+            let weight =
+                Tensor::from_vec(spread((offsets.len() - 1) * HD, 6), [offsets.len() - 1, HD]);
+            for sigmoid_candidate in [false, true] {
+                for (name, loss) in losses {
+                    let grads = |fused: bool| -> Vec<Tensor> {
+                        let tape = Tape::new();
+                        let vars: Vec<Var<'_>> = std::iter::once(&leaves.wxb)
+                            .chain(leaves.incoming.iter().flatten())
+                            .map(|t| tape.leaf(t.clone()))
+                            .collect();
+                        let incoming = incoming_of(&vars, &leaves.offsets);
+                        let (h, c) = if fused {
+                            tape.child_sum_cell(vars[0], incoming, sigmoid_candidate)
+                        } else {
+                            composed_cell(&tape, vars[0], incoming.as_ref(), sigmoid_candidate)
+                        };
+                        let g = tape.backward(loss(h, c, tape.leaf(weight.clone())));
+                        vars.iter().map(|&v| g.get_or_zeros(v)).collect()
+                    };
+                    let (fused, composed) = (grads(true), grads(false));
+                    for (k, (f, c)) in fused.iter().zip(&composed).enumerate() {
+                        let diff = f.max_abs_diff(c);
+                        assert!(
+                            diff <= 1e-6,
+                            "operand {k}, {name}, offsets {offsets:?}, σ candidate \
+                             {sigmoid_candidate}: off by {diff:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn child_sum_cell_passes_grad_check_with_and_without_edges() {
+        for offsets in [&[0usize, 0, 0][..], &[0, 2, 2, 3]] {
+            // Narrow, so the loss stays small enough for f32 finite
+            // differences to resolve every coordinate's gradient.
+            let hd = 3;
+            let leaves = cell_leaves(offsets, hd);
+            let w = offsets.len() - 1;
+            let inputs: Vec<Tensor> = std::iter::once(leaves.wxb.clone())
+                .chain(leaves.incoming.iter().flatten().cloned())
+                .collect();
+            let weight = Tensor::from_vec(spread(w * hd, 7), [w, hd]);
+            let report = crate::grad_check(&inputs, 1e-2, |tape, vars| {
+                let incoming = incoming_of(vars, &leaves.offsets);
+                let (h, c) = tape.child_sum_cell(vars[0], incoming, false);
+                let w = tape.leaf(weight.clone());
+                crate::TapeScalar(h.mul(w).sum().add(c.tanh().sum()))
+            });
+            assert!(
+                report.passes(1e-2),
+                "child_sum_cell gradient check failed at {offsets:?}: {report:?}"
+            );
+        }
     }
 
     #[test]
