@@ -8,10 +8,11 @@
 //!
 //! Gradients are accumulated data-parallel across CPU threads (see
 //! [`ccsa_nn::parallel`]) and applied with Adam + global-norm clipping.
-//! Results are deterministic for a fixed seed and thread-stable because
-//! shard gradients are summed before the optimizer step. A one-tape-
-//! per-pair forward lives in this module's tests as the oracle: loss and
-//! every gradient agree with it to ≤ 1e-5.
+//! Results are deterministic for a fixed seed and thread count: shard
+//! gradients are summed before the optimizer step, but each shard's
+//! backward sums its own rows, so the bits depend on how many shards
+//! there are. A one-tape-per-pair forward lives in this module's tests
+//! as the oracle: loss and every gradient agree with it to ≤ 1e-5.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -592,17 +592,19 @@ impl TreeLstmEncoder {
             let xl = x.index_rows(sel.clone());
 
             // One matmul per projection for all four gates — the fused
-            // `[width, d] · [d, 4h]` input projection (+ bias) here, the
+            // `[width, d] · [d, 4h]` input projection here, the
             // `[width, h] · [h, 3h]` i/o/u and `[E, h] · [h, h]` forget
-            // projections above — then one op for the cell's gate
-            // algebra. Per element it runs the per-gate arithmetic of the
-            // sequential cell, so the two agree bit for bit.
-            let wxb = xl
-                .matmul_nt(ctx.param(&cell.w))
-                .add_row_broadcast(ctx.param(&cell.b));
-            let (h_l, c_l) = ctx
-                .tape
-                .child_sum_cell(wxb, incoming, self.config.sigmoid_candidate);
+            // projections above — then one op for the bias and the
+            // cell's gate algebra. Per element it runs the per-gate
+            // arithmetic of the sequential cell, so the two agree bit for
+            // bit.
+            let wx = xl.matmul_nt(ctx.param(&cell.w));
+            let (h_l, c_l) = ctx.tape.child_sum_cell(
+                wx,
+                ctx.param(&cell.b),
+                incoming,
+                self.config.sigmoid_candidate,
+            );
             ctx.tape.release_since(level_from, &[h_l, c_l]);
 
             done += width;

@@ -18,6 +18,11 @@
 //!   column tail), selected when the host also has AVX-512F. `matvec`
 //!   and `seg_accum` are the AVX2 backend's functions.
 //!
+//! Each backend has **one** matmul body, generic over `A`'s two strides:
+//! `matmul` (`A·B`) reads `A` `[m, k]` at `(k, 1)`, `matmul_tn` (`Aᵀ·B`)
+//! reads `A` stored `[k, m]` at `(1, m)`, so the training backward's
+//! weight gradients `Gᵀ·A` never materialise `Gᵀ`.
+//!
 //! No nightly features, no new dependencies.
 //!
 //! # Numerical contract
@@ -31,7 +36,8 @@
 //!   from the pre-dispatch kernel, still the portable reference;
 //! * avx2, avx512: `acc ← fma(a, b, acc)` (one rounding per term),
 //!   whether the element was computed in a lane of a full or masked
-//!   matmul tile of either width or in matvec's scalar chain —
+//!   matmul tile of either width, by `matmul` or `matmul_tn`, or in
+//!   matvec's scalar chain —
 //!   `f32::mul_add` guarantees fused semantics, so vector lanes and
 //!   scalar chains agree bit-for-bit, and **`avx512 ≡ avx2` bit for
 //!   bit** on every shape.
@@ -94,7 +100,9 @@ impl fmt::Display for KernelBackend {
     }
 }
 
-/// `out[i*n+j] = Σ_k a[i*k+kk]·b[kk*n+j]`; `out` arrives zeroed.
+/// `out[i*n+j] = Σ_k a[i*k+kk]·b[kk*n+j]` (`matmul`), or
+/// `Σ_k a[kk*m+i]·b[kk*n+j]` for `a` stored `[k, m]` (`matmul_tn`);
+/// `out` arrives zeroed.
 pub type MatmulFn = fn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
 /// `out[i] = Σ_k a[i*k+kk]·x[kk]`; `out` arrives zeroed.
 pub type MatvecFn = fn(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize);
@@ -110,8 +118,12 @@ pub type ActivationFn = fn(src: &[f32], dst: &mut [f32]);
 pub struct Kernels {
     /// The backend these pointers implement.
     pub backend: KernelBackend,
-    /// Matrix–matrix product kernel.
+    /// Matrix–matrix product kernel, `A·B`.
     pub matmul: MatmulFn,
+    /// Transposed-left product kernel, `Aᵀ·B` for `a` stored `[k, m]`:
+    /// per element the k-ascending chain of `matmul` on a materialised
+    /// `Aᵀ`, so the two agree bit for bit.
+    pub matmul_tn: MatmulFn,
     /// Matrix–vector product kernel.
     pub matvec: MatvecFn,
     /// Row-accumulation kernel (`dst += src`).
@@ -125,6 +137,7 @@ pub struct Kernels {
 static SCALAR: Kernels = Kernels {
     backend: KernelBackend::Scalar,
     matmul: scalar_matmul,
+    matmul_tn: scalar_matmul_tn,
     matvec: scalar_matvec,
     seg_accum: scalar_seg_accum,
     sigmoid: sigmoid_body,
@@ -135,6 +148,7 @@ static SCALAR: Kernels = Kernels {
 static AVX2: Kernels = Kernels {
     backend: KernelBackend::Avx2,
     matmul: avx2::matmul,
+    matmul_tn: avx2::matmul_tn,
     matvec: avx2::matvec,
     seg_accum: avx2::seg_accum,
     sigmoid: avx2::sigmoid,
@@ -145,6 +159,7 @@ static AVX2: Kernels = Kernels {
 static AVX512: Kernels = Kernels {
     backend: KernelBackend::Avx512,
     matmul: avx512::matmul,
+    matmul_tn: avx512::matmul_tn,
     matvec: avx2::matvec,
     seg_accum: avx2::seg_accum,
     sigmoid: avx512::sigmoid,
@@ -263,24 +278,45 @@ pub fn active() -> &'static Kernels {
 // Scalar backend: the blocked, IEEE-strict reference kernels.
 // ---------------------------------------------------------------------------
 
-/// Blocked i-k-j kernel: output rows are processed in chunks of four so
+/// `A·B`: [`scalar_strided`] reading `a` `[m, k]` along its rows.
+fn scalar_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    scalar_strided(a, (k, 1), b, out, m, k, n);
+}
+
+/// `Aᵀ·B`: [`scalar_strided`] reading `a` stored `[k, m]` down its
+/// columns.
+fn scalar_matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    scalar_strided(a, (1, m), b, out, m, k, n);
+}
+
+/// Blocked i-k-j kernel over `A`'s element `(i, kk)` at `i·rs + kk·ks`
+/// (`sa = (rs, ks)`): output rows are processed in chunks of four so
 /// every streamed `b` row is reused by four accumulator rows while it
 /// is hot, and the j loop is 4-unrolled to keep independent multiply
 /// chains in flight. Accumulation over k stays ascending per output
 /// element, so results are bit-identical to [`scalar_matvec`]'s dot
-/// products — and there is deliberately no zero-skip: `0 · NaN` and
-/// `0 · ∞` must produce NaN (IEEE-754), not silently vanish.
-fn scalar_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// products whatever the strides — and there is deliberately no
+/// zero-skip: `0 · NaN` and `0 · ∞` must produce NaN (IEEE-754), not
+/// silently vanish.
+fn scalar_strided(
+    a: &[f32],
+    (rs, ks): (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let mut i = 0;
     while i + 4 <= m {
         let (r01, r23) = out[i * n..(i + 4) * n].split_at_mut(2 * n);
         let (r0, r1) = r01.split_at_mut(n);
         let (r2, r3) = r23.split_at_mut(n);
         for kk in 0..k {
-            let a0 = a[i * k + kk];
-            let a1 = a[(i + 1) * k + kk];
-            let a2 = a[(i + 2) * k + kk];
-            let a3 = a[(i + 3) * k + kk];
+            let a0 = a[i * rs + kk * ks];
+            let a1 = a[(i + 1) * rs + kk * ks];
+            let a2 = a[(i + 2) * rs + kk * ks];
+            let a3 = a[(i + 3) * rs + kk * ks];
             let brow = &b[kk * n..(kk + 1) * n];
             let mut j = 0;
             while j + 4 <= n {
@@ -316,17 +352,16 @@ fn scalar_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
     }
     // Remainder rows (m not a multiple of 4): single-row unrolled axpy.
     while i < m {
-        let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[i * n..(i + 1) * n];
-        for (kk, &aik) in arow.iter().enumerate() {
-            axpy_unrolled(orow, aik, &b[kk * n..(kk + 1) * n]);
+        for kk in 0..k {
+            axpy_unrolled(orow, a[i * rs + kk * ks], &b[kk * n..(kk + 1) * n]);
         }
         i += 1;
     }
 }
 
 /// `dst[j] += a * src[j]`, 4-unrolled over column chunks (remainder
-/// handled elementwise). The k-ascending call order in [`scalar_matmul`]
+/// handled elementwise). The k-ascending call order in [`scalar_strided`]
 /// keeps per-element accumulation identical to [`scalar_matvec`].
 #[inline(always)]
 fn axpy_unrolled(dst: &mut [f32], a: f32, src: &[f32]) {
@@ -344,7 +379,7 @@ fn axpy_unrolled(dst: &mut [f32], a: f32, src: &[f32]) {
 }
 
 /// Per-row k-ascending dot products — the same accumulation order and
-/// rounding (`mul` then `add`) as [`scalar_matmul`], hence bit-equal.
+/// rounding (`mul` then `add`) as [`scalar_strided`], hence bit-equal.
 fn scalar_matvec(a: &[f32], x: &[f32], out: &mut [f32], _m: usize, k: usize) {
     if k == 0 {
         return;
@@ -448,6 +483,23 @@ mod avx2 {
     // target-feature contract of the inner functions is always met.
 
     pub(super) fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        strided(a, (k, 1), b, out, m, k, n);
+    }
+
+    pub(super) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        strided(a, (1, m), b, out, m, k, n);
+    }
+
+    /// Both matmul entries: `a`'s element `(i, kk)` at `i·rs + kk·ks`.
+    fn strided(
+        a: &[f32],
+        sa: (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         debug_assert!(super::avx2_supported());
         // The tiles below index through raw pointers; `MatmulFn` is a
         // safe signature, so the extents are checked here, once per call.
@@ -456,8 +508,9 @@ mod avx2 {
             "matmul slices shorter than [{m},{k}]·[{k},{n}]"
         );
         // SAFETY: this table entry is only installed after runtime
-        // avx2+fma detection, and the slices cover m×k, k×n and m×n.
-        unsafe { matmul_fma(a, b, out, m, k, n) }
+        // avx2+fma detection; the slices cover m×k, k×n and m×n, and
+        // both callers' strides keep every (i, kk) inside a's m·k.
+        unsafe { matmul_fma(a, sa, b, out, m, k, n) }
     }
 
     pub(super) fn matvec(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
@@ -502,39 +555,51 @@ mod avx2 {
     /// last `m % 4` rows run together as one block whose tiles widen as
     /// the rows thin out (3×16, 2×32, 1×64), so a one-row level still
     /// keeps eight independent accumulator chains in flight instead of
-    /// waiting out the FMA latency on one. Every output element — full
-    /// tile, 8-wide tile or masked column tail — is a k-ascending
-    /// single-rounding FMA chain from zero, so the whole matrix agrees
-    /// bit-for-bit with [`matvec_fma`] and with a naive `f32::mul_add`
-    /// triple loop, whatever `m` and `n` are.
+    /// waiting out the FMA latency on one. `A` is read at the strides
+    /// `sa = (rs, ks)`, so `A·B` and `Aᵀ·B` run the same tiles. Every
+    /// output element — full tile or masked column tail — is a
+    /// k-ascending single-rounding FMA chain from zero, so the whole
+    /// matrix agrees bit-for-bit with [`matvec_fma`] and with a naive
+    /// `f32::mul_add` triple loop, whatever `m`, `n` and the strides are.
     ///
-    /// SAFETY contract: caller verified avx2+fma at runtime and sized
-    /// the slices as `a: m×k`, `b: k×n`, `out: m×n` (the safe shim
-    /// above is the only caller and asserts both).
+    /// SAFETY contract: caller verified avx2+fma at runtime, sized
+    /// `b: k×n` and `out: m×n`, and chose strides that keep every
+    /// `i·rs + kk·ks` (i < m, kk < k) inside `a` (the safe shim above is
+    /// the only caller).
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn matmul_fma(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    unsafe fn matmul_fma(
+        a: &[f32],
+        sa: (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         let mut i = 0;
         while i + 4 <= m {
             // SAFETY: rows i..i+4 lie inside a's and out's m rows.
-            unsafe { row_block::<4, 2>(ap.add(i * k), bp, op.add(i * n), k, n) };
+            unsafe { row_block::<4, 2>(ap.add(i * sa.0), sa, bp, op.add(i * n), k, n) };
             i += 4;
         }
         // SAFETY: rows i..m are the last m - i rows of a and out, and the
         // arm taken has exactly that many rows.
         unsafe {
-            let (ar, or) = (ap.add(i * k), op.add(i * n));
+            let (ar, or) = (ap.add(i * sa.0), op.add(i * n));
             match m - i {
-                3 => row_block::<3, 2>(ar, bp, or, k, n),
-                2 => row_block::<2, 4>(ar, bp, or, k, n),
-                1 => row_block::<1, 8>(ar, bp, or, k, n),
+                3 => row_block::<3, 2>(ar, sa, bp, or, k, n),
+                2 => row_block::<2, 4>(ar, sa, bp, or, k, n),
+                1 => row_block::<1, 8>(ar, sa, bp, or, k, n),
                 _ => {}
             }
         }
     }
 
-    /// `R` output rows: `8·V`-column tiles, then 8-column tiles, then
-    /// one masked tile for the `n % 8` column tail.
+    /// `R` output rows: `8·V`-column tiles, then the `n % 8V` columns
+    /// left as one tile `⌈rem/8⌉` vectors wide whose last vector is
+    /// masked — as many accumulator chains in flight as the row block's
+    /// full tiles keep, where 8-column tiles kept `R`.
     ///
     /// Kept out of line: one call per row block costs nothing beside the
     /// block's k·n FMAs, and the four instantiations inlined into
@@ -542,11 +607,13 @@ mod avx2 {
     /// `warm_http` — which never calls it — by 8 %.
     ///
     /// SAFETY contract: avx2+fma verified; `ap` points at `R` rows of
-    /// `k` floats, `bp` at `k` rows of `n`, `op` at `R` rows of `n`.
+    /// `A` at strides `sa` over `k`, `bp` at `k` rows of `n`, `op` at `R`
+    /// rows of `n`.
     #[inline(never)]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn row_block<const R: usize, const V: usize>(
         ap: *const f32,
+        sa: (usize, usize),
         bp: *const f32,
         op: *mut f32,
         k: usize,
@@ -555,18 +622,30 @@ mod avx2 {
         let mut j = 0;
         while j + 8 * V <= n {
             // SAFETY: columns j..j+8V lie inside the n columns.
-            unsafe { tile::<R, V, false>(ap, bp.add(j), op.add(j), k, n, 8) };
+            unsafe { tile::<R, V, false>(ap, sa, bp.add(j), op.add(j), k, n, 8) };
             j += 8 * V;
         }
-        while j + 8 <= n {
-            // SAFETY: columns j..j+8 lie inside the n columns.
-            unsafe { tile::<R, 1, false>(ap, bp.add(j), op.add(j), k, n, 8) };
-            j += 8;
-        }
-        if j < n {
-            // SAFETY: the tile touches only its first n - j (< 8)
-            // columns, j..n.
-            unsafe { tile::<R, 1, true>(ap, bp.add(j), op.add(j), k, n, n - j) };
+        let rem = n - j;
+        // The last vector's lanes, 1..=8 (unused when rem = 0).
+        let last = (rem + 7) % 8 + 1;
+        // SAFETY: the tail tile touches columns j..n only: its vectors
+        // before the last are whole, the last has `last` lanes, and
+        // 8·(vectors − 1) + last = rem. An arm wider than `V` vectors is
+        // never taken (rem < 8V), and its guard removes it at compile time.
+        unsafe {
+            let (bt, ot) = (bp.add(j), op.add(j));
+            match rem.div_ceil(8) {
+                0 => {}
+                1 => tile::<R, 1, true>(ap, sa, bt, ot, k, n, last),
+                2 if V >= 2 => tile::<R, 2, true>(ap, sa, bt, ot, k, n, last),
+                3 if V >= 3 => tile::<R, 3, true>(ap, sa, bt, ot, k, n, last),
+                4 if V >= 4 => tile::<R, 4, true>(ap, sa, bt, ot, k, n, last),
+                5 if V >= 5 => tile::<R, 5, true>(ap, sa, bt, ot, k, n, last),
+                6 if V >= 6 => tile::<R, 6, true>(ap, sa, bt, ot, k, n, last),
+                7 if V >= 7 => tile::<R, 7, true>(ap, sa, bt, ot, k, n, last),
+                8 if V >= 8 => tile::<R, 8, true>(ap, sa, bt, ot, k, n, last),
+                _ => unreachable!("a column tail of {rem} behind {}-wide tiles", 8 * V),
+            }
         }
     }
 
@@ -576,19 +655,21 @@ mod avx2 {
 
     /// One `R × 8V` register tile: `R·V` ymm accumulators live across
     /// the whole k loop, `V` loads of `b` and one broadcast of `a` per
-    /// (k, row). A `TAIL` tile's last vector covers only its first
-    /// `last` (< 8) lanes; masked-off lanes are neither read nor
-    /// written, which is how the `n % 8` column tail stays a vector FMA
-    /// chain. Other tiles ignore `last`.
+    /// (k, row), `a`'s element `(r, kk)` at `r·rs + kk·ks`. A `TAIL`
+    /// tile's last vector covers only its first `last` (≤ 8) lanes;
+    /// masked-off lanes are neither read nor written, which is how the
+    /// `n % 8` column tail stays a vector FMA chain. Other tiles ignore
+    /// `last`.
     ///
     /// SAFETY contract: avx2+fma verified; `ap` points at `R` rows of
-    /// `k` floats; `bp` (`op`) at `k` (`R`) rows of stride `n` whose
-    /// first `8·V` floats — `8·(V−1) + last` for a `TAIL` tile — are
-    /// readable (writable).
+    /// `A` at strides `sa` over `k`; `bp` (`op`) at `k` (`R`) rows of
+    /// stride `n` whose first `8·V` floats — `8·(V−1) + last` for a
+    /// `TAIL` tile — are readable (writable).
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn tile<const R: usize, const V: usize, const TAIL: bool>(
         ap: *const f32,
+        (rs, ks): (usize, usize),
         bp: *const f32,
         op: *mut f32,
         k: usize,
@@ -613,8 +694,8 @@ mod avx2 {
                 };
             }
             for (r, accr) in acc.iter_mut().enumerate() {
-                // SAFETY: r < R rows of k floats, kk < k.
-                let av = unsafe { _mm256_set1_ps(*ap.add(r * k + kk)) };
+                // SAFETY: r < R rows and kk < k lie inside `A`.
+                let av = unsafe { _mm256_set1_ps(*ap.add(r * rs + kk * ks)) };
                 for (accv, bvv) in accr.iter_mut().zip(&bv) {
                     *accv = _mm256_fmadd_ps(av, *bvv, *accv);
                 }
@@ -712,6 +793,23 @@ mod avx512 {
     // contract of the inner functions is always met.
 
     pub(super) fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        strided(a, (k, 1), b, out, m, k, n);
+    }
+
+    pub(super) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        strided(a, (1, m), b, out, m, k, n);
+    }
+
+    /// Both matmul entries: `a`'s element `(i, kk)` at `i·rs + kk·ks`.
+    fn strided(
+        a: &[f32],
+        sa: (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         debug_assert!(super::avx512_supported());
         // The tiles below index through raw pointers; `MatmulFn` is a
         // safe signature, so the extents are checked here, once per call.
@@ -720,8 +818,9 @@ mod avx512 {
             "matmul slices shorter than [{m},{k}]·[{k},{n}]"
         );
         // SAFETY: this table entry is only installed after runtime
-        // avx512f detection, and the slices cover m×k, k×n and m×n.
-        unsafe { matmul_512(a, b, out, m, k, n) }
+        // avx512f detection; the slices cover m×k, k×n and m×n, and
+        // both callers' strides keep every (i, kk) inside a's m·k.
+        unsafe { matmul_512(a, sa, b, out, m, k, n) }
     }
 
     pub(super) fn sigmoid(src: &[f32], dst: &mut [f32]) {
@@ -753,52 +852,69 @@ mod avx512 {
     /// 6-row blocks run 6×64 tiles; the last `m % 6` rows run together
     /// as one block whose tiles widen as the rows thin out (5×64, 4×96,
     /// 3×96, 2×128, 1×128 — the widest that measured faster on
-    /// `[m,120]·[120,400]`; 3×128 and 2×192 spill). Every output
-    /// element — full tile, 16-wide tile or masked column tail — is a
+    /// `[m,120]·[120,400]`; 3×128 and 2×192 spill). `A` is read at the
+    /// strides `sa = (rs, ks)`, so `A·B` and `Aᵀ·B` run the same tiles.
+    /// Every output element — full tile or masked column tail — is a
     /// k-ascending single-rounding FMA chain from zero, exactly the
     /// chain the AVX2 tiles and `matvec_fma` compute, so this backend
-    /// agrees with `avx2` bit for bit whatever `m` and `n` are.
+    /// agrees with `avx2` bit for bit whatever `m`, `n` and the strides
+    /// are.
     ///
-    /// SAFETY contract: caller verified avx512f at runtime and sized
-    /// the slices as `a: m×k`, `b: k×n`, `out: m×n` (the safe shim
-    /// above is the only caller and asserts both).
+    /// SAFETY contract: caller verified avx512f at runtime, sized
+    /// `b: k×n` and `out: m×n`, and chose strides that keep every
+    /// `i·rs + kk·ks` (i < m, kk < k) inside `a` (the safe shim above is
+    /// the only caller).
     #[target_feature(enable = "avx512f")]
-    unsafe fn matmul_512(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    unsafe fn matmul_512(
+        a: &[f32],
+        sa: (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         let mut i = 0;
         while i + 6 <= m {
             // SAFETY: rows i..i+6 lie inside a's and out's m rows.
-            unsafe { row_block::<6, 4>(ap.add(i * k), bp, op.add(i * n), k, n) };
+            unsafe { row_block::<6, 4>(ap.add(i * sa.0), sa, bp, op.add(i * n), k, n) };
             i += 6;
         }
         // SAFETY: rows i..m are the last m - i rows of a and out, and the
         // arm taken has exactly that many rows.
         unsafe {
-            let (ar, or) = (ap.add(i * k), op.add(i * n));
+            let (ar, or) = (ap.add(i * sa.0), op.add(i * n));
             match m - i {
-                5 => row_block::<5, 4>(ar, bp, or, k, n),
-                4 => row_block::<4, 6>(ar, bp, or, k, n),
-                3 => row_block::<3, 6>(ar, bp, or, k, n),
-                2 => row_block::<2, 8>(ar, bp, or, k, n),
-                1 => row_block::<1, 8>(ar, bp, or, k, n),
+                5 => row_block::<5, 4>(ar, sa, bp, or, k, n),
+                4 => row_block::<4, 6>(ar, sa, bp, or, k, n),
+                3 => row_block::<3, 6>(ar, sa, bp, or, k, n),
+                2 => row_block::<2, 8>(ar, sa, bp, or, k, n),
+                1 => row_block::<1, 8>(ar, sa, bp, or, k, n),
                 _ => {}
             }
         }
     }
 
-    /// `R` output rows: `16·V`-column tiles, then 16-column tiles, then
-    /// one masked tile for the `n % 16` column tail.
+    /// `R` output rows: `16·V`-column tiles, then the `n % 16V` columns
+    /// left as one tile `⌈rem/16⌉` vectors wide whose last vector is
+    /// masked. As 16-column tiles, such a tail kept only `R` accumulator
+    /// chains in flight, below the FMA latency, and the paper-width
+    /// tails (`n` = 100, 120, 300) ran at two thirds of the wide tiles'
+    /// speed.
     ///
     /// Kept out of line for the reason the AVX2 `row_block` is: inlined,
     /// the six instantiations make one function whose placement alone
     /// moves `warm_http`, which never calls it.
     ///
     /// SAFETY contract: avx512f verified; `ap` points at `R` rows of
-    /// `k` floats, `bp` at `k` rows of `n`, `op` at `R` rows of `n`.
+    /// `A` at strides `sa` over `k`, `bp` at `k` rows of `n`, `op` at `R`
+    /// rows of `n`.
     #[inline(never)]
     #[target_feature(enable = "avx512f")]
     unsafe fn row_block<const R: usize, const V: usize>(
         ap: *const f32,
+        sa: (usize, usize),
         bp: *const f32,
         op: *mut f32,
         k: usize,
@@ -807,35 +923,50 @@ mod avx512 {
         let mut j = 0;
         while j + 16 * V <= n {
             // SAFETY: columns j..j+16V lie inside the n columns.
-            unsafe { tile::<R, V, false>(ap, bp.add(j), op.add(j), k, n, 16) };
+            unsafe { tile::<R, V, false>(ap, sa, bp.add(j), op.add(j), k, n, 16) };
             j += 16 * V;
         }
-        while j + 16 <= n {
-            // SAFETY: columns j..j+16 lie inside the n columns.
-            unsafe { tile::<R, 1, false>(ap, bp.add(j), op.add(j), k, n, 16) };
-            j += 16;
-        }
-        if j < n {
-            // SAFETY: the tile touches only its first n - j (< 16)
-            // columns, j..n.
-            unsafe { tile::<R, 1, true>(ap, bp.add(j), op.add(j), k, n, n - j) };
+        let rem = n - j;
+        // The last vector's lanes, 1..=16 (unused when rem = 0).
+        let last = (rem + 15) % 16 + 1;
+        // SAFETY: the tail tile touches columns j..n only: its vectors
+        // before the last are whole, the last has `last` lanes, and
+        // 16·(vectors − 1) + last = rem. An arm wider than `V` vectors is
+        // never taken (rem < 16V), and its guard removes it at compile
+        // time.
+        unsafe {
+            let (bt, ot) = (bp.add(j), op.add(j));
+            match rem.div_ceil(16) {
+                0 => {}
+                1 => tile::<R, 1, true>(ap, sa, bt, ot, k, n, last),
+                2 if V >= 2 => tile::<R, 2, true>(ap, sa, bt, ot, k, n, last),
+                3 if V >= 3 => tile::<R, 3, true>(ap, sa, bt, ot, k, n, last),
+                4 if V >= 4 => tile::<R, 4, true>(ap, sa, bt, ot, k, n, last),
+                5 if V >= 5 => tile::<R, 5, true>(ap, sa, bt, ot, k, n, last),
+                6 if V >= 6 => tile::<R, 6, true>(ap, sa, bt, ot, k, n, last),
+                7 if V >= 7 => tile::<R, 7, true>(ap, sa, bt, ot, k, n, last),
+                8 if V >= 8 => tile::<R, 8, true>(ap, sa, bt, ot, k, n, last),
+                _ => unreachable!("a column tail of {rem} behind {}-wide tiles", 16 * V),
+            }
         }
     }
 
     /// One `R × 16V` register tile: `R·V` zmm accumulators live across
     /// the whole k loop, `V` loads of `b` and one broadcast of `a` per
-    /// (k, row). A `TAIL` tile's last vector covers only its first
-    /// `last` (< 16) lanes; masked-off lanes are neither read nor
-    /// written. Other tiles ignore `last`.
+    /// (k, row), `a`'s element `(r, kk)` at `r·rs + kk·ks`. A `TAIL`
+    /// tile's last vector covers only its first `last` (≤ 16) lanes;
+    /// masked-off lanes are neither read nor written. Other tiles ignore
+    /// `last`.
     ///
     /// SAFETY contract: avx512f verified; `ap` points at `R` rows of
-    /// `k` floats; `bp` (`op`) at `k` (`R`) rows of stride `n` whose
-    /// first `16·V` floats — `16·(V−1) + last` for a `TAIL` tile — are
-    /// readable (writable).
+    /// `A` at strides `sa` over `k`; `bp` (`op`) at `k` (`R`) rows of
+    /// stride `n` whose first `16·V` floats — `16·(V−1) + last` for a
+    /// `TAIL` tile — are readable (writable).
     #[inline]
     #[target_feature(enable = "avx512f")]
     unsafe fn tile<const R: usize, const V: usize, const TAIL: bool>(
         ap: *const f32,
+        (rs, ks): (usize, usize),
         bp: *const f32,
         op: *mut f32,
         k: usize,
@@ -858,8 +989,8 @@ mod avx512 {
                 };
             }
             for (r, accr) in acc.iter_mut().enumerate() {
-                // SAFETY: r < R rows of k floats, kk < k.
-                let av = unsafe { _mm512_set1_ps(*ap.add(r * k + kk)) };
+                // SAFETY: r < R rows and kk < k lie inside `A`.
+                let av = unsafe { _mm512_set1_ps(*ap.add(r * rs + kk * ks)) };
                 for (accv, bvv) in accr.iter_mut().zip(&bv) {
                     *accv = _mm512_fmadd_ps(av, *bvv, *accv);
                 }
@@ -896,9 +1027,11 @@ mod tests {
     }
 
     /// Shapes covering every kernel path: 4-row blocks and 1/2/3
-    /// remainder rows, wide, 8-wide and masked column tiles. The second
+    /// remainder rows, wide tiles and masked column tails. The second
     /// group is the encoder's own products at paper width (input, i/o/u
-    /// and forget projections; full, 3-row and 1-row levels); the third
+    /// and forget projections; full, 3-row and 1-row levels) and the
+    /// training backward's `dA = G·B` for the input and i/o/u weights,
+    /// whose tails (`n % 64` = 56 and 36) span several vectors; the third
     /// has one shape per tail width `n % 8 = 1..=7` behind at least one
     /// full tile, on 4-row blocks and on each remainder-row count.
     const SHAPES: &[(usize, usize, usize)] = &[
@@ -918,6 +1051,8 @@ mod tests {
         (26, 100, 100),
         (3, 100, 300),
         (1, 100, 100),
+        (27, 400, 120),
+        (27, 300, 100),
         (5, 9, 17),
         (6, 9, 18),
         (7, 9, 35),
@@ -995,6 +1130,41 @@ mod tests {
         }
     }
 
+    /// `a` stored `[k, m]` (`m` rows after transposing) as `[m, k]`.
+    fn transposed(a: &[f32], k: usize, m: usize) -> Vec<f32> {
+        (0..m * k).map(|x| a[(x % k) * m + x / k]).collect()
+    }
+
+    /// `kern.matmul_tn` against `oracle.matmul` on the transposed `a`,
+    /// to the bit, for `(m, k, n)` with `a` stored `[k, m]`.
+    fn assert_tn_is_transpose_then_matmul(
+        kern: &Kernels,
+        oracle: &Kernels,
+        (m, k, n): (usize, usize, usize),
+    ) {
+        let a = fill(k * m, 37, 17, 8.0, 0.37);
+        let b = fill(k * n, 23, 13, 6.0, 0.59);
+        let mut tn = vec![0.0f32; m * n];
+        let mut nn = vec![0.0f32; m * n];
+        (kern.matmul_tn)(&a, &b, &mut tn, m, k, n);
+        (oracle.matmul)(&transposed(&a, k, m), &b, &mut nn, m, k, n);
+        let what = format!("{} tn vs {} ({m},{k},{n})", kern.backend, oracle.backend);
+        assert_eq!(bits(&tn), bits(&nn), "{what}");
+    }
+
+    #[test]
+    fn matmul_tn_matches_transpose_then_matmul_bitwise() {
+        // The training backward's weight gradients `Gᵀ·A` (input, i/o/u
+        // and forget weights at paper width), then `k` = 0 and 1.
+        let backward = [(400, 27, 120), (300, 27, 100), (100, 40, 100)];
+        let thin = [(3, 0, 5), (7, 0, 1), (5, 1, 17), (13, 1, 100)];
+        for kern in backends() {
+            for &shape in SHAPES.iter().chain(&backward).chain(&thin) {
+                assert_tn_is_transpose_then_matmul(kern, kern, shape);
+            }
+        }
+    }
+
     #[test]
     fn matvec_matches_matmul_bitwise_per_backend() {
         for kern in backends() {
@@ -1059,6 +1229,22 @@ mod tests {
     }
 
     #[test]
+    fn avx512_matmul_tn_equals_avx2_transpose_then_matmul_bitwise() {
+        let (Some(avx2), Some(avx512)) = (
+            kernels_for(KernelBackend::Avx2),
+            kernels_for(KernelBackend::Avx512),
+        ) else {
+            skip("avx512 tn ≡ avx2 transpose-then-matmul", "AVX-512F");
+            return;
+        };
+        // The grid of `avx512_matmul_equals_avx2_bitwise`.
+        let grid = (1..=13usize).flat_map(|m| (1..=150usize).map(move |n| (m, 9usize, n)));
+        for shape in SHAPES.iter().copied().chain(grid) {
+            assert_tn_is_transpose_then_matmul(avx512, avx2, shape);
+        }
+    }
+
+    #[test]
     fn nan_and_inf_propagate_on_every_backend() {
         // PR 4 regression suite, run against each kernel table: no
         // zero-skip means 0·NaN and 0·∞ must reach the output.
@@ -1074,6 +1260,16 @@ mod tests {
             let mut c = vec![0.0f32; 1];
             (kern.matmul)(&[0.0], &[f32::INFINITY], &mut c, 1, 1, 1);
             assert!(c[0].is_nan(), "{}: 0·∞ must be NaN", kern.backend);
+
+            // `Aᵀ·B` with `a` stored `[2, 2]`: column 0 of `a` is (0, 2).
+            let mut c = vec![0.0f32; 4];
+            (kern.matmul_tn)(&a, &b, &mut c, 2, 2, 2);
+            assert!(c[0].is_nan() && c[2].is_nan(), "{}: tn 0·NaN", kern.backend);
+            assert!(c[1].is_finite() && c[3].is_finite(), "{}", kern.backend);
+            let mut c = vec![0.0f32; 2];
+            (kern.matmul_tn)(&[0.0, 1.0], &[f32::INFINITY], &mut c, 2, 1, 1);
+            assert!(c[0].is_nan(), "{}: tn 0·∞ must be NaN", kern.backend);
+            assert_eq!(c[1], f32::INFINITY, "{}", kern.backend);
             let mut c = vec![0.0f32; 1];
             (kern.matvec)(&[f32::INFINITY], &[0.0], &mut c, 1, 1);
             assert!(c[0].is_nan(), "{}: matvec 0·∞ must be NaN", kern.backend);
@@ -1149,6 +1345,8 @@ mod tests {
             let mut out = vec![0.0f32; 3];
             (kern.matmul)(&[], &[], &mut out, 3, 0, 1);
             assert_eq!(out, [0.0; 3], "{}: k=0 must leave zeros", kern.backend);
+            (kern.matmul_tn)(&[], &[], &mut out, 3, 0, 1);
+            assert_eq!(out, [0.0; 3], "{}: tn k=0 must leave zeros", kern.backend);
             let mut out = vec![0.0f32; 2];
             (kern.matvec)(&[], &[], &mut out, 2, 0);
             assert_eq!(out, [0.0; 2], "{}", kern.backend);

@@ -159,7 +159,8 @@ enum Op {
     /// `A · Bᵀ` (batched linear, weights stored `[out, in]`). The forward
     /// pass multiplies by a materialised `Bᵀ` that the tape transposes
     /// once per distinct `B` buffer (see [`Transposed`]); the backward
-    /// pass needs `B` itself and `Gᵀ`, never `Bᵀ`.
+    /// pass needs `B` itself and reads `G` transposed in place
+    /// ([`Tensor::matmul_tn`]), never `Bᵀ`.
     MatMulNt(usize, usize),
     /// Fused `W·x (+ b)` — the hot path of every LSTM gate.
     Linear {
@@ -229,7 +230,8 @@ struct ChildSumRecord {
     /// The output nodes; `h` was pushed right after `c`.
     c: usize,
     h: usize,
-    wxb: usize,
+    wx: usize,
+    b: usize,
     /// `(uh, ufh, ck)` and the edge offsets, for a level with incoming
     /// state.
     incoming: Option<([usize; 3], Arc<Vec<usize>>)>,
@@ -243,20 +245,22 @@ struct ChildSumRecord {
 }
 
 impl ChildSumRecord {
-    /// The gradients of `wxb` and, on a level with incoming state, of
-    /// `[uh, ufh, ck]`, from those reaching `h` and `c` (either may be
-    /// absent). `ck` is the incoming cells' value.
+    /// The gradients of `wx`, of `b` and, on a level with incoming
+    /// state, of `[uh, ufh, ck]`, from those reaching `h` and `c` (either
+    /// may be absent). `ck` is the incoming cells' value.
     ///
     /// Per node: `dc += dh·o·(1 − t²)`; `d pre_o = dh·t·o·(1 − o)`,
     /// `d pre_i = dc·u·i·(1 − i)`, `d pre_u = dc·i·u'`; per edge, in
     /// order, `d ufh_e = dc·c_e·f_e·(1 − f_e)`, added into the `f` block
-    /// of `d wxb`, and `d c_e = dc·f_e`. `d uh` is `d wxb[:, :3h]`.
+    /// of `d wx`, and `d c_e = dc·f_e`. `d uh` is `d wx[:, :3h]`, and
+    /// `d b` the column sums of `d wx` added row by row from zero — the
+    /// sums [`Var::add_row_broadcast`]'s backward forms.
     fn backward(
         &self,
         dh: Option<&Tensor>,
         dc_out: Option<&Tensor>,
         ck: Option<&Tensor>,
-    ) -> (Tensor, Option<[Tensor; 3]>) {
+    ) -> (Tensor, Tensor, Option<[Tensor; 3]>) {
         let (w, h3) = (self.gates.shape().rows(), self.gates.shape().cols());
         let (hd, edges) = (h3 / 3, self.forget.shape().rows());
         let (h2, h4) = (2 * hd, 4 * hd);
@@ -265,7 +269,7 @@ impl ChildSumRecord {
             self.tanh_c.as_slice(),
             self.forget.as_slice(),
         );
-        let mut dwxb = crate::pool::take_zeroed(w * h4);
+        let mut dwx = crate::pool::take_zeroed(w * h4);
         let mut dc = crate::pool::take_zeroed(hd);
         let (mut dufh, mut dck) = if edges > 0 {
             (
@@ -280,7 +284,7 @@ impl ChildSumRecord {
             let g = &gates[r * h3..(r + 1) * h3];
             let (i, o, u) = (&g[..hd], &g[hd..h2], &g[h2..]);
             let t = &tanh_c[rows.clone()];
-            let dx = &mut dwxb[r * h4..(r + 1) * h4];
+            let dx = &mut dwx[r * h4..(r + 1) * h4];
             match dc_out {
                 Some(d) => dc.copy_from_slice(&d.as_slice()[rows.clone()]),
                 None => dc.fill(0.0),
@@ -329,9 +333,14 @@ impl ChildSumRecord {
             }
         }
         crate::pool::put(dc);
+        let mut db = crate::pool::take_zeroed(h4);
+        let accum = crate::kernels::active().seg_accum;
+        for row in dwx.chunks_exact(h4) {
+            accum(&mut db, row);
+        }
         let dincoming = self.incoming.as_ref().map(|_| {
             let mut duh = crate::pool::take_cap(w * h3);
-            for row in dwxb.chunks_exact(h4) {
+            for row in dwx.chunks_exact(h4) {
                 duh.extend_from_slice(&row[..h3]);
             }
             [
@@ -340,7 +349,11 @@ impl ChildSumRecord {
                 Tensor::from_vec(dck, [edges, hd]),
             ]
         });
-        (Tensor::from_vec(dwxb, [w, h4]), dincoming)
+        (
+            Tensor::from_vec(dwx, [w, h4]),
+            Tensor::from_vec(db, [h4]),
+            dincoming,
+        )
     }
 }
 
@@ -847,42 +860,52 @@ impl Tape {
     /// One level of child-sum tree-LSTM cells (Eq. (4) of the paper) from
     /// its matmul outputs, as one op with outputs `(h, c)`, both `[w, h]`.
     ///
-    /// `wxb` is `W·x + b`, `[w, 4h]` with gate blocks `i | o | u | f`;
-    /// `incoming` is `None` on a level that aggregates nothing (leaves
-    /// going up, roots going down). Per element, in this order:
+    /// `wx` is `W·x`, `[w, 4h]` with gate blocks `i | o | u | f`, and `b`
+    /// the `[4h]` gate bias; `incoming` is `None` on a level that
+    /// aggregates nothing (leaves going up, roots going down). Per
+    /// element, in this order:
     ///
     /// ```text
-    /// pre  = wxb[:, :3h] + uh                 (+ 0.0 without incoming)
+    /// pre  = (wx[:, :3h] + b[:3h]) + uh       (+ 0.0 without incoming)
     /// i, o = σ(pre_i), σ(pre_o);  u = tanh(pre_u), or σ(pre_u) when `sigmoid_candidate`
     /// c    = i·u
-    /// c    = c + σ(wxb_f + ufh_e)·c_e         for each edge e, in order
+    /// c    = c + σ((wx_f + b_f) + ufh_e)·c_e  for each edge e, in order
     /// h    = o·tanh(c)
     /// ```
     ///
-    /// That is the IEEE sequence of the composed ops (`slice_cols`, `add`,
-    /// `sigmoid`, `tanh`, `mul`, `index_rows`, `segment_sum_init`), so
-    /// the values are theirs to the bit, without their per-op buffers.
-    /// On a recording tape the op keeps `i, o, u`, the forget gates and
-    /// `tanh(c)` for its backward.
+    /// That is the IEEE sequence of the composed ops (`add_row_broadcast`,
+    /// `slice_cols`, `add`, `sigmoid`, `tanh`, `mul`, `index_rows`,
+    /// `segment_sum_init`), so the values are theirs to the bit, without
+    /// their per-op buffers. On a recording tape the op keeps `i, o, u`,
+    /// the forget gates and `tanh(c)` for its backward.
     ///
     /// # Panics
     ///
-    /// Panics if `wxb` is not `[w, 4h]`, `uh` not `[w, 3h]`, `ufh` and
-    /// `ck` not both `[E, h]`, or `offsets` not `w + 1` ascending cut
-    /// points ending at `E`.
+    /// Panics if `wx` is not `[w, 4h]`, `b` not `[4h]`, `uh` not
+    /// `[w, 3h]`, `ufh` and `ck` not both `[E, h]`, or `offsets` not
+    /// `w + 1` ascending cut points ending at `E`.
     pub fn child_sum_cell<'t>(
         &'t self,
-        wxb: Var<'t>,
+        wx: Var<'t>,
+        b: Var<'t>,
         incoming: Option<ChildSumIncoming<'t>>,
         sigmoid_candidate: bool,
     ) -> (Var<'t>, Var<'t>) {
-        let wv = self.value_of(wxb.id);
+        let wv = self.value_of(wx.id);
         let shape = wv.shape();
         assert!(
             shape.rank() == 2 && shape.cols() > 0 && shape.cols().is_multiple_of(4),
-            "child_sum_cell wxb must be [w, 4h], got {shape}"
+            "child_sum_cell wx must be [w, 4h], got {shape}"
         );
         let (w, hd) = (shape.rows(), shape.cols() / 4);
+        let bv = self.value_of(b.id);
+        assert_eq!(
+            bv.shape().dims(),
+            &[4 * hd],
+            "child_sum_cell b must be [{}], got {}",
+            4 * hd,
+            bv.shape()
+        );
         let in_vals = incoming.as_ref().map(|inc| {
             let offsets = &inc.offsets[..];
             assert!(
@@ -924,7 +947,9 @@ impl Tape {
             kern.tanh
         };
         let (h2, h3, h4) = (2 * hd, 3 * hd, 4 * hd);
-        let mut pre = crate::pool::take_zeroed(h3);
+        // `(wx + b)` then `+ uh` for i/o/u, and the biased forget block
+        // `wx_f + b_f` the edges add their `ufh_e` to.
+        let mut pre = crate::pool::take_zeroed(h4);
         let mut gates = crate::pool::take_zeroed(w * h3);
         // A zero-length take would count as a pool miss.
         let mut forget = if edges > 0 {
@@ -933,21 +958,23 @@ impl Tape {
             Vec::new()
         };
         let mut c = crate::pool::take_zeroed(w * hd);
-        let x = wv.as_slice();
+        let (x, (b_iou, b_f)) = (wv.as_slice(), bv.as_slice().split_at(h3));
         for r in 0..w {
             let (x_iou, x_f) = x[r * h4..(r + 1) * h4].split_at(h3);
+            let (pre, pre_f) = pre.split_at_mut(h3);
+            let biased = pre.iter_mut().zip(x_iou.iter().zip(b_iou));
             match &in_vals {
                 Some((uh, ..)) => {
                     let uh = &uh.as_slice()[r * h3..(r + 1) * h3];
-                    for ((p, &a), &b) in pre.iter_mut().zip(x_iou).zip(uh) {
-                        *p = a + b;
+                    for ((p, (&a, &bias)), &u) in biased.zip(uh) {
+                        *p = (a + bias) + u;
                     }
                 }
                 // The `+ 0.0` of a zero `h̃·U` product: it turns a `-0.0`
                 // pre-activation into `+0.0`, as that product did.
                 None => {
-                    for (p, &a) in pre.iter_mut().zip(x_iou) {
-                        *p = a + 0.0;
+                    for (p, (&a, &bias)) in biased {
+                        *p = (a + bias) + 0.0;
                     }
                 }
             }
@@ -962,10 +989,13 @@ impl Tape {
             let Some((_, ufh, ck, offsets)) = &in_vals else {
                 continue;
             };
+            for ((p, &a), &bias) in pre_f.iter_mut().zip(x_f).zip(b_f) {
+                *p = a + bias;
+            }
             for e in offsets[r]..offsets[r + 1] {
                 let f_pre = &mut pre[..hd];
-                for ((p, &a), &b) in f_pre.iter_mut().zip(x_f).zip(&ufh.as_slice()[e * hd..]) {
-                    *p = a + b;
+                for ((p, &a), &u) in f_pre.iter_mut().zip(&*pre_f).zip(&ufh.as_slice()[e * hd..]) {
+                    *p = a + u;
                 }
                 let f = &mut forget[e * hd..(e + 1) * hd];
                 (kern.sigmoid)(f_pre, f);
@@ -994,7 +1024,8 @@ impl Tape {
             Some(Arc::new(ChildSumRecord {
                 c: c_id,
                 h: c_id + 1,
-                wxb: wxb.id,
+                wx: wx.id,
+                b: b.id,
                 incoming: incoming.map(|inc| ([inc.uh.id, inc.ufh.id, inc.ck.id], inc.offsets)),
                 sigmoid_candidate,
                 gates: Tensor::from_vec(gates, [w, h3]),
@@ -1112,14 +1143,14 @@ impl Tape {
                     let av = nodes[*a].value();
                     let bv = nodes[*b].value();
                     accumulate(&mut grads, *a, g.matmul(&bv.t()), &nodes);
-                    accumulate(&mut grads, *b, av.t().matmul(&g), &nodes);
+                    accumulate(&mut grads, *b, av.matmul_tn(&g), &nodes);
                 }
                 Op::MatMulNt(a, b) => {
-                    // y = A·Bᵀ ⇒ dA += G·B, dB += Gᵀ·A.
+                    // y = A·Bᵀ ⇒ dA += G·B, dB += Gᵀ·A (`G` read in place).
                     let av = nodes[*a].value();
                     let bv = nodes[*b].value();
                     accumulate(&mut grads, *a, g.matmul(bv), &nodes);
-                    accumulate(&mut grads, *b, g.t().matmul(av), &nodes);
+                    accumulate(&mut grads, *b, g.matmul_tn(av), &nodes);
                 }
                 Op::Linear { w, x, b } => {
                     let wv = nodes[*w].value();
@@ -1351,8 +1382,9 @@ impl Tape {
                         (None, Some(g))
                     };
                     let ck = cell.incoming.as_ref().map(|(ids, _)| nodes[ids[2]].value());
-                    let (dwxb, dincoming) = cell.backward(dh.as_ref(), dc.as_ref(), ck);
-                    accumulate(&mut grads, cell.wxb, dwxb, &nodes);
+                    let (dwx, db, dincoming) = cell.backward(dh.as_ref(), dc.as_ref(), ck);
+                    accumulate(&mut grads, cell.wx, dwx, &nodes);
+                    accumulate(&mut grads, cell.b, db, &nodes);
                     if let (Some((ids, _)), Some(ds)) = (&cell.incoming, dincoming) {
                         for (&id, d) in ids.iter().zip(ds) {
                             accumulate(&mut grads, id, d, &nodes);
@@ -2448,11 +2480,23 @@ mod tests {
     }
 
     /// Leaves for one child-sum level of `offsets.len() - 1` nodes,
-    /// `hd` wide: `wxb`, and `(uh, ufh, ck)` when `offsets` has edges.
+    /// `hd` wide: `wx`, `b`, and `(uh, ufh, ck)` when `offsets` has edges.
     struct CellLeaves {
-        wxb: Tensor,
+        wx: Tensor,
+        b: Tensor,
         incoming: Option<[Tensor; 3]>,
         offsets: Arc<Vec<usize>>,
+    }
+
+    impl CellLeaves {
+        /// The operands in the order [`incoming_of`] reads them.
+        fn on<'t>(&self, tape: &'t Tape) -> Vec<Var<'t>> {
+            [&self.wx, &self.b]
+                .into_iter()
+                .chain(self.incoming.iter().flatten())
+                .map(|t| tape.leaf(t.clone()))
+                .collect()
+        }
     }
 
     fn cell_leaves(offsets: &[usize], hd: usize) -> CellLeaves {
@@ -2460,12 +2504,15 @@ mod tests {
             offsets.len() - 1,
             *offsets.last().expect("w + 1 cut points"),
         );
-        let mut wxb = spread(w * 4 * hd, 1);
-        // A `-0.0` pre-activation: `+ 0.0` turns it into `+0.0`, as the
-        // zero product of the composed chain does.
-        wxb[3] = -0.0;
+        let mut wx = spread(w * 4 * hd, 1);
+        let mut b = spread(4 * hd, 8);
+        // A `-0.0` pre-activation: `-0.0 + -0.0` keeps the sign, and
+        // `+ 0.0` then turns it into `+0.0`, as the zero product of the
+        // composed chain does.
+        (wx[3], b[3]) = (-0.0, -0.0);
         CellLeaves {
-            wxb: Tensor::from_vec(wxb, [w, 4 * hd]),
+            wx: Tensor::from_vec(wx, [w, 4 * hd]),
+            b: Tensor::from_vec(b, [4 * hd]),
             incoming: (edges > 0).then(|| {
                 [
                     Tensor::from_vec(spread(w * 3 * hd, 2), [w, 3 * hd]),
@@ -2477,28 +2524,32 @@ mod tests {
         }
     }
 
-    /// `vars` as the op's operands: `wxb`, then `uh, ufh, ck` if present.
+    /// `vars` as the op's operands: `wx, b`, then `uh, ufh, ck` if
+    /// present.
     fn incoming_of<'t>(
         vars: &[Var<'t>],
         offsets: &Arc<Vec<usize>>,
     ) -> Option<ChildSumIncoming<'t>> {
-        (vars.len() == 4).then(|| ChildSumIncoming {
-            uh: vars[1],
-            ufh: vars[2],
-            ck: vars[3],
+        (vars.len() == 5).then(|| ChildSumIncoming {
+            uh: vars[2],
+            ufh: vars[3],
+            ck: vars[4],
             offsets: Arc::clone(offsets),
         })
     }
 
     /// The level as the tree-LSTM encoder composed it before
-    /// [`Tape::child_sum_cell`] existed, op by op, including the
-    /// `zeros · U` hidden projection of a level without incoming state.
+    /// [`Tape::child_sum_cell`] existed, op by op: the bias by
+    /// `add_row_broadcast`, and the `zeros · U` hidden projection of a
+    /// level without incoming state.
     fn composed_cell<'t>(
         tape: &'t Tape,
-        wxb: Var<'t>,
+        wx: Var<'t>,
+        b: Var<'t>,
         incoming: Option<&ChildSumIncoming<'t>>,
         sigmoid_candidate: bool,
     ) -> (Var<'t>, Var<'t>) {
+        let wxb = wx.add_row_broadcast(b);
         let w = wxb.value().shape().rows();
         let uh = match incoming {
             Some(inc) => inc.uh,
@@ -2537,28 +2588,32 @@ mod tests {
     /// edges; one edge per node.
     const CELL_LEVELS: [&[usize]; 3] = [&[0, 0, 0, 0], &[0, 2, 2, 5, 6], &[0, 1, 2]];
 
+    fn tensor_bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn child_sum_cell_matches_the_composed_chain_to_the_bit() {
-        let bits =
-            |v: Var<'_>| -> Vec<u32> { v.value().as_slice().iter().map(|x| x.to_bits()).collect() };
+        let bits = |v: Var<'_>| tensor_bits(&v.value());
         for offsets in CELL_LEVELS {
             let leaves = cell_leaves(offsets, HD);
             for sigmoid_candidate in [false, true] {
                 let what = format!("offsets {offsets:?}, σ candidate {sigmoid_candidate}");
                 let oracle = Tape::new();
-                let vars: Vec<Var<'_>> = std::iter::once(&leaves.wxb)
-                    .chain(leaves.incoming.iter().flatten())
-                    .map(|t| oracle.leaf(t.clone()))
-                    .collect();
+                let vars = leaves.on(&oracle);
                 let incoming = incoming_of(&vars, &leaves.offsets);
-                let (h, c) = composed_cell(&oracle, vars[0], incoming.as_ref(), sigmoid_candidate);
+                let (h, c) = composed_cell(
+                    &oracle,
+                    vars[0],
+                    vars[1],
+                    incoming.as_ref(),
+                    sigmoid_candidate,
+                );
                 for tape in [Tape::new(), Tape::inference()] {
-                    let vars: Vec<Var<'_>> = std::iter::once(&leaves.wxb)
-                        .chain(leaves.incoming.iter().flatten())
-                        .map(|t| tape.leaf(t.clone()))
-                        .collect();
+                    let vars = leaves.on(&tape);
                     let incoming = incoming_of(&vars, &leaves.offsets);
-                    let (fh, fc) = tape.child_sum_cell(vars[0], incoming, sigmoid_candidate);
+                    let (fh, fc) =
+                        tape.child_sum_cell(vars[0], vars[1], incoming, sigmoid_candidate);
                     assert_eq!(bits(fh), bits(h), "h, {what}");
                     assert_eq!(bits(fc), bits(c), "c, {what}");
                 }
@@ -2582,17 +2637,22 @@ mod tests {
                 Tensor::from_vec(spread((offsets.len() - 1) * HD, 6), [offsets.len() - 1, HD]);
             for sigmoid_candidate in [false, true] {
                 for (name, loss) in losses {
+                    let what =
+                        format!("{name}, offsets {offsets:?}, σ candidate {sigmoid_candidate}");
                     let grads = |fused: bool| -> Vec<Tensor> {
                         let tape = Tape::new();
-                        let vars: Vec<Var<'_>> = std::iter::once(&leaves.wxb)
-                            .chain(leaves.incoming.iter().flatten())
-                            .map(|t| tape.leaf(t.clone()))
-                            .collect();
+                        let vars = leaves.on(&tape);
                         let incoming = incoming_of(&vars, &leaves.offsets);
                         let (h, c) = if fused {
-                            tape.child_sum_cell(vars[0], incoming, sigmoid_candidate)
+                            tape.child_sum_cell(vars[0], vars[1], incoming, sigmoid_candidate)
                         } else {
-                            composed_cell(&tape, vars[0], incoming.as_ref(), sigmoid_candidate)
+                            composed_cell(
+                                &tape,
+                                vars[0],
+                                vars[1],
+                                incoming.as_ref(),
+                                sigmoid_candidate,
+                            )
                         };
                         let g = tape.backward(loss(h, c, tape.leaf(weight.clone())));
                         vars.iter().map(|&v| g.get_or_zeros(v)).collect()
@@ -2600,12 +2660,19 @@ mod tests {
                     let (fused, composed) = (grads(true), grads(false));
                     for (k, (f, c)) in fused.iter().zip(&composed).enumerate() {
                         let diff = f.max_abs_diff(c);
-                        assert!(
-                            diff <= 1e-6,
-                            "operand {k}, {name}, offsets {offsets:?}, σ candidate \
-                             {sigmoid_candidate}: off by {diff:e}"
-                        );
+                        assert!(diff <= 1e-6, "operand {k}, {what}: off by {diff:e}");
                     }
+                    // `d b` is exactly the column sums `add_row_broadcast`'s
+                    // backward forms from the cell's own `d wx`.
+                    let tape = Tape::new();
+                    let bias = tape.leaf(leaves.b.clone());
+                    let rows = tape.zeros(leaves.wx.shape()).add_row_broadcast(bias);
+                    let g = tape.backward(rows.mul(tape.leaf(fused[0].clone())).sum());
+                    assert_eq!(
+                        tensor_bits(&fused[1]),
+                        tensor_bits(&g.get(bias)),
+                        "db, {what}"
+                    );
                 }
             }
         }
@@ -2619,13 +2686,16 @@ mod tests {
             let hd = 3;
             let leaves = cell_leaves(offsets, hd);
             let w = offsets.len() - 1;
-            let inputs: Vec<Tensor> = std::iter::once(leaves.wxb.clone())
-                .chain(leaves.incoming.iter().flatten().cloned())
+            // Every operand is perturbed, the bias included.
+            let inputs: Vec<Tensor> = [&leaves.wx, &leaves.b]
+                .into_iter()
+                .chain(leaves.incoming.iter().flatten())
+                .cloned()
                 .collect();
             let weight = Tensor::from_vec(spread(w * hd, 7), [w, hd]);
             let report = crate::grad_check(&inputs, 1e-2, |tape, vars| {
                 let incoming = incoming_of(vars, &leaves.offsets);
-                let (h, c) = tape.child_sum_cell(vars[0], incoming, false);
+                let (h, c) = tape.child_sum_cell(vars[0], vars[1], incoming, false);
                 let w = tape.leaf(weight.clone());
                 crate::TapeScalar(h.mul(w).sum().add(c.tanh().sum()))
             });

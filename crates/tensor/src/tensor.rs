@@ -480,6 +480,32 @@ impl Tensor {
         Tensor::from_vec(out, [m, n])
     }
 
+    /// Transposed-left product `selfᵀ · other`, without materialising
+    /// `selfᵀ`: the bits of `self.t().matmul(other)`, since each output
+    /// element is the same k-ascending chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self` is `[k, m]` and `other` is `[k, n]`.
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        assert!(
+            self.shape.rank() == 2 && other.shape.rank() == 2,
+            "matmul_tn operands must be rank 2, got {} and {}",
+            self.shape,
+            other.shape
+        );
+        let (k, m) = (self.shape.rows(), self.shape.cols());
+        let (k2, n) = (other.shape.rows(), other.shape.cols());
+        assert_eq!(
+            k, k2,
+            "matmul_tn row count mismatch: {} vs {}",
+            self.shape, other.shape
+        );
+        let mut out = pool::take_zeroed(m * n);
+        (kernels::active().matmul_tn)(&self.data, &other.data, &mut out, m, k, n);
+        Tensor::from_vec(out, [m, n])
+    }
+
     /// Matrix–vector product `self · x`.
     ///
     /// # Panics
