@@ -62,7 +62,7 @@ fn main() {
             let model = Comparator::new(&encoder, &mut params, &mut rng);
             let pipeline = cli.pipeline(encoder);
             train(&model, &mut params, subs, &pairs, &pipeline.config().train);
-            evaluate(&model, &params, subs, &test_pairs, cli.threads).accuracy
+            evaluate(&model, &params, subs, &test_pairs).accuracy
         };
 
         let one_way = accuracy_for(false);

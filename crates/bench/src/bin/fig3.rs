@@ -82,14 +82,9 @@ fn main() {
             all_subs.extend(ds.submissions.iter().cloned());
         }
         let flat: Vec<ccsa_model::pair::Pair> = test_pairs.into_iter().flatten().collect();
-        let line = ccsa_model::trainer::evaluate(
-            &model.comparator,
-            &model.params,
-            &all_subs,
-            &flat,
-            cli.threads,
-        )
-        .accuracy;
+        let line =
+            ccsa_model::trainer::evaluate(&model.comparator, &model.params, &all_subs, &flat)
+                .accuracy;
         let cross: Vec<f64> = datasets
             .iter()
             .map(|ds| pipeline.evaluate_cross(&model, ds).accuracy)

@@ -76,7 +76,7 @@ fn main() {
         let model = ccsa_model::comparator::Comparator::new(&encoder, &mut params, &mut rng);
         let pipeline = cli.pipeline(encoder);
         train(&model, &mut params, subs, &pairs, &pipeline.config().train);
-        let eval = evaluate(&model, &params, subs, &test_pairs, cli.threads);
+        let eval = evaluate(&model, &params, subs, &test_pairs);
         println!("{n:>6} {:>10} {:>10}", pairs.len(), fmt_acc(eval.accuracy));
         n *= 2;
     }

@@ -73,7 +73,7 @@ fn main() {
         let model = Comparator::new(&encoder, &mut params, &mut rng);
         let pipeline = cli.pipeline(encoder);
         train(&model, &mut params, subs, &pairs, &pipeline.config().train);
-        let eval = evaluate(&model, &params, subs, &test_pairs, cli.threads);
+        let eval = evaluate(&model, &params, subs, &test_pairs);
         println!(
             "{pct:>5}% {:>10} {:>10}",
             pairs.len(),

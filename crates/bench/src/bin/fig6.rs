@@ -45,7 +45,6 @@ fn main() {
             &outcome.model.params,
             subs,
             &pairs,
-            cli.threads,
         );
         let curve = sensitivity_curve(subs, &pairs, &eval.scored, 8);
 

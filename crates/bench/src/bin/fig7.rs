@@ -14,8 +14,6 @@ use ccsa_corpus::ProblemTag;
 use ccsa_cppast::NodeKind;
 use ccsa_model::comparator::EncoderConfig;
 use ccsa_model::tsne::{tsne, TsneConfig};
-use ccsa_nn::param::Ctx;
-use ccsa_tensor::Tape;
 
 fn main() {
     let cli = Cli::parse();
@@ -61,14 +59,9 @@ fn main() {
     let mut labels = Vec::new();
     for &tag in &tags {
         let ds = cache.curated(tag, &corpus).clone();
-        for sub in ds.submissions.iter().take(30) {
-            let tape = Tape::new();
-            let ctx = Ctx::new(&tape, &model.params);
-            let z = match &model.comparator.encoder {
-                ccsa_model::comparator::Encoder::TreeLstm(e) => e.encode(&ctx, &sub.graph),
-                ccsa_model::comparator::Encoder::Gcn(e) => e.encode(&ctx, &sub.graph),
-            };
-            codes.push(z.value().as_slice().to_vec());
+        let graphs: Vec<_> = ds.submissions.iter().take(30).map(|s| &s.graph).collect();
+        for z in model.comparator.encode_codes(&model.params, &graphs) {
+            codes.push(z.as_slice().to_vec());
             labels.push(tag);
         }
     }

@@ -6,7 +6,7 @@
 //! * `--scale quick|default|full` — experiment size (defaults to
 //!   `default`; `full` approaches paper-scale and can take a long time);
 //! * `--seed N` — master seed (default 42);
-//! * `--threads N` — worker threads (default: all cores, capped at 8).
+//! * `--threads N` — training worker threads (default: all cores, capped at 8).
 //!
 //! Output is aligned text with a `paper=` reference column wherever the
 //! paper reports a number, so shape comparisons are immediate.
@@ -104,7 +104,7 @@ pub struct Cli {
     pub scale: Scale,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads (0 = auto).
+    /// Training worker threads (0 = auto).
     pub threads: usize,
 }
 

@@ -44,7 +44,9 @@ pub enum Encoder {
 }
 
 impl Encoder {
-    /// Encodes one AST into its latent code vector.
+    /// Encodes one AST into its latent code vector, node by node: the
+    /// oracle the fused [`Encoder::encode_batch`] is checked against.
+    #[cfg(test)]
     pub fn encode<'t>(&self, ctx: &Ctx<'t, '_>, graph: &AstGraph) -> Var<'t> {
         match self {
             Encoder::TreeLstm(e) => e.encode(ctx, graph),
@@ -130,7 +132,10 @@ impl Comparator {
         &self.config
     }
 
-    /// The raw logit that program `a` is slower than program `b`.
+    /// The raw logit that program `a` is slower than program `b`, through
+    /// the per-node encoder on a recording tape: the oracle for
+    /// [`Comparator::logit_batch`] and [`Comparator::predict_from_codes`].
+    #[cfg(test)]
     pub fn logit<'t>(&self, ctx: &Ctx<'t, '_>, a: &AstGraph, b: &AstGraph) -> Var<'t> {
         let za = self.encoder.encode(ctx, a);
         let zb = self.encoder.encode(ctx, b);
@@ -146,7 +151,7 @@ impl Comparator {
     /// `[pairs, 2d]` batched linear.
     ///
     /// Each returned logit is a one-element tensor that agrees with the
-    /// per-pair [`Comparator::logit`] bit-for-bit (the fused encoder
+    /// per-pair, per-node forward bit-for-bit (the fused encoder
     /// reproduces the sequential accumulation order), which the trainer
     /// parity tests pin down.
     pub fn logit_batch<'t>(
@@ -173,11 +178,13 @@ impl Comparator {
     }
 
     /// Scalar BCE training loss for one labelled pair.
+    #[cfg(test)]
     pub fn loss<'t>(&self, ctx: &Ctx<'t, '_>, a: &AstGraph, b: &AstGraph, label: f32) -> Var<'t> {
         self.logit(ctx, a, b).sum().bce_with_logits(label)
     }
 
-    /// Inference: probability that `a` is the slower program.
+    /// Probability that `a` is the slower program, re-encoding both.
+    #[cfg(test)]
     pub fn predict(&self, params: &Params, a: &AstGraph, b: &AstGraph) -> f32 {
         let tape = Tape::new();
         let ctx = Ctx::new(&tape, params);
@@ -252,6 +259,33 @@ impl Comparator {
         self.classifier.forward_into(params, &zab, &mut logit);
         ccsa_tensor::pool::put(zab);
         sigmoid(logit[0])
+    }
+
+    /// The ranking score `s(z) = (w₁ − w₂)·z` of one latent code, where
+    /// `w₁` and `w₂` are the halves of the `[1, 2d]` classifier weight
+    /// that read the first and the second code. The head is
+    /// `logit(a, b) = w₁·z_a + w₂·z_b + c` and σ is monotone, so the
+    /// symmetrised probability that `a` is slower exceeds ½ exactly when
+    /// `s(z_a) > s(z_b)`: ascending score is fastest first, and the order
+    /// is transitive by construction.
+    ///
+    /// The sum runs over `k` ascending in plain `f64` arithmetic, so every
+    /// kernel backend gives the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the code's length differs from the encoder's output
+    /// dimensionality.
+    pub fn rank_score(&self, params: &Params, z: &Tensor) -> f64 {
+        let d = self.encoder.output_dim();
+        assert_eq!(z.len(), d, "latent code has wrong dimensionality");
+        let (w1, w2) = self.classifier.weight(params).as_slice().split_at(d);
+        w1.iter()
+            .zip(w2)
+            .zip(z.as_slice())
+            .fold(0.0, |s, ((&a, &b), &x)| {
+                s + (a as f64 - b as f64) * x as f64
+            })
     }
 }
 
@@ -349,14 +383,47 @@ mod tests {
         assert_eq!(codes.len(), 2);
         let cached_ab = model.predict_from_codes(&params, &codes[0], &codes[1]);
         let cached_ba = model.predict_from_codes(&params, &codes[1], &codes[0]);
-        assert!(
-            (direct_ab - cached_ab).abs() < 1e-6,
-            "{direct_ab} vs {cached_ab}"
-        );
-        assert!(
-            (direct_ba - cached_ba).abs() < 1e-6,
-            "{direct_ba} vs {cached_ba}"
-        );
+        assert_eq!(direct_ab.to_bits(), cached_ab.to_bits());
+        assert_eq!(direct_ba.to_bits(), cached_ba.to_bits());
+    }
+
+    #[test]
+    fn rank_score_order_is_the_symmetrised_head_order() {
+        // Over every pair of a small set, with both encoders: the score
+        // difference is the logit difference, and whichever program the
+        // symmetrised head calls slower has the larger score.
+        let sources = [
+            "int main() { return 0; }",
+            "int main() { for (int i = 0; i < 7; i++) { } return 1; }",
+            "int f(int x) { return x * x; } int main() { return f(4); }",
+            "int main() { int s = 0; for (int i = 0; i < 9; i++) s += i; return s; }",
+        ];
+        let graphs: Vec<AstGraph> = sources.iter().map(|s| graph(s)).collect();
+        let refs: Vec<&AstGraph> = graphs.iter().collect();
+        for config in [tiny_tree_config(), EncoderConfig::Gcn(GcnConfig::small(5))] {
+            let mut params = Params::new();
+            let mut rng = StdRng::seed_from_u64(31);
+            let model = Comparator::new(&config, &mut params, &mut rng);
+            let codes = model.encode_codes(&params, &refs);
+            let scores: Vec<f64> = codes.iter().map(|z| model.rank_score(&params, z)).collect();
+            let logit = |p: f32| (p as f64 / (1.0 - p as f64)).ln();
+            for a in 0..codes.len() {
+                for b in (a + 1)..codes.len() {
+                    let p_ab = model.predict_from_codes(&params, &codes[a], &codes[b]);
+                    let p_ba = model.predict_from_codes(&params, &codes[b], &codes[a]);
+                    let gap = scores[a] - scores[b];
+                    assert!(
+                        (logit(p_ab) - logit(p_ba) - gap).abs() < 1e-4,
+                        "{} pair ({a}, {b})",
+                        config.name()
+                    );
+                    let sym = 0.5 * (p_ab as f64 + 1.0 - p_ba as f64);
+                    if (sym - 0.5).abs() > 1e-6 {
+                        assert_eq!(sym > 0.5, gap > 0.0, "{} pair ({a}, {b})", config.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

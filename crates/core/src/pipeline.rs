@@ -127,10 +127,16 @@ impl TrainedModel {
         Ok(self.compare_graphs(&a, &b))
     }
 
-    /// Compares two already-parsed ASTs.
+    /// Compares two already-parsed ASTs: both are encoded in one fused
+    /// pass, then scored by the classifier head.
     pub fn compare_graphs(&self, first: &AstGraph, second: &AstGraph) -> Comparison {
+        let codes = self.comparator.encode_codes(&self.params, &[first, second]);
         Comparison {
-            prob_first_slower: self.comparator.predict(&self.params, first, second),
+            prob_first_slower: self.comparator.predict_from_codes(
+                &self.params,
+                &codes[0],
+                &codes[1],
+            ),
         }
     }
 }
@@ -207,13 +213,7 @@ impl Pipeline {
             &train_pairs,
             &self.config.train,
         );
-        let eval = evaluate(
-            &comparator,
-            &params,
-            subs,
-            &test_pairs,
-            self.config.train.threads,
-        );
+        let eval = evaluate(&comparator, &params, subs, &test_pairs);
 
         SingleOutcome {
             test_accuracy: eval.accuracy,
@@ -302,13 +302,7 @@ impl Pipeline {
         let subs = &dataset.submissions;
         let indices: Vec<usize> = (0..subs.len()).collect();
         let pairs = sample_pairs(subs, &indices, &self.config.pairs, self.config.seed ^ 0xcc);
-        evaluate(
-            &model.comparator,
-            &model.params,
-            subs,
-            &pairs,
-            self.config.train.threads,
-        )
+        evaluate(&model.comparator, &model.params, subs, &pairs)
     }
 }
 
@@ -376,8 +370,7 @@ mod tests {
             all_subs.extend(ds.submissions.iter().cloned());
         }
         for pairs in &test_pairs {
-            let eval =
-                crate::trainer::evaluate(&model.comparator, &model.params, &all_subs, pairs, 0);
+            let eval = evaluate(&model.comparator, &model.params, &all_subs, pairs);
             assert!((0.0..=1.0).contains(&eval.accuracy));
         }
     }

@@ -186,32 +186,44 @@ fn loss_backward<'t>(ctx: &Ctx<'t, '_>, logits: Vec<Var<'t>>, shard: &[Pair]) ->
 /// `subs` must be the submission list the pair indices refer to — which
 /// may belong to a *different problem* than the training set (cross-problem
 /// generalisation, Figure 3 / Table II).
+///
+/// Each submission the pairs reference is encoded once, in fused batches
+/// on an inference tape ([`Comparator::encode_codes`]); every pair is then
+/// scored by the classifier head alone ([`Comparator::predict_from_codes`]).
 pub fn evaluate(
     model: &Comparator,
     params: &Params,
     subs: &[Submission],
     pairs: &[Pair],
-    threads: usize,
 ) -> EvalResult {
-    let threads = if threads == 0 {
-        ccsa_nn::parallel::default_threads()
-    } else {
-        threads
-    };
-    // Score in parallel, preserving order via index tagging.
-    let indexed: Vec<(usize, Pair)> = pairs.iter().copied().enumerate().collect();
-    let scores = std::sync::Mutex::new(vec![(0.0f32, 0.0f32); pairs.len()]);
-    parallel_batch(&indexed, threads, |&(ix, pair)| {
-        let p = model.predict(params, &subs[pair.a].graph, &subs[pair.b].graph);
-        scores.lock().expect("poisoned")[ix] = (p, pair.label);
-        BatchResult {
-            count: 1,
-            ..BatchResult::default()
+    // `slot[i]` is submission `i`'s row in `codes`, in first-reference order.
+    let mut slot = vec![usize::MAX; subs.len()];
+    let mut graphs: Vec<&AstGraph> = Vec::new();
+    for pair in pairs {
+        for ix in [pair.a, pair.b] {
+            if slot[ix] == usize::MAX {
+                slot[ix] = graphs.len();
+                graphs.push(&subs[ix].graph);
+            }
         }
-    });
-    let scored = scores.into_inner().expect("poisoned");
+    }
+    let codes: Vec<_> = graphs
+        .chunks(EVAL_BATCH)
+        .flat_map(|batch| model.encode_codes(params, batch))
+        .collect();
+    let scored = pairs
+        .iter()
+        .map(|pair| {
+            let (za, zb) = (&codes[slot[pair.a]], &codes[slot[pair.b]]);
+            (model.predict_from_codes(params, za, zb), pair.label)
+        })
+        .collect();
     EvalResult::from_scored(scored)
 }
+
+/// Trees per fused encode in [`evaluate`]: bounds the inference tape's
+/// live set, while each level's matmul still spans many trees.
+const EVAL_BATCH: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -219,6 +231,7 @@ mod tests {
     use crate::comparator::EncoderConfig;
     use crate::pair::{sample_pairs, split_indices, PairConfig};
     use ccsa_corpus::{CorpusConfig, ProblemDataset, ProblemSpec, ProblemTag};
+    use ccsa_nn::gcn::GcnConfig;
     use ccsa_nn::treelstm::{Direction, TreeLstmConfig};
 
     fn tiny_encoder() -> EncoderConfig {
@@ -259,7 +272,7 @@ mod tests {
                 seed,
             };
             let report = train(&model, &mut params, subs, &train_pairs, &cfg);
-            let eval = evaluate(&model, &params, subs, &test_pairs, 2);
+            let eval = evaluate(&model, &params, subs, &test_pairs);
             (report, eval)
         };
 
@@ -368,28 +381,31 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_preserves_pair_order() {
+    fn evaluate_matches_the_per_pair_oracle_bitwise() {
+        // Codes encoded once per submission and scored by the head must
+        // give the bits of re-encoding both programs of every pair, in
+        // pair order — with pairs that reference only some submissions
+        // and pairs that repeat.
         let ds =
             ProblemDataset::generate(ProblemSpec::curated(ProblemTag::H), &CorpusConfig::tiny(5))
                 .unwrap();
         let subs = &ds.submissions;
-        let mut params = Params::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let model = Comparator::new(&tiny_encoder(), &mut params, &mut rng);
-        let pairs = sample_pairs(
-            subs,
-            &(0..subs.len()).collect::<Vec<_>>(),
-            &PairConfig::default(),
-            1,
-        );
-        let seq = evaluate(&model, &params, subs, &pairs[..10], 1);
-        let par = evaluate(&model, &params, subs, &pairs[..10], 4);
-        assert_eq!(
-            seq.scored, par.scored,
-            "thread count must not change results"
-        );
-        for ((_, label), pair) in seq.scored.iter().zip(&pairs[..10]) {
-            assert_eq!(*label, pair.label);
+        let half: Vec<usize> = (0..subs.len() / 2).collect();
+        let mut pairs = sample_pairs(subs, &half, &PairConfig::default(), 1);
+        pairs.truncate(10);
+        pairs.extend_from_within(2..5);
+        pairs.push(pairs[0]);
+        for config in [tiny_encoder(), EncoderConfig::Gcn(GcnConfig::small(8))] {
+            let mut params = Params::new();
+            let mut rng = StdRng::seed_from_u64(1);
+            let model = Comparator::new(&config, &mut params, &mut rng);
+            let eval = evaluate(&model, &params, subs, &pairs);
+            assert_eq!(eval.scored.len(), pairs.len());
+            for ((p, label), pair) in eval.scored.iter().zip(&pairs) {
+                let want = model.predict(&params, &subs[pair.a].graph, &subs[pair.b].graph);
+                assert_eq!(p.to_bits(), want.to_bits(), "{}", config.name());
+                assert_eq!(*label, pair.label);
+            }
         }
     }
 }

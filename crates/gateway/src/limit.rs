@@ -8,8 +8,9 @@
 //! shared encode queue with traffic that was never going to be served.
 //!
 //! The unit is *requests*, not trees: a `compare` carries 2 sources and
-//! a `rank` up to [`ccsa_serve::MAX_RANK_CANDIDATES`], so the worst-case
-//! encode pressure a limited route can still exert is
+//! a `rank` up to [`ccsa_serve::MAX_RANK_CANDIDATES`], each of which can
+//! be a cold encode (scoring and sorting them is cheap beside that), so
+//! the worst-case encode pressure a limited route can still exert is
 //! `RPS × MAX_RANK_CANDIDATES` cold trees per second (the rank cap, the
 //! embedding cache, and pool batching bound it in practice). Weighing
 //! tokens by candidate count is the follow-on if that bound proves too

@@ -96,6 +96,11 @@ impl Linear {
         self.out_dim
     }
 
+    /// The `[out, in]` weight matrix as stored in `params`.
+    pub fn weight<'p>(&self, params: &'p Params) -> &'p ccsa_tensor::Tensor {
+        params.get(&self.w)
+    }
+
     /// Applies to a single vector: `[in] → [out]`.
     pub fn forward<'t>(&self, ctx: &Ctx<'t, '_>, x: Var<'t>) -> Var<'t> {
         ctx.param(&self.w).affine(x, ctx.param(&self.b))

@@ -14,7 +14,7 @@
 //!    passes.
 //! 4. **Classify** on the caller's thread: the 2·d classifier head over
 //!    cached/fresh latent codes produces the slower-probability for every
-//!    requested pair, or the full round-robin matrix for a ranking.
+//!    requested pair, or one score per candidate for a ranking, sorted.
 //!
 //! Concurrency: no global lock sits on the hot path. The embedding
 //! cache is an N-way striped LRU ([`ShardedCache`]) — a lookup locks
@@ -42,7 +42,6 @@ use crate::memo::SourceMemo;
 use crate::metrics::{
     Histogram, MetricKind, MetricsRegistry, Sample, SampleFamily, LATENCY_BUCKETS_S,
 };
-use crate::rank::{rank_from_matrix, RankedCandidate};
 use crate::registry::{ModelRegistry, ModelSelector, RegistryError, ServeModel, DEFAULT_MODEL};
 
 /// Engine construction settings.
@@ -69,12 +68,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// The most candidates one ranking request may carry. Ranking is
-/// O(K²) in classifier passes and matrix memory, and the request line
-/// arrives from untrusted input — the cap keeps one request bounded the
-/// same way the JSON/parser nesting caps do. 256 candidates is ~32k head
-/// passes, far beyond any realistic "which of my solutions is fastest"
-/// call.
+/// The most candidates one ranking request may carry. Each candidate
+/// can be a cold encode — a parse and a full encoder pass, the costliest
+/// work a request can cause — and the request line arrives from
+/// untrusted input, so the cap keeps one request bounded the same way
+/// the JSON/parser nesting caps do. 256 candidates is far beyond any
+/// realistic "which of my solutions is fastest" call.
 pub const MAX_RANK_CANDIDATES: usize = 256;
 
 /// Serving failures.
@@ -201,6 +200,18 @@ impl CompareScore {
     }
 }
 
+/// One candidate's position in a ranking.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankedCandidate {
+    /// Index into the caller's candidate list.
+    pub index: usize,
+    /// 1-based rank (1 = predicted fastest).
+    pub rank: usize,
+    /// The candidate's [`ccsa_model::comparator::Comparator::rank_score`]:
+    /// higher is predicted slower.
+    pub score: f64,
+}
+
 /// The result of ranking K candidates.
 #[derive(Debug, Clone)]
 pub struct RankOutcome {
@@ -246,7 +257,8 @@ impl ModelCacheStats {
 /// Engine-level counters plus component snapshots.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
-    /// Compare pairs scored (each pair counts once).
+    /// Compare pairs scored (each pair counts once; rankings are counted
+    /// in `rankings` only).
     pub compares: u64,
     /// Ranking requests served.
     pub rankings: u64,
@@ -560,9 +572,12 @@ impl ServeEngine {
         Ok((outcomes, stages))
     }
 
-    /// Ranks K candidate sources fastest-first by full round-robin
-    /// comparison (see [`crate::rank`]). Each candidate is encoded at most
-    /// once regardless of the K−1 comparisons it participates in.
+    /// Ranks K candidate sources fastest-first: one
+    /// [`rank_score`](ccsa_model::comparator::Comparator::rank_score) per
+    /// candidate, sorted ascending. That order is the one every
+    /// symmetrised pairwise compare of the candidates agrees with. Each
+    /// distinct candidate is encoded at most once; duplicates tie exactly
+    /// and keep their input order.
     ///
     /// # Errors
     ///
@@ -598,36 +613,32 @@ impl ServeEngine {
         let parsed = self.parse_all(candidates)?;
         let parse_s = t.elapsed().as_secs_f64();
         let resolved = self.codes_for(&model, &parsed)?;
-        let codes = &resolved.codes;
 
-        let k = candidates.len();
         let trained = &model.model;
         let t = Instant::now();
-        // Symmetrised round-robin: both orderings of every unordered pair,
-        // since the learned classifier is not exactly antisymmetric.
-        let mut p_slower = vec![vec![0.5f64; k]; k];
-        for i in 0..k {
-            for j in (i + 1)..k {
-                let pij =
-                    trained
-                        .comparator
-                        .predict_from_codes(&trained.params, &codes[i], &codes[j]);
-                let pji =
-                    trained
-                        .comparator
-                        .predict_from_codes(&trained.params, &codes[j], &codes[i]);
-                let sym = 0.5 * (pij as f64 + (1.0 - pji as f64));
-                p_slower[i][j] = sym;
-                p_slower[j][i] = 1.0 - sym;
-            }
-        }
-        // Relaxed: stats counters, read only by stats().
+        let scores: Vec<f64> = resolved
+            .codes
+            .iter()
+            .map(|z| trained.comparator.rank_score(&trained.params, z))
+            .collect();
+        // `total_cmp` keeps a NaN score from a corrupt model from
+        // panicking the sort; the index makes ties deterministic.
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_unstable_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+        let ranking = order
+            .into_iter()
+            .enumerate()
+            .map(|(r, index)| RankedCandidate {
+                index,
+                rank: r + 1,
+                score: scores[index],
+            })
+            .collect();
+        // Relaxed: stats counter, read only by stats().
         self.rankings.fetch_add(1, Ordering::Relaxed);
-        self.compares
-            .fetch_add((k * (k - 1) / 2) as u64, Ordering::Relaxed);
         let hits = resolved.hit.iter().filter(|&&h| h).count();
         let outcome = RankOutcome {
-            ranking: rank_from_matrix(&p_slower),
+            ranking,
             model: model.name.clone(),
             version: model.version,
             cache_hits: hits,
@@ -947,7 +958,7 @@ pub fn engine_metric_families(stats: &EngineStats) -> Vec<SampleFamily> {
     let mut out = vec![
         scalar(
             "ccsa_compares_total",
-            "Compare pairs scored (ranking round-robins included).",
+            "Compare pairs scored (rankings count in ccsa_rankings_total).",
             Counter,
             stats.compares as f64,
         ),
@@ -1337,33 +1348,57 @@ mod tests {
         assert_eq!(warm.cache_hits, 4);
         let stats = e.stats();
         assert_eq!(stats.rankings, 2);
-        assert_eq!(stats.compares, 12); // C(4,2) round robin, twice
-                                        // Ranks are 1..=4 over all input indices.
-        let mut ranks: Vec<usize> = outcome.ranking.iter().map(|r| r.rank).collect();
-        ranks.sort_unstable();
+        assert_eq!(stats.compares, 0, "a ranking scores no compare pairs");
+        // Ranks run 1..=4 down the list, over every input index, with
+        // scores ascending.
+        let ranks: Vec<usize> = outcome.ranking.iter().map(|r| r.rank).collect();
         assert_eq!(ranks, vec![1, 2, 3, 4]);
         let mut indices: Vec<usize> = outcome.ranking.iter().map(|r| r.index).collect();
         indices.sort_unstable();
         assert_eq!(indices, vec![0, 1, 2, 3]);
-        // The duplicated sources must tie exactly in expected wins.
-        let dup0 = outcome.ranking.iter().find(|r| r.index == 0).unwrap();
-        let dup3 = outcome.ranking.iter().find(|r| r.index == 3).unwrap();
-        assert!((dup0.expected_wins - dup3.expected_wins).abs() < 1e-9);
+        assert!(outcome.ranking.windows(2).all(|w| w[0].score <= w[1].score));
+        // The duplicated sources tie exactly and keep their input order,
+        // next to each other.
+        let at = |ix: usize| outcome.ranking.iter().position(|r| r.index == ix).unwrap();
+        let (dup0, dup3) = (at(0), at(3));
+        assert_eq!(
+            dup3,
+            dup0 + 1,
+            "tied duplicates must be adjacent, in index order"
+        );
+        assert_eq!(
+            outcome.ranking[dup0].score.to_bits(),
+            outcome.ranking[dup3].score.to_bits()
+        );
+        // Same scores, same order, when served from cache.
+        assert_eq!(warm.ranking, outcome.ranking);
     }
 
     #[test]
     fn rank_matches_pairwise_compares() {
-        // The ranking's pairwise probabilities must agree with compare():
-        // same model, same codes, same classifier.
+        // The ranking and compare() read the same codes through the same
+        // head: each score difference is the difference of the two
+        // compare logits, so every decided symmetrised compare puts the
+        // faster candidate first in the ranking.
         let e = engine(64);
         let sel = ModelSelector::default();
-        let outcome = e.rank(&sel, &[FAST, SLOW]).unwrap();
-        let direct = e.compare(&sel, FAST, SLOW).unwrap();
-        let fast_entry = outcome.ranking.iter().find(|r| r.index == 0).unwrap();
-        // expected_wins of FAST = P(SLOW slower) = 1 - sym(FAST slower).
-        let back = e.compare(&sel, SLOW, FAST).unwrap();
-        let sym = 0.5 * (direct.prob_first_slower as f64 + (1.0 - back.prob_first_slower as f64));
-        assert!((fast_entry.expected_wins - (1.0 - sym)).abs() < 1e-9);
+        let sources = [FAST, SLOW, MID];
+        let outcome = e.rank(&sel, &sources).unwrap();
+        let entry = |ix: usize| outcome.ranking.iter().find(|r| r.index == ix).unwrap();
+        let logit = |p: f32| (p as f64 / (1.0 - p as f64)).ln();
+        for a in 0..sources.len() {
+            for b in (a + 1)..sources.len() {
+                let p_ab = e.compare(&sel, sources[a], sources[b]).unwrap();
+                let p_ba = e.compare(&sel, sources[b], sources[a]).unwrap();
+                let (p_ab, p_ba) = (p_ab.prob_first_slower, p_ba.prob_first_slower);
+                let gap = entry(a).score - entry(b).score;
+                assert!((logit(p_ab) - logit(p_ba) - gap).abs() < 1e-4);
+                let sym = 0.5 * (p_ab as f64 + 1.0 - p_ba as f64);
+                if (sym - 0.5).abs() > 1e-6 {
+                    assert_eq!(sym > 0.5, entry(a).rank > entry(b).rank);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1383,8 +1418,8 @@ mod tests {
 
     #[test]
     fn rank_rejects_oversized_candidate_lists() {
-        // The K² tournament is bounded: an untrusted request with huge K
-        // must be refused up front, before any parsing or allocation.
+        // Each candidate can cost a cold encode, so an untrusted request
+        // with huge K must be refused up front, before any parsing.
         let e = engine(8);
         let sel = ModelSelector::default();
         let many: Vec<&str> = (0..MAX_RANK_CANDIDATES + 1).map(|_| FAST).collect();
@@ -1738,9 +1773,11 @@ mod tests {
             );
         }
         // Single source of truth: the scrape shows the exact counters
-        // the stats verb reads (4 pairs compared: 1 + C(3,2)).
+        // the stats verb reads (1 pair compared; the ranking is counted
+        // in `rankings` only).
         let stats = e.stats();
-        assert_eq!(stats.compares, 4);
+        assert_eq!(stats.compares, 1);
+        assert_eq!(stats.rankings, 1);
         assert!(text.contains(&format!("ccsa_compares_total {}", stats.compares)));
         assert!(text.contains(&format!("ccsa_rankings_total {}", stats.rankings)));
         assert!(text.contains(&format!("ccsa_parses_total {}", stats.parses)));

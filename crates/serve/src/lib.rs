@@ -42,7 +42,7 @@
 //!     (warm restarts,  │ ┌────────────▼───┐
 //!      stripe-count    │ │ classifier head│  2·d weights — cheap
 //!      agnostic)       │ └──────┬─────────┘
-//!                      │        │ probabilities → ranking tournament
+//!                      │        │ probabilities · ranking scores
 //! ```
 //!
 //! * [`registry`] — named, versioned models ([`ModelRegistry`]), loaded
@@ -69,9 +69,9 @@
 //!   gate — see `ccsa_nn::FusedStats`), the achieved fused width is
 //!   surfaced via [`BatchStats::mean_fused_width`], and the per-shard
 //!   queue depths are the transport's admission backpressure signal;
-//! * [`rank`] — K-candidate round-robin tournaments with
-//!   transitivity-aware tie-breaking and cycle flagging;
-//! * [`engine`] — the [`ServeEngine`] front door tying the above together;
+//! * [`engine`] — the [`ServeEngine`] front door tying the above
+//!   together; a ranking is one classifier-head score per candidate,
+//!   sorted, which every pairwise compare of the candidates agrees with;
 //! * [`metrics`] — the unified [`MetricsRegistry`]: lock-free atomic
 //!   counters/gauges/histograms plus scrape-time collectors, rendered as
 //!   Prometheus text 0.0.4 by [`MetricsRegistry::render`]; the gateway's
@@ -126,18 +126,17 @@ mod lru;
 mod memo;
 pub mod metrics;
 pub mod proto;
-pub mod rank;
 pub mod registry;
 
 pub use batch::{BatchConfig, BatchStats, EncodeError, EncodePool};
 pub use cache::{CacheStats, ShardedCache, SnapshotError, DEFAULT_CACHE_STRIPES};
 pub use engine::{
     engine_metric_families, CompareOutcome, CompareScore, EngineStats, ModelCacheStats,
-    RankOutcome, ServeConfig, ServeEngine, ServeError, StageTimings, MAX_RANK_CANDIDATES,
+    RankOutcome, RankedCandidate, ServeConfig, ServeEngine, ServeError, StageTimings,
+    MAX_RANK_CANDIDATES,
 };
 pub use metrics::{
     kernel_backend, Counter, Gauge, Histogram, MetricKind, MetricsRegistry, Sample, SampleFamily,
     LATENCY_BUCKETS_S,
 };
-pub use rank::{rank_from_matrix, RankedCandidate};
 pub use registry::{ModelRegistry, ModelSelector, RegistryError, ServeModel, DEFAULT_MODEL};

@@ -228,9 +228,7 @@ pub fn rank_response(outcome: &RankOutcome) -> Json {
             Json::obj(vec![
                 ("rank", Json::num(r.rank as f64)),
                 ("candidate", Json::num(r.index as f64)),
-                ("wins", Json::num(r.wins as f64)),
-                ("expected_wins", Json::num(r.expected_wins)),
-                ("in_cycle", Json::Bool(r.in_cycle)),
+                ("score", Json::num(r.score)),
             ])
         })
         .collect();

@@ -109,7 +109,7 @@ proptest! {
         let again = roomy.rank(&selector, &candidates).unwrap();
         prop_assert_eq!(roomy.stats().parse_memo_hits, sources.len() as u64);
         let key = |o: &ccsa_serve::RankOutcome| -> Vec<(usize, u64)> {
-            o.ranking.iter().map(|r| (r.index, r.expected_wins.to_bits())).collect()
+            o.ranking.iter().map(|r| (r.index, r.score.to_bits())).collect()
         };
         prop_assert_eq!(key(&first), key(&again));
         let p01 = roomy.compare(&selector, &sources[0], &sources[1]).unwrap();

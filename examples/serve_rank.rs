@@ -70,19 +70,12 @@ fn main() {
         .rank(&ModelSelector::default(), &sources)
         .expect("ranking");
 
-    println!(
-        "predicted order, fastest first (round-robin, {} pairwise comparisons):",
-        k * (k - 1) / 2
-    );
+    println!("predicted order, fastest first (lower score = predicted faster):");
     for entry in &ranked.ranking {
         let (label, _) = &candidates[entry.index];
         println!(
-            "  #{:<2} {label:<34} wins {:>2}/{}  expected {:.2}{}",
-            entry.rank,
-            entry.wins,
-            k - 1,
-            entry.expected_wins,
-            if entry.in_cycle { "  [cycle]" } else { "" }
+            "  #{:<2} {label:<34} score {:>8.3}",
+            entry.rank, entry.score
         );
     }
 
@@ -97,8 +90,8 @@ fn main() {
         ranked.encoded, again.encoded, again.cache_hits, k
     );
     println!(
-        "engine totals: {} comparisons, cache hit-rate {:.0}%, mean encode batch {:.1}",
-        stats.compares,
+        "engine totals: {} rankings, cache hit-rate {:.0}%, mean encode batch {:.1}",
+        stats.rankings,
         100.0 * stats.cache.hit_rate(),
         stats.batch.mean_batch_size()
     );

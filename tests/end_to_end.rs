@@ -4,7 +4,7 @@
 use ccsa::corpus::dataset::{CorpusConfig, ProblemDataset};
 use ccsa::corpus::spec::{ProblemSpec, ProblemTag};
 use ccsa::model::persist::{load_params, save_params};
-use ccsa::model::pipeline::{Pipeline, PipelineConfig};
+use ccsa::model::pipeline::{Pipeline, PipelineConfig, TrainedModel};
 
 #[test]
 fn pipeline_beats_chance_on_every_curated_problem_family_smoke() {
@@ -58,16 +58,16 @@ fn model_roundtrips_through_persistence() {
         .unwrap();
     let mut buf = Vec::new();
     save_params(&outcome.model.params, &mut buf).unwrap();
-    let reloaded = load_params(buf.as_slice()).unwrap();
+    let reloaded = TrainedModel {
+        comparator: outcome.model.comparator.clone(),
+        params: load_params(buf.as_slice()).unwrap(),
+    };
 
     // Same prediction from the reloaded parameters.
     let a = &outcome.dataset.submissions[0].graph;
     let b = &outcome.dataset.submissions[1].graph;
-    let before = outcome
-        .model
-        .comparator
-        .predict(&outcome.model.params, a, b);
-    let after = outcome.model.comparator.predict(&reloaded, a, b);
+    let before = outcome.model.compare_graphs(a, b).prob_first_slower;
+    let after = reloaded.compare_graphs(a, b).prob_first_slower;
     assert!(
         (before - after).abs() < 1e-6,
         "prediction changed after reload"

@@ -108,8 +108,9 @@ fn serving_stack_is_score_preserving_end_to_end() {
 #[test]
 fn engine_ranks_generated_candidates_and_respects_round_robin() {
     // Rank real generated solutions (fresh styles the model never saw)
-    // and check the ranking is a permutation consistent with the
-    // round-robin definition: rank 1 holds the maximum win count.
+    // and check the ranking is a permutation that every decided pairwise
+    // compare agrees with: whichever program the symmetrised compare
+    // calls faster is ranked first.
     let model = train_tiny(ProblemTag::B, 3);
     let engine = ServeEngine::with_model(
         model,
@@ -142,11 +143,22 @@ fn engine_ranks_generated_candidates_and_respects_round_robin() {
     let mut indices: Vec<usize> = outcome.ranking.iter().map(|r| r.index).collect();
     indices.sort_unstable();
     assert_eq!(indices, (0..refs.len()).collect::<Vec<_>>());
-    let max_wins = outcome.ranking.iter().map(|r| r.wins).max().unwrap();
-    assert_eq!(
-        outcome.ranking[0].wins, max_wins,
-        "rank 1 must hold the most wins"
-    );
+    let rank_of = |ix: usize| outcome.ranking.iter().find(|r| r.index == ix).unwrap().rank;
+    let selector = ModelSelector::default();
+    for a in 0..refs.len() {
+        for b in (a + 1)..refs.len() {
+            let p_ab = engine.compare(&selector, refs[a], refs[b]).unwrap();
+            let p_ba = engine.compare(&selector, refs[b], refs[a]).unwrap();
+            let sym = 0.5 * (p_ab.prob_first_slower as f64 + 1.0 - p_ba.prob_first_slower as f64);
+            if (sym - 0.5).abs() > 1e-6 {
+                assert_eq!(
+                    sym > 0.5,
+                    rank_of(a) > rank_of(b),
+                    "candidates {a} and {b}: p(a slower) = {sym}"
+                );
+            }
+        }
+    }
 
     // Ranking twice is deterministic and the second pass is all cache hits.
     let again = engine.rank(&ModelSelector::default(), &refs).unwrap();
