@@ -36,7 +36,7 @@ impl EncoderConfig {
 
 /// The instantiated encoder.
 #[derive(Debug, Clone)]
-pub enum Encoder {
+enum Encoder {
     /// Tree-LSTM instance.
     TreeLstm(TreeLstmEncoder),
     /// GCN instance.
@@ -47,7 +47,7 @@ impl Encoder {
     /// Encodes one AST into its latent code vector, node by node: the
     /// oracle the fused [`Encoder::encode_batch`] is checked against.
     #[cfg(test)]
-    pub fn encode<'t>(&self, ctx: &Ctx<'t, '_>, graph: &AstGraph) -> Var<'t> {
+    fn encode<'t>(&self, ctx: &Ctx<'t, '_>, graph: &AstGraph) -> Var<'t> {
         match self {
             Encoder::TreeLstm(e) => e.encode(ctx, graph),
             Encoder::Gcn(e) => e.encode(ctx, graph),
@@ -57,7 +57,7 @@ impl Encoder {
     /// Batched forward entry point: level-fused across every graph in
     /// the batch — one matmul per level per gate instead of per-node
     /// matvecs, parameters bound once.
-    pub fn encode_batch<'t>(&self, ctx: &Ctx<'t, '_>, graphs: &[&AstGraph]) -> Vec<Var<'t>> {
+    fn encode_batch<'t>(&self, ctx: &Ctx<'t, '_>, graphs: &[&AstGraph]) -> Vec<Var<'t>> {
         match self {
             Encoder::TreeLstm(e) => e.encode_batch(ctx, graphs),
             Encoder::Gcn(e) => e.encode_batch(ctx, graphs),
@@ -65,7 +65,7 @@ impl Encoder {
     }
 
     /// [`Encoder::encode_batch`] plus fused-width telemetry.
-    pub fn encode_batch_with_stats<'t>(
+    fn encode_batch_with_stats<'t>(
         &self,
         ctx: &Ctx<'t, '_>,
         graphs: &[&AstGraph],
@@ -79,7 +79,7 @@ impl Encoder {
     /// [`Encoder::encode_batch_with_stats`] drawing scheduling buffers
     /// from a caller-owned [`ccsa_nn::SchedBufs`] — the steady-state
     /// serving entry (see [`ccsa_nn::EncodeScratch`]).
-    pub fn encode_batch_with_stats_in<'t>(
+    fn encode_batch_with_stats_in<'t>(
         &self,
         ctx: &Ctx<'t, '_>,
         graphs: &[&AstGraph],
@@ -92,7 +92,7 @@ impl Encoder {
     }
 
     /// Latent dimensionality d.
-    pub fn output_dim(&self) -> usize {
+    fn output_dim(&self) -> usize {
         match self {
             Encoder::TreeLstm(e) => e.output_dim(),
             Encoder::Gcn(e) => e.output_dim(),
@@ -104,7 +104,7 @@ impl Encoder {
 #[derive(Debug, Clone)]
 pub struct Comparator {
     /// The shared feature extractor.
-    pub encoder: Encoder,
+    encoder: Encoder,
     classifier: Linear,
     config: EncoderConfig,
 }
@@ -145,9 +145,9 @@ impl Comparator {
 
     /// Batched training forward: one logit per pair, with *all* graphs
     /// of the batch — both sides of every pair — encoded in a single
-    /// level-fused [`Encoder::encode_batch`] call on the shared tape, so
-    /// same-level nodes across the whole pair batch coalesce into the
-    /// same per-level matmuls. The classifier then runs once as a
+    /// level-fused encoder call on the shared tape, so same-level nodes
+    /// across the whole pair batch coalesce into the same per-level
+    /// matmuls. The classifier then runs once as a
     /// `[pairs, 2d]` batched linear.
     ///
     /// Each returned logit is a one-element tensor that agrees with the

@@ -10,13 +10,13 @@
 //!   codes + fully connected sigmoid classifier C (§III-A, §IV-D);
 //! * [`trainer`] — BCE training with Adam, data-parallel gradients,
 //!   deterministic evaluation (§IV-C);
-//! * [`metrics`] — pairwise accuracy, ROC/AUC (§VI-B), box statistics for
-//!   Figure 3;
-//! * [`sensitivity`] — the runtime-gap threshold sweep of Figure 6;
-//! * [`tsne`] — exact t-SNE for Figure 7's embedding plots;
-//! * [`hyperopt`] — seeded random search over the paper's §V-C spaces;
+//! * [`metrics`] — pairwise accuracy and ROC/AUC (§VI-B);
 //! * [`persist`] — versioned binary model serialisation;
 //! * [`pipeline`] — one-call end-to-end driver.
+//!
+//! The paper's tables and figures, with the analyses only they use
+//! (t-SNE, the runtime-gap sweep, the §V-C search, box statistics), live
+//! in the `ccsa-paper` crate, a client of this one.
 //!
 //! # Example
 //!
@@ -30,19 +30,14 @@
 //! ```
 
 pub mod comparator;
-pub mod hyperopt;
 pub mod metrics;
 pub mod pair;
 pub mod persist;
 pub mod pipeline;
-pub mod sensitivity;
 pub mod trainer;
-pub mod tsne;
 
-pub use comparator::{Comparator, Encoder, EncoderConfig};
-pub use metrics::{accuracy, roc, BoxStats, EvalResult, RocCurve};
+pub use comparator::{Comparator, EncoderConfig};
+pub use metrics::{accuracy, roc, EvalResult, RocCurve};
 pub use pair::{label_of, sample_pairs, split_indices, Pair, PairConfig};
 pub use pipeline::{Comparison, Pipeline, PipelineConfig, SingleOutcome, TrainedModel};
-pub use sensitivity::{sensitivity_curve, SensitivityPoint};
 pub use trainer::{evaluate, train, TrainConfig, TrainReport};
-pub use tsne::{tsne, TsneConfig};

@@ -103,48 +103,6 @@ impl EvalResult {
     }
 }
 
-/// Five-number summary used for the paper's Figure 3 box plots.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoxStats {
-    /// Minimum.
-    pub min: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl BoxStats {
-    /// Computes the five-number summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty slice.
-    pub fn of(values: &[f64]) -> BoxStats {
-        assert!(!values.is_empty(), "box stats of empty slice");
-        let mut v = values.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN"));
-        let q = |p: f64| -> f64 {
-            let pos = p * (v.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            let frac = pos - lo as f64;
-            v[lo] * (1.0 - frac) + v[hi] * frac
-        };
-        BoxStats {
-            min: v[0],
-            q1: q(0.25),
-            median: q(0.5),
-            q3: q(0.75),
-            max: *v.last().expect("nonempty"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,16 +170,6 @@ mod tests {
     fn degenerate_single_class() {
         let scored = vec![(0.7, 1.0), (0.6, 1.0)];
         assert_eq!(roc(&scored).auc, 0.5);
-    }
-
-    #[test]
-    fn box_stats_quartiles() {
-        let stats = BoxStats::of(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(stats.min, 1.0);
-        assert_eq!(stats.median, 3.0);
-        assert_eq!(stats.q1, 2.0);
-        assert_eq!(stats.q3, 4.0);
-        assert_eq!(stats.max, 5.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! specific or the latest one — the registry's load-by-version API.
 //!
 //! Hand-rolled rather than serde: the format is trivial, stable, and keeps
-//! serialisation out of the public dependency set (DESIGN.md §3).
+//! serialisation out of the public dependency set.
 
 use std::fmt;
 use std::fs;

@@ -147,7 +147,7 @@ impl std::fmt::Display for ProblemKey {
 ///
 /// All sizes are deliberately small compared to real Codeforces limits: the
 /// tree-walking interpreter charges identical *relative* costs at any
-/// scale, and small inputs keep corpus generation fast (see DESIGN.md §2).
+/// scale, and small inputs keep corpus generation fast.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InputSpec {
     /// Primary size (elements, nodes, words — family specific).

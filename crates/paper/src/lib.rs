@@ -1,25 +1,83 @@
-//! Shared infrastructure for the experiment binaries.
+//! The paper's tables and figures, regenerated by one `paper` binary.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` that
-//! regenerates it (see DESIGN.md §4 for the index). All binaries accept:
+//! `paper <experiment>… [--scale tiny|default|full] [--seed N] [--threads N]`
+//! runs the named experiments in order, sharing one [`Cli`] and one
+//! [`DatasetCache`], so each problem's corpus is judged once per process:
 //!
-//! * `--scale quick|default|full` — experiment size (defaults to
-//!   `default`; `full` approaches paper-scale and can take a long time);
+//! * `table1` — Table I, problem statistics;
+//! * `table2` — Table II, the DFS-group transfer matrix;
+//! * `table3` — Table III, the tree-LSTM architecture sweep;
+//! * `fig3` — Figure 3, tree-LSTM vs GCN lines and cross-problem boxes;
+//! * `fig4` — Figure 4, ROC on problem A;
+//! * `fig5a` / `fig5b` — Figure 5, accuracy vs training submissions and
+//!   vs share of training pairs;
+//! * `fig6` — Figure 6, accuracy vs minimum runtime gap;
+//! * `fig7` — Figure 7, t-SNE of node and code embeddings;
+//! * `hyperopt_table` — the §V-C random search over the GCN space;
+//! * `ablation_embed` / `ablation_ordering` — embedding width λ, and
+//!   one-way vs symmetric pairs (§VI-D).
+//!
+//! Options:
+//!
+//! * `--scale tiny|default|full` — experiment size (defaults to
+//!   `default`; `tiny` is for tests, `full` approaches paper scale and
+//!   can take hours);
 //! * `--seed N` — master seed (default 42);
 //! * `--threads N` — training worker threads (default: all cores, capped at 8).
 //!
 //! Output is aligned text with a `paper=` reference column wherever the
-//! paper reports a number, so shape comparisons are immediate.
+//! paper reports a number, so shape comparisons are immediate. The
+//! analyses only the paper uses (t-SNE, the runtime-gap sweep and the
+//! §V-C random search) live here rather than in the serving-linked
+//! `ccsa-model`.
 
 use std::collections::HashMap;
 
-use ccsa_corpus::{CorpusConfig, JudgeConfig, ProblemDataset, ProblemSpec, ProblemTag};
-use ccsa_model::comparator::EncoderConfig;
-use ccsa_model::pair::PairConfig;
+use ccsa_corpus::{CorpusConfig, JudgeConfig, ProblemDataset, ProblemSpec, ProblemTag, Submission};
+use ccsa_model::comparator::{Comparator, EncoderConfig};
+use ccsa_model::pair::{Pair, PairConfig};
 use ccsa_model::pipeline::{Pipeline, PipelineConfig};
-use ccsa_model::trainer::TrainConfig;
+use ccsa_model::trainer::{evaluate, train, TrainConfig};
 use ccsa_nn::gcn::{Activation, GcnConfig};
+use ccsa_nn::param::Params;
 use ccsa_nn::treelstm::{Direction, TreeLstmConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+mod ablations;
+mod figures;
+mod hyperopt;
+mod sensitivity;
+mod tables;
+mod tsne;
+
+/// One experiment: prints its table or figure to stdout.
+pub type Experiment = fn(&Cli, &mut DatasetCache);
+
+/// Every experiment, by the subcommand name that runs it.
+pub const EXPERIMENTS: [(&str, Experiment); 12] = [
+    ("table1", tables::table1),
+    ("table2", tables::table2),
+    ("table3", tables::table3),
+    ("fig3", figures::fig3),
+    ("fig4", figures::fig4),
+    ("fig5a", figures::fig5a),
+    ("fig5b", figures::fig5b),
+    ("fig6", figures::fig6),
+    ("fig7", figures::fig7),
+    ("hyperopt_table", tables::hyperopt_table),
+    ("ablation_embed", ablations::ablation_embed),
+    ("ablation_ordering", ablations::ablation_ordering),
+];
+
+/// The usage line, naming every experiment.
+pub fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    format!(
+        "usage: paper <{}>... [--scale tiny|default|full] [--seed N] [--threads N]",
+        names.join("|")
+    )
+}
 
 /// Experiment size selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +85,6 @@ pub enum Scale {
     /// CI-test scale (seconds end to end, even in debug builds) — used
     /// by the pipeline smoke test that pins the sweep path.
     Tiny,
-    /// Smoke-test scale (tens of seconds end to end).
-    Quick,
     /// The documented default (minutes).
     Default,
     /// Paper-approaching scale (tens of minutes to hours).
@@ -37,67 +93,61 @@ pub enum Scale {
 
 impl Scale {
     /// Submissions generated per problem.
-    pub fn submissions(self) -> usize {
+    fn submissions(self) -> usize {
         match self {
             Scale::Tiny => 32,
-            Scale::Quick => 48,
             Scale::Default => 110,
             Scale::Full => 300,
         }
     }
 
     /// Training pairs sampled per model.
-    pub fn pairs(self) -> usize {
+    fn pairs(self) -> usize {
         match self {
             Scale::Tiny => 200,
-            Scale::Quick => 500,
             Scale::Default => 900,
             Scale::Full => 3000,
         }
     }
 
     /// Training epochs.
-    pub fn epochs(self) -> usize {
+    fn epochs(self) -> usize {
         match self {
             Scale::Tiny => 4,
-            Scale::Quick => 6,
             Scale::Default => 6,
             Scale::Full => 10,
         }
     }
 
     /// Tree-LSTM/GCN hidden width.
-    pub fn hidden(self) -> usize {
+    fn hidden(self) -> usize {
         match self {
             Scale::Tiny => 8,
-            Scale::Quick => 12,
             Scale::Default => 16,
             Scale::Full => 100,
         }
     }
 
     /// Embedding dimensionality λ.
-    pub fn embed(self) -> usize {
+    fn embed(self) -> usize {
         match self {
             Scale::Tiny => 8,
-            Scale::Quick => 12,
             Scale::Default => 16,
             Scale::Full => 120,
         }
     }
 
     /// Judge test cases per submission.
-    pub fn test_cases(self) -> usize {
+    fn test_cases(self) -> usize {
         match self {
             Scale::Tiny => 2,
-            Scale::Quick => 2,
             Scale::Default => 3,
             Scale::Full => 5,
         }
     }
 }
 
-/// Parsed command-line options shared by all binaries.
+/// Parsed command-line options shared by every experiment.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Experiment scale.
@@ -109,51 +159,54 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`. Unknown flags abort with usage help.
-    pub fn parse() -> Cli {
+    /// Parses the arguments after the program name into the options and
+    /// the named experiments, in command-line order. `Err` carries the
+    /// message to print above [`usage`] (empty for `--help`).
+    pub fn parse(args: &[String]) -> Result<(Cli, Vec<Experiment>), String> {
         let mut cli = Cli {
             scale: Scale::Default,
             seed: 42,
             threads: 0,
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut experiments = Vec::new();
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            match arg {
                 "--scale" => {
-                    i += 1;
-                    cli.scale = match args.get(i).map(String::as_str) {
+                    cli.scale = match args.next() {
                         Some("tiny") => Scale::Tiny,
-                        Some("quick") => Scale::Quick,
                         Some("default") => Scale::Default,
                         Some("full") => Scale::Full,
-                        other => usage_abort(&format!("bad --scale {other:?}")),
+                        other => return Err(format!("bad --scale {other:?}")),
                     };
                 }
                 "--seed" => {
-                    i += 1;
                     cli.seed = args
-                        .get(i)
+                        .next()
                         .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage_abort("bad --seed"));
+                        .ok_or("bad --seed")?;
                 }
                 "--threads" => {
-                    i += 1;
                     cli.threads = args
-                        .get(i)
+                        .next()
                         .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage_abort("bad --threads"));
+                        .ok_or("bad --threads")?;
                 }
-                "--help" | "-h" => usage_abort(""),
-                other => usage_abort(&format!("unknown argument '{other}'")),
+                "--help" | "-h" => return Err(String::new()),
+                name => match EXPERIMENTS.iter().find(|&&(known, _)| known == name) {
+                    Some(&(_, run)) => experiments.push(run),
+                    None => return Err(format!("unknown experiment or argument '{name}'")),
+                },
             }
-            i += 1;
         }
-        cli
+        if experiments.is_empty() {
+            return Err("no experiment named".to_string());
+        }
+        Ok((cli, experiments))
     }
 
     /// Corpus settings for this scale/seed.
-    pub fn corpus_config(&self) -> CorpusConfig {
+    fn corpus_config(&self) -> CorpusConfig {
         CorpusConfig {
             submissions_per_problem: self.scale.submissions(),
             judge: JudgeConfig {
@@ -187,6 +240,18 @@ impl Cli {
         }
     }
 
+    /// Training settings at this scale.
+    fn train_config(&self) -> TrainConfig {
+        TrainConfig {
+            epochs: self.scale.epochs(),
+            batch_size: 32,
+            lr: 0.01,
+            clip: 5.0,
+            threads: self.threads,
+            seed: self.seed,
+        }
+    }
+
     /// The standard pipeline around a given encoder.
     pub fn pipeline(&self, encoder: EncoderConfig) -> Pipeline {
         Pipeline::new(PipelineConfig {
@@ -197,26 +262,23 @@ impl Cli {
                 symmetric: true,
                 exclude_self: true,
             },
-            train: TrainConfig {
-                epochs: self.scale.epochs(),
-                batch_size: 32,
-                lr: 0.01,
-                clip: 5.0,
-                threads: self.threads,
-                seed: self.seed,
-            },
+            train: self.train_config(),
             test_fraction: 0.3,
             seed: self.seed,
         })
     }
 }
 
-fn usage_abort(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!("usage: <bin> [--scale tiny|quick|default|full] [--seed N] [--threads N]");
-    std::process::exit(2);
+/// Trains a fresh standard tree-LSTM comparator on `pairs` and returns
+/// its accuracy on `test_pairs` — for the sweeps that pick their own
+/// pairs instead of the pipeline's.
+fn train_and_score(cli: &Cli, subs: &[Submission], pairs: &[Pair], test_pairs: &[Pair]) -> f64 {
+    let encoder = EncoderConfig::TreeLstm(cli.treelstm_config());
+    let mut params = Params::new();
+    let mut rng = StdRng::seed_from_u64(cli.seed);
+    let model = Comparator::new(&encoder, &mut params, &mut rng);
+    train(&model, &mut params, subs, pairs, &cli.train_config());
+    evaluate(&model, &params, subs, test_pairs).accuracy
 }
 
 /// A per-process cache of generated datasets so multi-model experiments
@@ -233,7 +295,7 @@ impl DatasetCache {
     }
 
     /// Generates (or returns the cached) dataset for a curated problem.
-    pub fn curated(&mut self, tag: ProblemTag, config: &CorpusConfig) -> &ProblemDataset {
+    fn curated(&mut self, tag: ProblemTag, config: &CorpusConfig) -> &ProblemDataset {
         let key = format!("{tag}-{}-{}", config.submissions_per_problem, config.seed);
         self.map.entry(key).or_insert_with(|| {
             eprintln!(
@@ -246,7 +308,7 @@ impl DatasetCache {
     }
 
     /// Generates (or returns the cached) MP pool dataset.
-    pub fn mp_pool(
+    fn mp_pool(
         &mut self,
         problems: u16,
         per_problem: usize,
@@ -273,17 +335,17 @@ impl DatasetCache {
 }
 
 /// Prints a horizontal rule sized to `width`.
-pub fn rule(width: usize) {
+fn rule(width: usize) {
     println!("{}", "─".repeat(width));
 }
 
 /// Formats an accuracy as `0.xxx`.
-pub fn fmt_acc(a: f64) -> String {
+fn fmt_acc(a: f64) -> String {
     format!("{a:.3}")
 }
 
 /// Prints the standard experiment header.
-pub fn header(title: &str, cli: &Cli) {
+fn header(title: &str, cli: &Cli) {
     rule(78);
     println!("{title}");
     println!(

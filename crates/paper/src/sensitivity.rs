@@ -10,8 +10,8 @@
 
 use ccsa_corpus::Submission;
 
-use crate::metrics::accuracy;
-use crate::pair::Pair;
+use ccsa_model::metrics::accuracy;
+use ccsa_model::pair::Pair;
 
 /// One point of the sensitivity curve.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +28,7 @@ pub struct SensitivityPoint {
 /// least each threshold.
 ///
 /// `scored` must align 1:1 with `pairs` (as produced by
-/// [`evaluate`](crate::trainer::evaluate)). Thresholds are taken at
+/// [`evaluate`](ccsa_model::trainer::evaluate)). Thresholds are taken at
 /// `steps` evenly spaced quantile positions of the observed gaps, so the
 /// curve spans the dataset's actual range whatever its units.
 pub fn sensitivity_curve(
@@ -81,10 +81,10 @@ mod tests {
                 .unwrap();
         let subs = &ds.submissions;
         let indices: Vec<usize> = (0..subs.len()).collect();
-        let pairs = crate::pair::sample_pairs(
+        let pairs = ccsa_model::pair::sample_pairs(
             subs,
             &indices,
-            &crate::pair::PairConfig {
+            &ccsa_model::pair::PairConfig {
                 max_pairs: 400,
                 symmetric: false,
                 exclude_self: true,
@@ -126,10 +126,10 @@ mod tests {
         let ds =
             ProblemDataset::generate(ProblemSpec::curated(ProblemTag::H), &CorpusConfig::tiny(1))
                 .unwrap();
-        let pairs = crate::pair::sample_pairs(
+        let pairs = ccsa_model::pair::sample_pairs(
             &ds.submissions,
             &[0, 1, 2],
-            &crate::pair::PairConfig::default(),
+            &ccsa_model::pair::PairConfig::default(),
             1,
         );
         let _ = sensitivity_curve(&ds.submissions, &pairs, &[], 4);

@@ -9,9 +9,9 @@
 //! beats chance. If a shim/RNG change breaks the sweeps again, this
 //! fails in CI instead of at paper-scale runtime.
 
-use ccsa_bench::{Cli, Scale};
 use ccsa_corpus::ProblemTag;
 use ccsa_model::comparator::EncoderConfig;
+use ccsa_paper::{Cli, Scale};
 
 #[test]
 fn tiny_scale_sweep_path_trains_above_chance() {
