@@ -332,51 +332,59 @@ mod tests {
         let pairs = sample_pairs(subs, &(0..subs.len()).collect::<Vec<_>>(), &pair_cfg, 5);
         assert!(pairs.len() >= 8, "need a real batch, got {}", pairs.len());
 
-        // A 3-layer alternating stack so every fused code path
-        // (up/down passes, gate fusion, incremental gather) is active.
-        let encoder = EncoderConfig::TreeLstm(TreeLstmConfig {
-            embed_dim: 6,
-            hidden: 6,
-            layers: 3,
-            direction: Direction::Alternating,
-            sigmoid_candidate: false,
-        });
-        let mut params = Params::new();
-        let mut rng = StdRng::seed_from_u64(23);
-        let model = Comparator::new(&encoder, &mut params, &mut rng);
+        // 3-layer stacks of every direction, so every fused code path
+        // is active: up and down passes, passes that read the per-kind
+        // input table (the first layer, both passes of a `Bi` one), the
+        // per-parent downward projections and the incremental gather.
+        for direction in [Direction::Uni, Direction::Bi, Direction::Alternating] {
+            for sigmoid_candidate in [false, true] {
+                let what = format!("{direction}, σ candidate {sigmoid_candidate}");
+                let encoder = EncoderConfig::TreeLstm(TreeLstmConfig {
+                    embed_dim: 6,
+                    hidden: 6,
+                    layers: 3,
+                    direction,
+                    sigmoid_candidate,
+                });
+                let mut params = Params::new();
+                let mut rng = StdRng::seed_from_u64(23);
+                let model = Comparator::new(&encoder, &mut params, &mut rng);
 
-        let fused = batch_forward_backward(&model, &params, subs, &pairs);
-        let mut per_pair = BatchResult::default();
-        for pair in &pairs {
-            per_pair.merge(per_pair_forward_backward(&model, &params, subs, pair));
-        }
+                let fused = batch_forward_backward(&model, &params, subs, &pairs);
+                let mut per_pair = BatchResult::default();
+                for pair in &pairs {
+                    per_pair.merge(per_pair_forward_backward(&model, &params, subs, pair));
+                }
 
-        assert_eq!(fused.count, per_pair.count);
-        assert_eq!(fused.correct, per_pair.correct);
-        assert!(
-            (fused.loss - per_pair.loss).abs() <= 1e-5,
-            "loss diverged: {} vs {}",
-            fused.loss,
-            per_pair.loss
-        );
-        for name in params.names() {
-            let f = fused.grads.get(name).unwrap_or_else(|| {
-                panic!("fused path produced no gradient for {name}");
-            });
-            let s = per_pair.grads.get(name).unwrap_or_else(|| {
-                panic!("per-pair path produced no gradient for {name}");
-            });
-            // ≤ 1e-5 relative to the gradient's own scale: the two paths
-            // sum identical per-pair contributions in different orders,
-            // so the budget is f32 reassociation noise, not a fixed
-            // absolute (a summed-over-16-pairs gradient of magnitude ~10
-            // carries ~1e-5 of legitimate rounding).
-            let scale = s.as_slice().iter().fold(1.0f32, |m, &x| m.max(x.abs()));
-            let diff = f.max_abs_diff(s) / scale;
-            assert!(
-                diff <= 1e-5,
-                "gradient for {name} diverged by {diff} (relative)"
-            );
+                assert_eq!(fused.count, per_pair.count, "{what}");
+                assert_eq!(fused.correct, per_pair.correct, "{what}");
+                assert!(
+                    (fused.loss - per_pair.loss).abs() <= 1e-5,
+                    "{what}: loss diverged: {} vs {}",
+                    fused.loss,
+                    per_pair.loss
+                );
+                for name in params.names() {
+                    let f = fused.grads.get(name).unwrap_or_else(|| {
+                        panic!("{what}: fused path produced no gradient for {name}");
+                    });
+                    let s = per_pair.grads.get(name).unwrap_or_else(|| {
+                        panic!("{what}: per-pair path produced no gradient for {name}");
+                    });
+                    // ≤ 1e-5 relative to the gradient's own scale: the two
+                    // paths sum identical per-pair contributions in
+                    // different orders, so the budget is f32
+                    // reassociation noise, not a fixed absolute (a
+                    // summed-over-16-pairs gradient of magnitude ~10
+                    // carries ~1e-5 of legitimate rounding).
+                    let scale = s.as_slice().iter().fold(1.0f32, |m, &x| m.max(x.abs()));
+                    let diff = f.max_abs_diff(s) / scale;
+                    assert!(
+                        diff <= 1e-5,
+                        "{what}: gradient for {name} diverged by {diff} (relative)"
+                    );
+                }
+            }
         }
     }
 

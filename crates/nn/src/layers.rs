@@ -43,15 +43,19 @@ impl Embedding {
         self.vocab
     }
 
+    /// The `[vocab, dim]` table itself, bound on `ctx`.
+    pub(crate) fn table<'t>(&self, ctx: &Ctx<'t, '_>) -> Var<'t> {
+        ctx.param(&self.name)
+    }
+
     /// Looks up rows for `ids`, producing a `[len(ids), dim]` matrix.
     ///
     /// # Panics
     ///
     /// Panics if an id is out of vocabulary range.
     pub fn lookup<'t>(&self, ctx: &Ctx<'t, '_>, ids: &[u16]) -> Var<'t> {
-        let table = ctx.param(&self.name);
         let indices: Vec<usize> = ids.iter().map(|&k| k as usize).collect();
-        ctx.tape.gather(table, indices)
+        ctx.tape.gather(self.table(ctx), indices)
     }
 }
 

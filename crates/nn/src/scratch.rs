@@ -15,7 +15,7 @@
 //! allocation-free: each op's output tensor still allocates the `Arc`
 //! around its pooled buffer, and each level allocates its index lists.
 //! Encoding two unseen paper-width trees (289 nodes) on a warmed scratch
-//! makes ~915 heap allocations, a bound `ccsa-serve`'s
+//! makes ~863 heap allocations, a bound `ccsa-serve`'s
 //! `alloc_steady_state.rs` pins; a whole cold request through the
 //! benchmark's `cold_http` makes ~2.4k.
 //!

@@ -38,13 +38,23 @@
 //! pre-activation per projection and split it per gate afterwards —
 //! bit-identical to four separate projections, at a quarter of the
 //! matmul launches.
+//!
+//! The level-fused pass projects only what the codes need. A first-layer
+//! node's input is its kind's embedding row, so a pass over kinds
+//! projects the whole kind table once (`[67, λ] · [λ, 4h]`, 6.4 MFLOP at
+//! paper width) and each level gathers its `W·x` rows from that instead
+//! of multiplying one row per node. A downward node's incoming state is
+//! its parent's, so each depth level multiplies every distinct parent by
+//! `U` once, and the cell reads each child's rows from its parent's in
+//! place. A row of a matmul has the same bits whichever rows share the
+//! call, so the codes are those of one product per node.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
 use ccsa_cppast::AstGraph;
-use ccsa_tensor::{ChildSumIncoming, Var};
+use ccsa_tensor::{ChildSumEdges, ChildSumIncoming, Var};
 
 use crate::init;
 use crate::param::{Ctx, Params};
@@ -273,6 +283,60 @@ impl BatchLayout<'_> {
     }
 }
 
+/// What a pass reads per node.
+#[derive(Clone, Copy)]
+enum PassInput<'t> {
+    /// The node's kind embedding: the first layer.
+    Kinds,
+    /// `[N, x_dim]` rows in global node order: the layer below's states.
+    Rows(Var<'t>),
+}
+
+/// A downward level's incoming state: each node's one edge is its
+/// parent, a row of the level above (`h`, `c`, and the processing row it
+/// starts at). Siblings sit next to each other in a depth bucket, so one
+/// scan lists every parent once, and `U·h` runs per parent, not per
+/// child; the cell reads each child's rows from its parent's in place.
+fn downward_incoming<'t>(
+    ctx: &Ctx<'t, '_>,
+    layout: &BatchLayout<'_>,
+    sel: &[usize],
+    proc_row: &[usize],
+    (h_above, c_above, start): (Var<'t>, Var<'t>, usize),
+    [u_iou, u_f]: [Var<'t>; 2],
+) -> ChildSumIncoming<'t> {
+    let mut parents: Vec<usize> = Vec::new();
+    let mut rows: Vec<usize> = Vec::with_capacity(sel.len());
+    let mut g = 0;
+    for &node in sel {
+        while node >= layout.offsets[g + 1] {
+            g += 1;
+        }
+        let parent = layout
+            .incoming(g, node, false)
+            .next()
+            .expect("a node below the roots has a parent");
+        debug_assert_ne!(proc_row[parent], usize::MAX, "level order violated");
+        let row = proc_row[parent] - start;
+        if parents.last() != Some(&row) {
+            parents.push(row);
+        }
+        rows.push(parents.len() - 1);
+    }
+    let segments: Vec<usize> = (0..=parents.len()).collect();
+    let parents = Arc::new(parents);
+    let hp = h_above.index_rows(Arc::clone(&parents));
+    // h̃ is the sum of one row, `0.0 + h`, as a one-child segment sums
+    // it on the way up: a `-0.0` state reaches the product as `+0.0`.
+    let h_tilde = ctx.tape.segment_sum(hp, segments);
+    ChildSumIncoming {
+        uh: h_tilde.matmul_nt(u_iou),
+        ufh: hp.matmul_nt(u_f),
+        ck: c_above.index_rows(parents),
+        edges: ChildSumEdges::Rows(Arc::new(rows)),
+    }
+}
+
 /// A pass within one layer.
 // The variant payloads are name bundles of very different sizes; only a
 // handful of LayerKind values exist per encoder, so boxing the large
@@ -409,7 +473,7 @@ impl TreeLstmEncoder {
         }
         sched.clear();
         // Global node numbering: graph g's node ix lives at
-        // offsets[g] + ix. One embedding gather covers the whole batch.
+        // offsets[g] + ix, and `sched.ids[node]` is its kind.
         let mut offsets = Vec::with_capacity(graphs.len() + 1);
         let mut total = 0usize;
         for g in graphs {
@@ -425,7 +489,7 @@ impl TreeLstmEncoder {
         // On an inference tape each layer frees its input once its passes
         // have run: `input_from` marks where that input was recorded.
         let mut input_from = ctx.tape.len();
-        let mut x = self.embedding.lookup(ctx, &sched.ids);
+        let mut x = PassInput::Kinds;
         let mut last = None;
         for layer in &self.layers {
             let layer_from = ctx.tape.len();
@@ -447,7 +511,7 @@ impl TreeLstmEncoder {
             ctx.tape.release_since(input_from, &[h, next]);
             input_from = layer_from;
             last = Some(h);
-            x = next;
+            x = PassInput::Rows(next);
         }
         // The code vector per graph: its root's hidden state in the final
         // pass (roots sit at each graph's global offset).
@@ -458,8 +522,9 @@ impl TreeLstmEncoder {
     }
 
     /// One level-scheduled pass (upward when `up`, else downward) over
-    /// every graph in the batch. `x` is `[N, x_dim]` in global node
-    /// order; the result is `[N, hidden]` in the same order.
+    /// every graph in the batch. `x` is the node kinds or `[N, x_dim]`
+    /// rows in global node order; the result is `[N, hidden]` in the
+    /// same order.
     ///
     /// On an inference tape a level's temporaries are released as soon
     /// as its `h` and `c` rows exist, and the pass's per-level state as
@@ -471,7 +536,7 @@ impl TreeLstmEncoder {
         ctx: &Ctx<'t, '_>,
         layout: &BatchLayout<'_>,
         cell: &CellParams,
-        x: Var<'t>,
+        x: PassInput<'t>,
         up: bool,
         stats: &mut crate::FusedStats,
         sched: &mut crate::SchedBufs,
@@ -519,13 +584,13 @@ impl TreeLstmEncoder {
         for (node, &l) in level.iter().enumerate().take(total) {
             sched.levels[l].push(node);
         }
-        let levels = &sched.levels[..max_level + 1];
+        let (levels, kinds) = (&sched.levels[..max_level + 1], &sched.ids);
 
         // proc_row[node]: the node's row in processing order (levels are
         // appended as they complete). Each completed level stays its own
         // tensor in `level_h` / `level_c`; child/parent reads gather from
-        // the level list directly (`gather_rows_multi`), so deep trees no
-        // longer pay the old O(levels · N · h) per-level re-stacking copy.
+        // the level list directly, so deep trees never pay an
+        // O(levels · N · h) per-level re-stacking copy.
         let mut proc_row = vec![usize::MAX; total];
         let mut level_h: Vec<Var<'t>> = Vec::new();
         let mut level_c: Vec<Var<'t>> = Vec::new();
@@ -543,62 +608,85 @@ impl TreeLstmEncoder {
         let u_f = ctx
             .param(&cell.u)
             .index_rows((3 * hidden..4 * hidden).collect::<Vec<usize>>());
+        // A node's input projection depends on nothing but its input
+        // row. On the first layer that row is its kind's embedding, so
+        // the pass projects the kind table once — `[kinds, 4h]` — and
+        // each level gathers its rows of that instead of multiplying.
+        let w = ctx.param(&cell.w);
+        let (input, projected) = match x {
+            PassInput::Kinds => (self.embedding.table(ctx).matmul_nt(w), true),
+            PassInput::Rows(x) => (x, false),
+        };
+        // Where the last level done starts in processing order: a
+        // downward level's parents are all in it.
+        let mut last_start = 0usize;
 
         for sel in levels {
             let width = sel.len();
             let level_from = ctx.tape.len();
-
-            // The incoming edges: children for the upward pass, the
-            // parent for the downward pass, listed per node. The gathered
-            // source rows (`hk`) feed both h̃ and the forget gates, and
-            // the index lists are shared behind `Arc`s.
-            let mut agg_rows: Vec<usize> = Vec::new();
-            let mut agg_offsets: Vec<usize> = Vec::with_capacity(width + 1);
-            agg_offsets.push(0);
-            // A bucket lists its nodes in ascending global id, so the
-            // owning graph only ever moves forward.
-            let mut g = 0;
-            for &node in sel {
-                while node >= layout.offsets[g + 1] {
-                    g += 1;
+            let incoming = if up {
+                // The incoming edges are the children, listed per node.
+                // The gathered rows (`hk`) feed both h̃ and the forget
+                // gates, and the index lists are shared behind `Arc`s.
+                let mut agg_rows: Vec<usize> = Vec::new();
+                let mut agg_offsets: Vec<usize> = Vec::with_capacity(width + 1);
+                agg_offsets.push(0);
+                // A bucket lists its nodes in ascending global id, so the
+                // owning graph only ever moves forward.
+                let mut g = 0;
+                for &node in sel {
+                    while node >= layout.offsets[g + 1] {
+                        g += 1;
+                    }
+                    for src in layout.incoming(g, node, true) {
+                        debug_assert_ne!(proc_row[src], usize::MAX, "level order violated");
+                        agg_rows.push(proc_row[src]);
+                    }
+                    agg_offsets.push(agg_rows.len());
                 }
-                for src in layout.incoming(g, node, up) {
-                    debug_assert_ne!(proc_row[src], usize::MAX, "level order violated");
-                    agg_rows.push(proc_row[src]);
-                }
-                agg_offsets.push(agg_rows.len());
-            }
-            // A level either aggregates along every node or along none
-            // (leaves going up, roots going down); with none, the cell
-            // has no hidden projection of zero state to add.
-            let incoming = (!agg_rows.is_empty()).then(|| {
-                let agg_rows = Arc::new(agg_rows);
-                let offsets = Arc::new(agg_offsets);
-                let hk = ctx.tape.gather_rows_multi(&level_h, Arc::clone(&agg_rows));
-                let h_tilde = ctx.tape.segment_sum(hk, Arc::clone(&offsets));
-                ChildSumIncoming {
-                    uh: h_tilde.matmul_nt(u_iou),
-                    ufh: hk.matmul_nt(u_f),
-                    ck: ctx.tape.gather_rows_multi(&level_c, agg_rows),
-                    offsets,
-                }
-            });
+                // A level either aggregates along every node or along
+                // none (the leaves); with none, the cell has no hidden
+                // projection of zero state to add.
+                (!agg_rows.is_empty()).then(|| {
+                    let agg_rows = Arc::new(agg_rows);
+                    let offsets = Arc::new(agg_offsets);
+                    let hk = ctx.tape.gather_rows_multi(&level_h, Arc::clone(&agg_rows));
+                    let h_tilde = ctx.tape.segment_sum(hk, Arc::clone(&offsets));
+                    ChildSumIncoming {
+                        uh: h_tilde.matmul_nt(u_iou),
+                        ufh: hk.matmul_nt(u_f),
+                        ck: ctx.tape.gather_rows_multi(&level_c, agg_rows),
+                        edges: ChildSumEdges::Segments(offsets),
+                    }
+                })
+            } else {
+                // None on the roots' level.
+                let above = level_h.last().zip(level_c.last());
+                above.map(|(&h, &c)| {
+                    let above = (h, c, last_start);
+                    downward_incoming(ctx, layout, sel, &proc_row, above, [u_iou, u_f])
+                })
+            };
 
             for (local, &node) in sel.iter().enumerate() {
                 proc_row[node] = done + local;
             }
-            // The one copy left: the bucket keeps its capacity for the
-            // next batch, the tape op owns its index list.
-            let xl = x.index_rows(sel.clone());
 
             // One matmul per projection for all four gates — the fused
-            // `[width, d] · [d, 4h]` input projection here, the
-            // `[width, h] · [h, 3h]` i/o/u and `[E, h] · [h, h]` forget
-            // projections above — then one op for the bias and the
+            // `[width, d] · [d, 4h]` input projection here (or its rows
+            // of the per-kind table), the i/o/u and forget projections of
+            // the incoming state above — then one op for the bias and the
             // cell's gate algebra. Per element it runs the per-gate
             // arithmetic of the sequential cell, so the two agree bit for
             // bit.
-            let wx = xl.matmul_nt(ctx.param(&cell.w));
+            let wx = if projected {
+                let sel_kinds: Vec<usize> = sel.iter().map(|&node| kinds[node] as usize).collect();
+                input.index_rows(sel_kinds)
+            } else {
+                // The one copy left: the bucket keeps its capacity for
+                // the next batch, the tape op owns its index list.
+                input.index_rows(sel.clone()).matmul_nt(w)
+            };
             let (h_l, c_l) = ctx.tape.child_sum_cell(
                 wx,
                 ctx.param(&cell.b),
@@ -607,6 +695,7 @@ impl TreeLstmEncoder {
             );
             ctx.tape.release_since(level_from, &[h_l, c_l]);
 
+            last_start = done;
             done += width;
             level_h.push(h_l);
             level_c.push(c_l);

@@ -1166,6 +1166,54 @@ mod tests {
     }
 
     #[test]
+    fn matmul_rows_do_not_depend_on_the_batch() {
+        // The tree-LSTM projects each node kind once and each downward
+        // parent once, and hands the row to every node that needs it: a
+        // row of a product may not depend on which rows share the call.
+        // Shapes: the per-kind input table, one parent's i/o/u product,
+        // 37 parents' forget product. The batch cycles the `m` rows to
+        // `2m + 1`, so rows land at every offset of a row block.
+        for kern in backends() {
+            for &(m, k, n) in &[(67, 120, 400), (1, 100, 300), (37, 100, 100)] {
+                let a = fill(m * k, 37, 17, 8.0, 0.37);
+                let b = fill(k * n, 23, 13, 6.0, 0.59);
+                // The product over A's rows `rows`: `A·B`, which is also
+                // the tape's `A·Bᵀ` (it multiplies by a transposed copy
+                // of B), and `Aᵀ·B` with `Aᵀ` stored, as the backward
+                // reads its operands.
+                let products = |rows: &[usize]| -> [Vec<f32>; 2] {
+                    let sub: Vec<f32> = rows
+                        .iter()
+                        .flat_map(|&r| a[r * k..(r + 1) * k].iter().copied())
+                        .collect();
+                    let sub_t = transposed(&sub, rows.len(), k);
+                    let mut out = [(); 2].map(|_| vec![0.0f32; rows.len() * n]);
+                    (kern.matmul)(&sub, &b, &mut out[0], rows.len(), k, n);
+                    (kern.matmul_tn)(&sub_t, &b, &mut out[1], rows.len(), k, n);
+                    out
+                };
+                let alone: Vec<Vec<f32>> = (0..m).map(|r| products(&[r])[0].clone()).collect();
+                let batch: Vec<usize> = (0..2 * m + 1).map(|r| r % m).collect();
+                for chunk in [1, 128, batch.len()] {
+                    for rows in batch.chunks(chunk) {
+                        for (form, got) in ["A·B", "Aᵀ·B"].iter().zip(products(rows)) {
+                            for (i, &r) in rows.iter().enumerate() {
+                                assert_eq!(
+                                    bits(&got[i * n..(i + 1) * n]),
+                                    bits(&alone[r]),
+                                    "{} {form} ({m},{k},{n}): row {r} in {} rows",
+                                    kern.backend,
+                                    rows.len()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn matvec_matches_matmul_bitwise_per_backend() {
         for kern in backends() {
             for &(m, k, _) in SHAPES {

@@ -194,9 +194,9 @@ enum Op {
         sources: Vec<usize>,
         indices: Arc<Vec<usize>>,
     },
-    /// Per-segment row sums with an optional per-segment initial row —
-    /// the child-sum / forget-sum aggregation of the level-fused
-    /// tree-LSTM.
+    /// Per-segment row sums — the child sum `h̃` of the level-fused
+    /// tree-LSTM — with an optional per-segment initial row, which only
+    /// the tests' fold oracle sets.
     SegmentSum {
         m: usize,
         offsets: Arc<Vec<usize>>,
@@ -232,9 +232,8 @@ struct ChildSumRecord {
     h: usize,
     wx: usize,
     b: usize,
-    /// `(uh, ufh, ck)` and the edge offsets, for a level with incoming
-    /// state.
-    incoming: Option<([usize; 3], Arc<Vec<usize>>)>,
+    /// `(uh, ufh, ck)` and the edges, for a level with incoming state.
+    incoming: Option<([usize; 3], ChildSumEdges)>,
     sigmoid_candidate: bool,
     /// `[w, 3h]`: `σ(pre_i) | σ(pre_o) | u` per row.
     gates: Tensor,
@@ -254,7 +253,9 @@ impl ChildSumRecord {
     /// order, `d ufh_e = dc·c_e·f_e·(1 − f_e)`, added into the `f` block
     /// of `d wx`, and `d c_e = dc·f_e`. `d uh` is `d wx[:, :3h]`, and
     /// `d b` the column sums of `d wx` added row by row from zero — the
-    /// sums [`Var::add_row_broadcast`]'s backward forms.
+    /// sums [`Var::add_row_broadcast`]'s backward forms. With
+    /// [`ChildSumEdges::Rows`], each node's `d uh`, `d ufh` and `d c`
+    /// add into the operand row it read, in node order.
     fn backward(
         &self,
         dh: Option<&Tensor>,
@@ -262,7 +263,7 @@ impl ChildSumRecord {
         ck: Option<&Tensor>,
     ) -> (Tensor, Tensor, Option<[Tensor; 3]>) {
         let (w, h3) = (self.gates.shape().rows(), self.gates.shape().cols());
-        let (hd, edges) = (h3 / 3, self.forget.shape().rows());
+        let hd = h3 / 3;
         let (h2, h4) = (2 * hd, 4 * hd);
         let (gates, tanh_c, forget) = (
             self.gates.as_slice(),
@@ -271,10 +272,13 @@ impl ChildSumRecord {
         );
         let mut dwx = crate::pool::take_zeroed(w * h4);
         let mut dc = crate::pool::take_zeroed(hd);
-        let (mut dufh, mut dck) = if edges > 0 {
+        // One gradient row per row of `ufh` and `ck` — per edge, or per
+        // shared row.
+        let sources = ck.map_or(0, |ck| ck.shape().rows());
+        let (mut dufh, mut dck) = if sources > 0 {
             (
-                crate::pool::take_zeroed(edges * hd),
-                crate::pool::take_zeroed(edges * hd),
+                crate::pool::take_zeroed(sources * hd),
+                crate::pool::take_zeroed(sources * hd),
             )
         } else {
             (Vec::new(), Vec::new())
@@ -312,23 +316,24 @@ impl ChildSumRecord {
                     *duv = dcv * iv * (1.0 - uv * uv);
                 }
             }
-            let (Some((_, offsets)), Some(ck)) = (&self.incoming, ck) else {
+            let (Some((_, edges)), Some(ck)) = (&self.incoming, ck) else {
                 continue;
             };
             let d_f = &mut rest[h2..];
-            for e in offsets[r]..offsets[r + 1] {
-                let edge = e * hd..(e + 1) * hd;
-                let (f, cke) = (&forget[edge.clone()], &ck.as_slice()[edge.clone()]);
+            for e in edges.of(r) {
+                let src = edges.row(e);
+                let src = src * hd..(src + 1) * hd;
+                let (f, cke) = (&forget[e * hd..(e + 1) * hd], &ck.as_slice()[src.clone()]);
                 let rows = d_f
                     .iter_mut()
-                    .zip(&mut dufh[edge.clone()])
-                    .zip(&mut dck[edge]);
+                    .zip(&mut dufh[src.clone()])
+                    .zip(&mut dck[src]);
                 for ((((dfx, dfh), dce), &dcv), (&fv, &kv)) in rows.zip(&dc).zip(f.iter().zip(cke))
                 {
                     let d_pre = dcv * kv * fv * (1.0 - fv);
-                    *dfh = d_pre;
+                    *dfh += d_pre;
                     *dfx += d_pre;
-                    *dce = dcv * fv;
+                    *dce += dcv * fv;
                 }
             }
         }
@@ -338,15 +343,27 @@ impl ChildSumRecord {
         for row in dwx.chunks_exact(h4) {
             accum(&mut db, row);
         }
-        let dincoming = self.incoming.as_ref().map(|_| {
-            let mut duh = crate::pool::take_cap(w * h3);
-            for row in dwx.chunks_exact(h4) {
-                duh.extend_from_slice(&row[..h3]);
-            }
+        let dincoming = self.incoming.as_ref().map(|(_, edges)| {
+            let duh = match edges {
+                ChildSumEdges::Segments(_) => {
+                    let mut duh = crate::pool::take_cap(w * h3);
+                    for row in dwx.chunks_exact(h4) {
+                        duh.extend_from_slice(&row[..h3]);
+                    }
+                    Tensor::from_vec(duh, [w, h3])
+                }
+                ChildSumEdges::Rows(rows) => {
+                    let mut duh = crate::pool::take_zeroed(sources * h3);
+                    for (row, &src) in dwx.chunks_exact(h4).zip(rows.iter()) {
+                        accum(&mut duh[src * h3..(src + 1) * h3], &row[..h3]);
+                    }
+                    Tensor::from_vec(duh, [sources, h3])
+                }
+            };
             [
-                Tensor::from_vec(duh, [w, h3]),
-                Tensor::from_vec(dufh, [edges, hd]),
-                Tensor::from_vec(dck, [edges, hd]),
+                duh,
+                Tensor::from_vec(dufh, [sources, hd]),
+                Tensor::from_vec(dck, [sources, hd]),
             ]
         });
         (
@@ -370,9 +387,50 @@ pub struct ChildSumIncoming<'t> {
     pub ufh: Var<'t>,
     /// `c_k`, `[E, h]`: each edge's memory cell.
     pub ck: Var<'t>,
-    /// `w + 1` ascending cut points: node `r`'s edges are rows
-    /// `offsets[r]..offsets[r + 1]` of `ufh` and `ck`.
-    pub offsets: Arc<Vec<usize>>,
+    /// Which rows of `uh`, `ufh` and `ck` each node reads.
+    pub edges: ChildSumEdges,
+}
+
+/// How the nodes of a [`ChildSumIncoming`] level find their rows.
+#[derive(Clone, Debug)]
+pub enum ChildSumEdges {
+    /// `w + 1` ascending cut points from 0: node `r` reads row `r` of
+    /// `uh`, and its edges are rows `offsets[r]..offsets[r + 1]` of
+    /// `ufh` and `ck`.
+    Segments(Arc<Vec<usize>>),
+    /// One edge per node, into rows that several nodes may share: node
+    /// `r` reads row `rows[r]` of `uh`, `ufh` and `ck`, which then have
+    /// one row per source, not per node. Siblings in a downward pass
+    /// read their parent's projections this way, in place.
+    Rows(Arc<Vec<usize>>),
+}
+
+impl ChildSumEdges {
+    /// Node `r`'s edges, numbered as the op's per-edge forget gates.
+    fn of(&self, r: usize) -> std::ops::Range<usize> {
+        match self {
+            ChildSumEdges::Segments(offsets) => offsets[r]..offsets[r + 1],
+            ChildSumEdges::Rows(_) => r..r + 1,
+        }
+    }
+
+    /// The operand row node `r` reads of `uh`, or edge `r` of `ufh` and
+    /// `ck` (with [`ChildSumEdges::Rows`], node `r`'s one edge is edge
+    /// `r`).
+    fn row(&self, r: usize) -> usize {
+        match self {
+            ChildSumEdges::Segments(_) => r,
+            ChildSumEdges::Rows(rows) => rows[r],
+        }
+    }
+
+    /// The edge count `E`.
+    fn count(&self) -> usize {
+        match self {
+            ChildSumEdges::Segments(offsets) => offsets.last().copied().unwrap_or(0),
+            ChildSumEdges::Rows(rows) => rows.len(),
+        }
+    }
 }
 
 struct Node {
@@ -780,16 +838,16 @@ impl Tape {
 
     /// Like [`Tape::segment_sum`] but every segment starts from the
     /// matching row of `init` (`[S, d]`) instead of zero, and rows are
-    /// added in order: `out[s] = (…(init[s] + r_0) + r_1)…`. The left
-    /// association exactly matches per-node sequential accumulation, so
-    /// the fused tree-LSTM cell reproduces the sequential path's f32
-    /// results.
+    /// added in order: `out[s] = (…(init[s] + r_0) + r_1)…` — the forget
+    /// fold of the per-node cell, and so the tests' oracle for
+    /// [`Tape::child_sum_cell`]'s.
     ///
     /// # Panics
     ///
     /// Panics on the same conditions as [`Tape::segment_sum`], or if
     /// `init` does not have shape `[S, d]`.
-    pub fn segment_sum_init<'t>(
+    #[cfg(test)]
+    fn segment_sum_init<'t>(
         &'t self,
         init: Var<'t>,
         m: Var<'t>,
@@ -876,14 +934,20 @@ impl Tape {
     /// That is the IEEE sequence of the composed ops (`add_row_broadcast`,
     /// `slice_cols`, `add`, `sigmoid`, `tanh`, `mul`, `index_rows`,
     /// `segment_sum_init`), so the values are theirs to the bit, without
-    /// their per-op buffers. On a recording tape the op keeps `i, o, u`,
-    /// the forget gates and `tanh(c)` for its backward.
+    /// their per-op buffers. `uh_r`, `ufh_e` and `c_e` are the rows
+    /// [`ChildSumEdges`] names, read in place: a row several nodes share
+    /// gives each of them the bits a copy of it would. On a recording
+    /// tape the op keeps `i, o, u`, the forget gates and `tanh(c)` for
+    /// its backward.
     ///
     /// # Panics
     ///
-    /// Panics if `wx` is not `[w, 4h]`, `b` not `[4h]`, `uh` not
-    /// `[w, 3h]`, `ufh` and `ck` not both `[E, h]`, or `offsets` not
-    /// `w + 1` ascending cut points ending at `E`.
+    /// Panics if `wx` is not `[w, 4h]` or `b` not `[4h]`; with
+    /// [`ChildSumEdges::Segments`], if the offsets are not `w + 1`
+    /// ascending cut points from 0 ending at `E`, `uh` not `[w, 3h]`, or
+    /// `ufh` and `ck` not both `[E, h]`; with [`ChildSumEdges::Rows`], if
+    /// there are not `w` rows, each below the `S` rows of `[S, 3h]` `uh`
+    /// and `[S, h]` `ufh` and `ck`.
     pub fn child_sum_cell<'t>(
         &'t self,
         wx: Var<'t>,
@@ -907,38 +971,50 @@ impl Tape {
             bv.shape()
         );
         let in_vals = incoming.as_ref().map(|inc| {
-            let offsets = &inc.offsets[..];
-            assert!(
-                offsets.len() == w + 1
-                    && offsets[0] == 0
-                    && offsets.windows(2).all(|p| p[0] <= p[1]),
-                "child_sum_cell needs {} ascending edge offsets from 0",
-                w + 1
-            );
             let (uh, ufh, ck) = (
                 self.value_of(inc.uh.id),
                 self.value_of(inc.ufh.id),
                 self.value_of(inc.ck.id),
             );
+            // The row counts `uh` and `ufh`, `ck` must have.
+            let (uh_rows, src_rows) = match &inc.edges {
+                ChildSumEdges::Segments(offsets) => {
+                    assert!(
+                        offsets.len() == w + 1
+                            && offsets[0] == 0
+                            && offsets.windows(2).all(|p| p[0] <= p[1]),
+                        "child_sum_cell needs {} ascending edge offsets from 0",
+                        w + 1
+                    );
+                    (w, offsets[w])
+                }
+                ChildSumEdges::Rows(rows) => {
+                    let shared = ck.shape().rows();
+                    assert!(
+                        rows.len() == w && rows.iter().all(|&r| r < shared),
+                        "child_sum_cell needs {w} rows below {shared}"
+                    );
+                    (shared, shared)
+                }
+            };
             assert_eq!(
                 uh.shape().dims(),
-                &[w, 3 * hd],
-                "child_sum_cell uh must be [{w}, {}], got {}",
+                &[uh_rows, 3 * hd],
+                "child_sum_cell uh must be [{uh_rows}, {}], got {}",
                 3 * hd,
                 uh.shape()
             );
             for (name, v) in [("ufh", &ufh), ("ck", &ck)] {
                 assert_eq!(
                     v.shape().dims(),
-                    &[offsets[w], hd],
-                    "child_sum_cell {name} must be [{}, {hd}], got {}",
-                    offsets[w],
+                    &[src_rows, hd],
+                    "child_sum_cell {name} must be [{src_rows}, {hd}], got {}",
                     v.shape()
                 );
             }
-            (uh, ufh, ck, offsets)
+            (uh, ufh, ck, &inc.edges)
         });
-        let edges = in_vals.as_ref().map_or(0, |v| v.3[w]);
+        let edges = in_vals.as_ref().map_or(0, |v| v.3.count());
 
         let kern = crate::kernels::active();
         let candidate = if sigmoid_candidate {
@@ -964,8 +1040,9 @@ impl Tape {
             let (pre, pre_f) = pre.split_at_mut(h3);
             let biased = pre.iter_mut().zip(x_iou.iter().zip(b_iou));
             match &in_vals {
-                Some((uh, ..)) => {
-                    let uh = &uh.as_slice()[r * h3..(r + 1) * h3];
+                Some((uh, .., edges)) => {
+                    let row = edges.row(r);
+                    let uh = &uh.as_slice()[row * h3..(row + 1) * h3];
                     for ((p, (&a, &bias)), &u) in biased.zip(uh) {
                         *p = (a + bias) + u;
                     }
@@ -986,20 +1063,26 @@ impl Tape {
             for ((cv, &iv), &uv) in c_row.iter_mut().zip(i).zip(u) {
                 *cv = iv * uv;
             }
-            let Some((_, ufh, ck, offsets)) = &in_vals else {
+            let Some((_, ufh, ck, edges)) = &in_vals else {
                 continue;
             };
             for ((p, &a), &bias) in pre_f.iter_mut().zip(x_f).zip(b_f) {
                 *p = a + bias;
             }
-            for e in offsets[r]..offsets[r + 1] {
+            for e in edges.of(r) {
+                let src = edges.row(e);
+                let src = src * hd..(src + 1) * hd;
                 let f_pre = &mut pre[..hd];
-                for ((p, &a), &u) in f_pre.iter_mut().zip(&*pre_f).zip(&ufh.as_slice()[e * hd..]) {
+                for ((p, &a), &u) in f_pre
+                    .iter_mut()
+                    .zip(&*pre_f)
+                    .zip(&ufh.as_slice()[src.clone()])
+                {
                     *p = a + u;
                 }
                 let f = &mut forget[e * hd..(e + 1) * hd];
                 (kern.sigmoid)(f_pre, f);
-                for ((cv, &fv), &kv) in c_row.iter_mut().zip(&*f).zip(&ck.as_slice()[e * hd..]) {
+                for ((cv, &fv), &kv) in c_row.iter_mut().zip(&*f).zip(&ck.as_slice()[src]) {
                     *cv += fv * kv;
                 }
             }
@@ -1026,7 +1109,7 @@ impl Tape {
                 h: c_id + 1,
                 wx: wx.id,
                 b: b.id,
-                incoming: incoming.map(|inc| ([inc.uh.id, inc.ufh.id, inc.ck.id], inc.offsets)),
+                incoming: incoming.map(|inc| ([inc.uh.id, inc.ufh.id, inc.ck.id], inc.edges)),
                 sigmoid_candidate,
                 gates: Tensor::from_vec(gates, [w, h3]),
                 forget: Tensor::from_vec(forget, [edges, hd]),
@@ -2534,7 +2617,7 @@ mod tests {
             uh: vars[2],
             ufh: vars[3],
             ck: vars[4],
-            offsets: Arc::clone(offsets),
+            edges: ChildSumEdges::Segments(Arc::clone(offsets)),
         })
     }
 
@@ -2570,15 +2653,17 @@ mod tests {
         let c = match incoming {
             None => iu,
             Some(inc) => {
-                let edge_parent: Vec<usize> = inc
-                    .offsets
+                let ChildSumEdges::Segments(offsets) = &inc.edges else {
+                    panic!("the composed chain reads one row per edge");
+                };
+                let edge_parent: Vec<usize> = offsets
                     .windows(2)
                     .enumerate()
                     .flat_map(|(r, p)| std::iter::repeat_n(r, p[1] - p[0]))
                     .collect();
                 let fx = wxb.slice_cols(3 * HD, HD).index_rows(edge_parent);
                 let f = fx.add(inc.ufh).sigmoid();
-                tape.segment_sum_init(iu, f.mul(inc.ck), Arc::clone(&inc.offsets))
+                tape.segment_sum_init(iu, f.mul(inc.ck), Arc::clone(offsets))
             }
         };
         (o.mul(c.tanh()), c)
@@ -2704,6 +2789,77 @@ mod tests {
                 "child_sum_cell gradient check failed at {offsets:?}: {report:?}"
             );
         }
+    }
+
+    #[test]
+    fn child_sum_cell_reads_shared_rows_in_place_to_the_bit() {
+        // Five nodes over three shared source rows, as siblings read a
+        // parent: a run of three, then one row each, out of order. The
+        // oracle is the same level with every row copied out per node.
+        let rows = Arc::new(vec![1usize, 1, 1, 0, 2]);
+        let (w, shared) = (rows.len(), 3);
+        let leaves = cell_leaves(&[0, 0, 0, 0, 0, 0], HD);
+        let sources = [
+            Tensor::from_vec(spread(shared * 3 * HD, 2), [shared, 3 * HD]),
+            Tensor::from_vec(spread(shared * HD, 3), [shared, HD]),
+            Tensor::from_vec(spread(shared * HD, 4), [shared, HD]),
+        ];
+        let weight = Tensor::from_vec(spread(w * HD, 6), [w, HD]);
+        let per_node = Arc::new((0..=w).collect::<Vec<usize>>());
+        // `(h, c)` and, on a recording tape, the gradients of `wx`, `b`
+        // and the three sources.
+        let run = |tape: &Tape, copied: bool, sigmoid_candidate: bool| {
+            let (wx, b) = (tape.leaf(leaves.wx.clone()), tape.leaf(leaves.b.clone()));
+            let src = sources.clone().map(|t| tape.leaf(t));
+            let (read, edges) = if copied {
+                let read = src.map(|v| v.index_rows(Arc::clone(&rows)));
+                (read, ChildSumEdges::Segments(Arc::clone(&per_node)))
+            } else {
+                (src, ChildSumEdges::Rows(Arc::clone(&rows)))
+            };
+            let incoming = ChildSumIncoming {
+                uh: read[0],
+                ufh: read[1],
+                ck: read[2],
+                edges,
+            };
+            let (h, c) = tape.child_sum_cell(wx, b, Some(incoming), sigmoid_candidate);
+            let grads = (!tape.inference).then(|| {
+                let loss = h.mul(tape.leaf(weight.clone())).sum().add(c.tanh().sum());
+                let g = tape.backward(loss);
+                [wx, b, src[0], src[1], src[2]].map(|v| g.get_or_zeros(v))
+            });
+            ([h.value(), c.value()], grads)
+        };
+        for sigmoid_candidate in [false, true] {
+            let what = format!("σ candidate {sigmoid_candidate}");
+            let (copied, copied_grads) = run(&Tape::new(), true, sigmoid_candidate);
+            for tape in [Tape::new(), Tape::inference()] {
+                let (read, grads) = run(&tape, false, sigmoid_candidate);
+                for (name, (r, c)) in ["h", "c"].iter().zip(read.iter().zip(&copied)) {
+                    assert_eq!(tensor_bits(r), tensor_bits(c), "{name}, {what}");
+                }
+                let (Some(grads), Some(oracle)) = (grads, &copied_grads) else {
+                    continue;
+                };
+                for (k, (r, c)) in grads.iter().zip(oracle).enumerate() {
+                    let diff = r.max_abs_diff(c);
+                    assert!(diff <= 1e-6, "operand {k}, {what}: off by {diff:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segment_sum_init_passes_grad_check() {
+        // Uneven segments folded onto their init rows, one of them empty.
+        let m = Tensor::from_vec(spread(8, 1).iter().map(|x| x / 2.0).collect(), [4, 2]);
+        let init = Tensor::from_vec(spread(6, 2).iter().map(|x| x / 2.0).collect(), [3, 2]);
+        let report = crate::grad_check(&[m, init], 1e-2, |tape, vars| {
+            let folded = tape.segment_sum_init(vars[1], vars[0], vec![0usize, 3, 3, 4]);
+            crate::TapeScalar(folded.sigmoid().sum())
+        });
+        assert!(report.passes(3e-2), "{report:?}");
     }
 
     #[test]

@@ -120,14 +120,13 @@ proptest! {
     }
 
     #[test]
-    fn segment_sum_gradcheck(m in arb_vec(8), init in arb_vec(4)) {
+    fn segment_sum_gradcheck(m in arb_vec(8)) {
         let m = Tensor::from_vec(m, [4, 2]);
-        let init = Tensor::from_vec(init, [2, 2]);
-        let report = grad_check(&[m, init], 1e-2, |tape, vars| {
-            // Uneven segments including the fold-from-init variant.
+        let report = grad_check(&[m], 1e-2, |tape, vars| {
+            // Uneven segments. The fold-from-init variant is a test
+            // oracle inside the crate, checked in `tape::tests`.
             let plain = tape.segment_sum(vars[0], vec![0usize, 1, 4]);
-            let folded = tape.segment_sum_init(vars[1], vars[0], vec![0usize, 3, 4]);
-            TapeScalar(plain.tanh().sum().add(folded.sigmoid().sum()))
+            TapeScalar(plain.tanh().sum())
         });
         prop_assert!(report.passes(3e-2), "{report:?}");
     }
