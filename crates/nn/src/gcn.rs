@@ -175,7 +175,8 @@ impl GcnEncoder {
         for g in graphs {
             offsets.push(total);
             sched
-                .ids
+                .pass
+                .kinds
                 .extend((0..g.node_count() as u32).map(|ix| g.kind_id(ix)));
             edges.extend(
                 g.edges()
@@ -187,7 +188,7 @@ impl GcnEncoder {
         offsets.push(total);
         let adj = Arc::new(Adjacency::normalized_from_edges(total, &edges));
 
-        let mut h = self.embedding.lookup(ctx, &sched.ids);
+        let mut h = self.embedding.lookup(ctx, &sched.pass.kinds);
         for conv in &self.convs {
             let mixed = ctx.tape.spmm(Arc::clone(&adj), h);
             let pre = conv.forward_rows(ctx, mixed);

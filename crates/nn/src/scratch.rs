@@ -8,23 +8,22 @@
 //! batch to the next while the model lives.
 //!
 //! The tape is an [inference tape](Tape::inference): it keeps values,
-//! not operations, and the level-fused encoder releases each level's
-//! temporaries when the level ends, so their buffers return to the
-//! [pool](ccsa_tensor::pool) while the pass runs. A warmed worker's pass
-//! therefore draws every tensor buffer from the pool. It is not
-//! allocation-free: each op's output tensor still allocates the `Arc`
-//! around its pooled buffer, and each level allocates its index lists.
-//! Encoding two unseen paper-width trees (289 nodes) on a warmed scratch
-//! makes ~863 heap allocations, a bound `ccsa-serve`'s
-//! `alloc_steady_state.rs` pins; a whole cold request through the
-//! benchmark's `cold_http` makes ~2.4k.
+//! not operations. A tree-LSTM pass is one op whose scratch goes back to
+//! the [pool](ccsa_tensor::pool) when it ends, and the encoder releases
+//! each layer's input once the layer has run. A warmed worker's pass
+//! therefore draws every tensor buffer from the pool, and its schedule
+//! from these buffers. It is not allocation-free: each op's output
+//! tensor still allocates the `Arc` around its pooled buffer. Encoding
+//! two unseen paper-width trees (289 nodes) on a warmed scratch makes
+//! ~16 heap allocations, a bound `ccsa-serve`'s `alloc_steady_state.rs`
+//! pins.
 //!
 //! Each [`EncodePool`] worker owns one `EncodeScratch` for its whole
 //! life; training code keeps using recording tapes.
 //!
 //! [`EncodePool`]: https://docs.rs/ccsa-serve
 
-use ccsa_tensor::Tape;
+use ccsa_tensor::{PassSchedule, Tape};
 
 /// Reusable scheduling buffers for one batched encode pass.
 ///
@@ -32,13 +31,14 @@ use ccsa_tensor::Tape;
 /// encoders treat the *contents* as garbage on entry.
 #[derive(Debug, Default)]
 pub struct SchedBufs {
-    /// Flattened node-kind ids across the whole batch.
-    pub ids: Vec<u16>,
     /// Per-node level number (height or depth) in global node order.
     pub level: Vec<usize>,
     /// Level buckets: `levels[l]` lists the global node ids at level
     /// `l`. Outer and inner capacities both survive reuse.
     pub levels: Vec<Vec<usize>>,
+    /// The tree-LSTM pass being run: the batch's node kinds, and the
+    /// visiting order each pass rebuilds.
+    pub pass: PassSchedule,
 }
 
 impl SchedBufs {
@@ -46,10 +46,20 @@ impl SchedBufs {
     /// kept allocated too — a batch with fewer levels than the last one
     /// simply ignores the tail.
     pub fn clear(&mut self) {
-        self.ids.clear();
         self.level.clear();
         for bucket in &mut self.levels {
             bucket.clear();
+        }
+        let p = &mut self.pass;
+        p.kinds.clear();
+        for v in [
+            &mut p.order,
+            &mut p.levels,
+            &mut p.group,
+            &mut p.groups,
+            &mut p.members,
+        ] {
+            v.clear();
         }
     }
 }
@@ -203,19 +213,36 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_records_one_tape_node_however_many_levels_it_has() {
+        // Parameters, the kind table's projection, one node per pass and
+        // the root readout: a node per level would put hundreds here.
+        let mut params = Params::new();
+        let config = TreeLstmConfig::paper();
+        let enc = TreeLstmEncoder::new(&config, &mut params, &mut StdRng::seed_from_u64(4));
+        let graphs = graphs();
+        let mut scratch = EncodeScratch::new();
+        encode(&mut scratch, &(enc.clone(), params.clone()), &graphs);
+        assert!(scratch.tape.len() <= 20, "{} nodes", scratch.tape.len());
+        let sixteen: Vec<&AstGraph> = graphs.iter().cycle().take(16).collect();
+        let tape = Tape::new();
+        enc.encode_batch(&Ctx::new(&tape, &params), &sixteen);
+        assert!(tape.len() <= 34, "{} nodes", tape.len());
+    }
+
+    #[test]
     fn reset_keeps_capacity() {
         let mut s = EncodeScratch::new();
-        s.sched.ids.extend_from_slice(&[1, 2, 3]);
+        s.sched.pass.kinds.extend_from_slice(&[1, 2, 3]);
         s.sched.level.extend_from_slice(&[0, 1, 1]);
         s.sched.levels.push(vec![0]);
         s.sched.levels.push(vec![1, 2]);
-        let id_cap = s.sched.ids.capacity();
+        let id_cap = s.sched.pass.kinds.capacity();
         let bucket_cap = s.sched.levels[1].capacity();
         s.reset();
-        assert!(s.sched.ids.is_empty());
+        assert!(s.sched.pass.kinds.is_empty());
         assert!(s.sched.level.is_empty());
         assert!(s.sched.levels.iter().all(Vec::is_empty));
-        assert_eq!(s.sched.ids.capacity(), id_cap);
+        assert_eq!(s.sched.pass.kinds.capacity(), id_cap);
         assert_eq!(s.sched.levels[1].capacity(), bucket_cap);
     }
 }

@@ -39,22 +39,23 @@
 //! bit-identical to four separate projections, at a quarter of the
 //! matmul launches.
 //!
-//! The level-fused pass projects only what the codes need. A first-layer
-//! node's input is its kind's embedding row, so a pass over kinds
-//! projects the whole kind table once (`[67, λ] · [λ, 4h]`, 6.4 MFLOP at
-//! paper width) and each level gathers its `W·x` rows from that instead
-//! of multiplying one row per node. A downward node's incoming state is
-//! its parent's, so each depth level multiplies every distinct parent by
-//! `U` once, and the cell reads each child's rows from its parent's in
-//! place. A row of a matmul has the same bits whichever rows share the
-//! call, so the codes are those of one product per node.
-
-use std::sync::Arc;
+//! A level-fused pass is one tape op, [`ccsa_tensor::Tape::child_sum_pass`],
+//! over a schedule this module builds: nodes bucketed by height (up) or
+//! depth (down) across every graph in the batch, and for each node the
+//! group of states it aggregates. The pass projects only what the codes
+//! need. A first-layer node's input is its kind's embedding row, so a
+//! pass over kinds projects the whole kind table once (`[67, λ] · [λ,
+//! 4h]`, 6.4 MFLOP at paper width) and each node reads its `W·x` row of
+//! that. A downward node's incoming state is its parent's, so siblings
+//! share their parent's group: each depth level multiplies every
+//! distinct parent by `U` once, and each child reads its parent's rows
+//! in place. A row of a matmul has the same bits whichever rows share
+//! the call, so the codes are those of one product per node.
 
 use rand::rngs::StdRng;
 
 use ccsa_cppast::AstGraph;
-use ccsa_tensor::{ChildSumEdges, ChildSumIncoming, Var};
+use ccsa_tensor::{PassInput, Var};
 
 use crate::init;
 use crate::param::{Ctx, Params};
@@ -283,60 +284,6 @@ impl BatchLayout<'_> {
     }
 }
 
-/// What a pass reads per node.
-#[derive(Clone, Copy)]
-enum PassInput<'t> {
-    /// The node's kind embedding: the first layer.
-    Kinds,
-    /// `[N, x_dim]` rows in global node order: the layer below's states.
-    Rows(Var<'t>),
-}
-
-/// A downward level's incoming state: each node's one edge is its
-/// parent, a row of the level above (`h`, `c`, and the processing row it
-/// starts at). Siblings sit next to each other in a depth bucket, so one
-/// scan lists every parent once, and `U·h` runs per parent, not per
-/// child; the cell reads each child's rows from its parent's in place.
-fn downward_incoming<'t>(
-    ctx: &Ctx<'t, '_>,
-    layout: &BatchLayout<'_>,
-    sel: &[usize],
-    proc_row: &[usize],
-    (h_above, c_above, start): (Var<'t>, Var<'t>, usize),
-    [u_iou, u_f]: [Var<'t>; 2],
-) -> ChildSumIncoming<'t> {
-    let mut parents: Vec<usize> = Vec::new();
-    let mut rows: Vec<usize> = Vec::with_capacity(sel.len());
-    let mut g = 0;
-    for &node in sel {
-        while node >= layout.offsets[g + 1] {
-            g += 1;
-        }
-        let parent = layout
-            .incoming(g, node, false)
-            .next()
-            .expect("a node below the roots has a parent");
-        debug_assert_ne!(proc_row[parent], usize::MAX, "level order violated");
-        let row = proc_row[parent] - start;
-        if parents.last() != Some(&row) {
-            parents.push(row);
-        }
-        rows.push(parents.len() - 1);
-    }
-    let segments: Vec<usize> = (0..=parents.len()).collect();
-    let parents = Arc::new(parents);
-    let hp = h_above.index_rows(Arc::clone(&parents));
-    // h̃ is the sum of one row, `0.0 + h`, as a one-child segment sums
-    // it on the way up: a `-0.0` state reaches the product as `+0.0`.
-    let h_tilde = ctx.tape.segment_sum(hp, segments);
-    ChildSumIncoming {
-        uh: h_tilde.matmul_nt(u_iou),
-        ufh: hp.matmul_nt(u_f),
-        ck: c_above.index_rows(parents),
-        edges: ChildSumEdges::Rows(Arc::new(rows)),
-    }
-}
-
 /// A pass within one layer.
 // The variant payloads are name bundles of very different sizes; only a
 // handful of LayerKind values exist per encoder, so boxing the large
@@ -432,11 +379,11 @@ impl TreeLstmEncoder {
     /// Batched forward entry point — the serving hot path.
     ///
     /// Level-fused: nodes are bucketed by level *across every graph in
-    /// the batch* and each gate runs one `[rows, d] · [d, h]` matmul per
-    /// level instead of a matvec per node, so the whole mini-batch
-    /// becomes a handful of large tensor ops per tree level. Parameters
-    /// are bound once for the batch, and the fused ops all carry
-    /// backward passes, so this path is differentiable end to end.
+    /// the batch* and each projection runs one `[rows, d] · [d, h]`
+    /// matmul per level instead of a matvec per node, all inside one tape
+    /// op per pass. Parameters are bound once for the batch, and the pass
+    /// op carries its own backward, so this path is differentiable end to
+    /// end.
     ///
     /// The per-node reference is [`TreeLstmEncoder::encode`], graph by
     /// graph; the two agree to f32 equality (the fused ops reproduce the
@@ -473,14 +420,15 @@ impl TreeLstmEncoder {
         }
         sched.clear();
         // Global node numbering: graph g's node ix lives at
-        // offsets[g] + ix, and `sched.ids[node]` is its kind.
+        // offsets[g] + ix, and `sched.pass.kinds[node]` is its kind.
         let mut offsets = Vec::with_capacity(graphs.len() + 1);
         let mut total = 0usize;
         for g in graphs {
             offsets.push(total);
             total += g.node_count();
             sched
-                .ids
+                .pass
+                .kinds
                 .extend((0..g.node_count() as u32).map(|ix| g.kind_id(ix)));
         }
         offsets.push(total);
@@ -489,7 +437,8 @@ impl TreeLstmEncoder {
         // On an inference tape each layer frees its input once its passes
         // have run: `input_from` marks where that input was recorded.
         let mut input_from = ctx.tape.len();
-        let mut x = PassInput::Kinds;
+        // The first layer reads each node's kind.
+        let mut x = None;
         let mut last = None;
         for layer in &self.layers {
             let layer_from = ctx.tape.len();
@@ -511,7 +460,7 @@ impl TreeLstmEncoder {
             ctx.tape.release_since(input_from, &[h, next]);
             input_from = layer_from;
             last = Some(h);
-            x = PassInput::Rows(next);
+            x = Some(next);
         }
         // The code vector per graph: its root's hidden state in the final
         // pass (roots sit at each graph's global offset).
@@ -522,27 +471,23 @@ impl TreeLstmEncoder {
     }
 
     /// One level-scheduled pass (upward when `up`, else downward) over
-    /// every graph in the batch. `x` is the node kinds or `[N, x_dim]`
-    /// rows in global node order; the result is `[N, hidden]` in the
-    /// same order.
-    ///
-    /// On an inference tape a level's temporaries are released as soon
-    /// as its `h` and `c` rows exist, and the pass's per-level state as
-    /// soon as the result is gathered, so a pass holds one level's gate
-    /// buffers at a time instead of every level's.
+    /// every graph in the batch, as one [`ccsa_tensor::Tape::child_sum_pass`].
+    /// `x` is `[N, x_dim]` rows in global node order, or `None` on the
+    /// first layer, whose pass projects the kind table once and reads
+    /// each node's row of that; the result is `[N, hidden]` in global
+    /// node order.
     #[allow(clippy::too_many_arguments)]
     fn fused_pass<'t>(
         &self,
         ctx: &Ctx<'t, '_>,
         layout: &BatchLayout<'_>,
         cell: &CellParams,
-        x: PassInput<'t>,
+        x: Option<Var<'t>>,
         up: bool,
         stats: &mut crate::FusedStats,
         sched: &mut crate::SchedBufs,
     ) -> Var<'t> {
         let total = layout.total();
-        let hidden = self.config.hidden;
         // Schedule: upward levels are node heights (leaves first), so a
         // node runs only after all its children; downward levels are
         // depths (roots first), so a node runs only after its parent.
@@ -584,130 +529,64 @@ impl TreeLstmEncoder {
         for (node, &l) in level.iter().enumerate().take(total) {
             sched.levels[l].push(node);
         }
-        let (levels, kinds) = (&sched.levels[..max_level + 1], &sched.ids);
 
-        // proc_row[node]: the node's row in processing order (levels are
-        // appended as they complete). Each completed level stays its own
-        // tensor in `level_h` / `level_c`; child/parent reads gather from
-        // the level list directly, so deep trees never pay an
-        // O(levels · N · h) per-level re-stacking copy.
-        let mut proc_row = vec![usize::MAX; total];
-        let mut level_h: Vec<Var<'t>> = Vec::new();
-        let mut level_c: Vec<Var<'t>> = Vec::new();
-        let mut done = 0usize;
-
-        // Bound once per pass: the i/o/u prefix (first 3h rows) of the
-        // fused `[4h, h]` hidden projection — the forget block never
-        // multiplies h̃, so projecting against the prefix saves a quarter
-        // of the level matmul — and the forget block (last h rows) for
-        // the per-edge forget gate.
-        let pass_from = ctx.tape.len();
-        let u_iou = ctx
-            .param(&cell.u)
-            .index_rows((0..3 * hidden).collect::<Vec<usize>>());
-        let u_f = ctx
-            .param(&cell.u)
-            .index_rows((3 * hidden..4 * hidden).collect::<Vec<usize>>());
-        // A node's input projection depends on nothing but its input
-        // row. On the first layer that row is its kind's embedding, so
-        // the pass projects the kind table once — `[kinds, 4h]` — and
-        // each level gathers its rows of that instead of multiplying.
-        let w = ctx.param(&cell.w);
-        let (input, projected) = match x {
-            PassInput::Kinds => (self.embedding.table(ctx).matmul_nt(w), true),
-            PassInput::Rows(x) => (x, false),
-        };
-        // Where the last level done starts in processing order: a
-        // downward level's parents are all in it.
-        let mut last_start = 0usize;
-
-        for sel in levels {
-            let width = sel.len();
-            let level_from = ctx.tape.len();
-            let incoming = if up {
-                // The incoming edges are the children, listed per node.
-                // The gathered rows (`hk`) feed both h̃ and the forget
-                // gates, and the index lists are shared behind `Arc`s.
-                let mut agg_rows: Vec<usize> = Vec::new();
-                let mut agg_offsets: Vec<usize> = Vec::with_capacity(width + 1);
-                agg_offsets.push(0);
-                // A bucket lists its nodes in ascending global id, so the
-                // owning graph only ever moves forward.
-                let mut g = 0;
-                for &node in sel {
-                    while node >= layout.offsets[g + 1] {
-                        g += 1;
-                    }
-                    for src in layout.incoming(g, node, true) {
-                        debug_assert_ne!(proc_row[src], usize::MAX, "level order violated");
-                        agg_rows.push(proc_row[src]);
-                    }
-                    agg_offsets.push(agg_rows.len());
+        // A node aggregates a group: going up, its children; going down,
+        // its parent. Siblings sit next to each other in a depth bucket,
+        // so one scan lists every parent once, and `U·h` runs per
+        // parent, not per child.
+        let s = &mut sched.pass;
+        for v in [
+            &mut s.order,
+            &mut s.levels,
+            &mut s.group,
+            &mut s.groups,
+            &mut s.members,
+        ] {
+            v.clear();
+        }
+        s.levels.push(0);
+        s.groups.push(0);
+        for bucket in &sched.levels[..max_level + 1] {
+            // A bucket lists its nodes in ascending global id, so the
+            // owning graph only ever moves forward.
+            let mut g = 0;
+            for &node in bucket {
+                while node >= layout.offsets[g + 1] {
+                    g += 1;
                 }
-                // A level either aggregates along every node or along
-                // none (the leaves); with none, the cell has no hidden
-                // projection of zero state to add.
-                (!agg_rows.is_empty()).then(|| {
-                    let agg_rows = Arc::new(agg_rows);
-                    let offsets = Arc::new(agg_offsets);
-                    let hk = ctx.tape.gather_rows_multi(&level_h, Arc::clone(&agg_rows));
-                    let h_tilde = ctx.tape.segment_sum(hk, Arc::clone(&offsets));
-                    ChildSumIncoming {
-                        uh: h_tilde.matmul_nt(u_iou),
-                        ufh: hk.matmul_nt(u_f),
-                        ck: ctx.tape.gather_rows_multi(&level_c, agg_rows),
-                        edges: ChildSumEdges::Segments(offsets),
+                let mut incoming = layout.incoming(g, node, up).peekable();
+                let group = match incoming.peek() {
+                    None => ccsa_tensor::PassSchedule::NONE,
+                    Some(&parent) if !up && s.members.last() == Some(&parent) => s.groups.len() - 2,
+                    Some(_) => {
+                        s.members.extend(incoming);
+                        s.groups.push(s.members.len());
+                        s.groups.len() - 2
                     }
-                })
-            } else {
-                // None on the roots' level.
-                let above = level_h.last().zip(level_c.last());
-                above.map(|(&h, &c)| {
-                    let above = (h, c, last_start);
-                    downward_incoming(ctx, layout, sel, &proc_row, above, [u_iou, u_f])
-                })
-            };
-
-            for (local, &node) in sel.iter().enumerate() {
-                proc_row[node] = done + local;
+                };
+                s.order.push(node);
+                s.group.push(group);
             }
-
-            // One matmul per projection for all four gates — the fused
-            // `[width, d] · [d, 4h]` input projection here (or its rows
-            // of the per-kind table), the i/o/u and forget projections of
-            // the incoming state above — then one op for the bias and the
-            // cell's gate algebra. Per element it runs the per-gate
-            // arithmetic of the sequential cell, so the two agree bit for
-            // bit.
-            let wx = if projected {
-                let sel_kinds: Vec<usize> = sel.iter().map(|&node| kinds[node] as usize).collect();
-                input.index_rows(sel_kinds)
-            } else {
-                // The one copy left: the bucket keeps its capacity for
-                // the next batch, the tape op owns its index list.
-                input.index_rows(sel.clone()).matmul_nt(w)
-            };
-            let (h_l, c_l) = ctx.tape.child_sum_cell(
-                wx,
-                ctx.param(&cell.b),
-                incoming,
-                self.config.sigmoid_candidate,
-            );
-            ctx.tape.release_since(level_from, &[h_l, c_l]);
-
-            last_start = done;
-            done += width;
-            level_h.push(h_l);
-            level_c.push(c_l);
+            s.levels.push(s.order.len());
             stats.levels += 1;
-            stats.rows += width as u64;
+            stats.rows += bucket.len() as u64;
         }
 
-        // Back to global node order for the next layer / root readout.
-        let perm: Vec<usize> = proc_row;
-        let out = ctx.tape.gather_rows_multi(&level_h, perm);
-        ctx.tape.release_since(pass_from, &[out]);
-        out
+        let w = ctx.param(&cell.w);
+        let input = match x {
+            // A node's input projection depends on nothing but its input
+            // row. On the first layer that row is its kind's embedding,
+            // so the pass projects the kind table once — `[kinds, 4h]`.
+            None => PassInput::Kinds(self.embedding.table(ctx).matmul_nt(w)),
+            Some(x) => PassInput::Rows(x, w),
+        };
+        ctx.tape.child_sum_pass(
+            input,
+            ctx.param(&cell.b),
+            ctx.param(&cell.u),
+            &sched.pass,
+            self.config.sigmoid_candidate,
+        )
     }
 
     /// Encodes an AST into its code vector (the root hidden state of the
@@ -1139,30 +1018,37 @@ mod tests {
 
     #[test]
     fn gradcheck_fused_batch_encoder() {
-        // Finite-difference check of the whole fused path — two graphs on
-        // one tape so cross-tree level fusion is actually exercised.
-        let g1 = graph("int main() { return 1 + 2; }");
+        // Finite-difference check of the whole fused path, every stacking
+        // scheme (`Bi` runs a downward pass over the kinds) with both
+        // candidates: two graphs on one tape so cross-tree level fusion
+        // is exercised, one with a three-statement block.
+        let g1 = graph("int main() { int a = 1; a++; return a + 2; }");
         let g2 = graph("int main() { return 0; }");
-        let config = TreeLstmConfig {
-            embed_dim: 3,
-            hidden: 3,
-            layers: 2,
-            direction: Direction::Alternating,
-            sigmoid_candidate: false,
-        };
-        let mut params = Params::new();
-        let mut rng = StdRng::seed_from_u64(4);
-        let enc = TreeLstmEncoder::new(&config, &mut params, &mut rng);
-        let tensors: Vec<ccsa_tensor::Tensor> = params.iter().map(|(_, t)| t.clone()).collect();
-        let report = ccsa_tensor::grad_check(&tensors, 1e-2, |tape, vars| {
-            let ctx = Ctx::with_bound(tape, &params, vars);
-            let codes = enc.encode_batch(&ctx, &[&g1, &g2]);
-            ccsa_tensor::TapeScalar(tape.stack(&codes).tanh().sum())
-        });
-        assert!(
-            report.passes(3e-2),
-            "fused tree-LSTM gradient check failed: {report:?}"
-        );
+        for (direction, sigmoid_candidate) in
+            [Direction::Uni, Direction::Bi, Direction::Alternating]
+                .into_iter()
+                .flat_map(|d| [(d, false), (d, true)])
+        {
+            let config = TreeLstmConfig {
+                embed_dim: 3,
+                hidden: 3,
+                layers: 2,
+                direction,
+                sigmoid_candidate,
+            };
+            let mut params = Params::new();
+            let enc = TreeLstmEncoder::new(&config, &mut params, &mut StdRng::seed_from_u64(4));
+            let tensors: Vec<ccsa_tensor::Tensor> = params.iter().map(|(_, t)| t.clone()).collect();
+            let report = ccsa_tensor::grad_check(&tensors, 1e-2, |tape, vars| {
+                let ctx = Ctx::with_bound(tape, &params, vars);
+                let codes = enc.encode_batch(&ctx, &[&g1, &g2]);
+                ccsa_tensor::TapeScalar(tape.stack(&codes).tanh().sum())
+            });
+            assert!(
+                report.passes(3e-2),
+                "{direction} σ {sigmoid_candidate}: gradient check failed: {report:?}"
+            );
+        }
     }
 
     #[test]

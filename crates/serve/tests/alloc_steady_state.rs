@@ -294,13 +294,12 @@ fn a_warmed_scratch_encodes_unseen_paper_width_trees_from_the_pool() {
     let nodes: usize = unseen.iter().map(AstGraph::node_count).sum();
     assert_eq!(misses, 0, "every tensor buffer comes from the pool");
     // Not 0: every op's output tensor is a pooled buffer inside a new
-    // `Arc`, and every level allocates its gather and segment index
-    // lists. Both scale with levels and ops, not with node rows. These
-    // two trees (289 nodes) measured 863; the bound is that + 20 %.
-    assert!(
-        during <= 1_035,
-        "{during} allocations to encode {nodes} nodes"
-    );
+    // `Arc`, and the batch keeps a few small lists (graph offsets, roots,
+    // codes). A tree-LSTM pass is one op whatever its levels, and its
+    // schedule reuses the scratch's buffers. These two trees (289 nodes)
+    // measured 16 in a test build (13 in a release build, which compiles
+    // out the schedule's order check); the bound is that + 20 %.
+    assert!(during <= 19, "{during} allocations to encode {nodes} nodes");
 }
 
 #[test]

@@ -102,7 +102,8 @@ impl fmt::Display for KernelBackend {
 
 /// `out[i*n+j] = Σ_k a[i*k+kk]·b[kk*n+j]` (`matmul`), or
 /// `Σ_k a[kk*m+i]·b[kk*n+j]` for `a` stored `[k, m]` (`matmul_tn`);
-/// `out` arrives zeroed.
+/// every element of `out`'s `m·n` is overwritten, so it need not arrive
+/// zeroed.
 pub type MatmulFn = fn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
 /// `out[i] = Σ_k a[i*k+kk]·x[kk]`; `out` arrives zeroed.
 pub type MatvecFn = fn(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize);
@@ -307,6 +308,8 @@ fn scalar_strided(
     k: usize,
     n: usize,
 ) {
+    // The chains below accumulate into `out`, which may hold anything.
+    out[..m * n].fill(0.0);
     let mut i = 0;
     while i + 4 <= m {
         let (r01, r23) = out[i * n..(i + 4) * n].split_at_mut(2 * n);
@@ -1161,6 +1164,30 @@ mod tests {
         for kern in backends() {
             for &shape in SHAPES.iter().chain(&backward).chain(&thin) {
                 assert_tn_is_transpose_then_matmul(kern, kern, shape);
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_overwrites_whatever_out_held() {
+        // Outputs come from the pool with a previous tensor's floats
+        // still in them; NaN there must not reach the product.
+        for kern in backends() {
+            for &(m, k, n) in SHAPES.iter().chain(&[(3, 0, 5)]) {
+                let a = fill(m * k, 7, 11, 5.0, 0.25);
+                let b = fill(k * n, 5, 13, 6.0, 0.5);
+                for f in [kern.matmul, kern.matmul_tn] {
+                    let mut zeroed = vec![0.0; m * n];
+                    let mut stale = vec![f32::NAN; m * n];
+                    f(&a, &b, &mut zeroed, m, k, n);
+                    f(&a, &b, &mut stale, m, k, n);
+                    assert_eq!(
+                        bits(&stale),
+                        bits(&zeroed),
+                        "{} ({m},{k},{n})",
+                        kern.backend
+                    );
+                }
             }
         }
     }

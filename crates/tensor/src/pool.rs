@@ -32,10 +32,11 @@
 //!   freed on one thread (e.g. a caller dropping a response tensor) be
 //!   reused by another (an encode worker).
 //!
-//! Recycled buffers are always handed out either zeroed
-//! ([`take_zeroed`]) or empty ([`take_cap`]), so stale values from a
-//! previous tensor can never leak into a new one (property-tested in
-//! `crates/tensor/tests`).
+//! Recycled buffers are handed out zeroed ([`take_zeroed`]), empty
+//! ([`take_cap`]), or, to a caller that overwrites every float before
+//! reading one, with the stale floats left in place
+//! ([`take_for_overwrite`]); the first two never expose a previous
+//! tensor's values (property-tested in `crates/tensor/tests`).
 //!
 //! Counters ([`stats`]) feed the `ccsa_pool_*` metric families in
 //! `ccsa-serve`.
@@ -189,12 +190,24 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
             v.resize(len, 0.0);
             v
         }
-        None => {
-            // Relaxed: statistics, see module-level comment.
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            vec![0.0; len]
-        }
+        None => fresh(len),
     }
+}
+
+/// A new zeroed buffer of `len` floats for a take the pool could not
+/// serve, counted as a miss. It gets its whole size class's capacity, so
+/// once returned it files under that class and serves the same take
+/// again; with exactly the capacity asked for it would file one class
+/// lower, and a take of that size would miss every time. Oversize takes
+/// get what they ask for. Zeros come from the allocator, which hands
+/// large requests untouched pages rather than filling them.
+fn fresh(len: usize) -> Vec<f32> {
+    // Relaxed: statistics, see module-level comment.
+    MISSES.fetch_add(1, Ordering::Relaxed);
+    let class = class_for_len(len).filter(|_| len > 0);
+    let mut v = vec![0.0; class.map_or(len, class_size)];
+    v.truncate(len);
+    v
 }
 
 /// An empty buffer with capacity ≥ `min_cap`, recycled when possible.
@@ -207,10 +220,27 @@ pub fn take_cap(min_cap: usize) -> Vec<f32> {
             v
         }
         None => {
-            // Relaxed: statistics, see module-level comment.
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            Vec::with_capacity(min_cap)
+            let mut v = fresh(min_cap);
+            v.clear();
+            v
         }
+    }
+}
+
+/// A buffer of exactly `len` floats for a caller that writes every one
+/// before it reads any, recycled when possible. A recycled buffer keeps
+/// the floats it last held, and only a tail it never held is zeroed, so
+/// a buffer that is overwritten in full is not filled first.
+pub fn take_for_overwrite(len: usize) -> Vec<f32> {
+    if len == 0 {
+        return Vec::new();
+    }
+    match take_recycled(len) {
+        Some(mut v) => {
+            v.resize(len, 0.0);
+            v
+        }
+        None => fresh(len),
     }
 }
 
@@ -232,7 +262,8 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 /// Returns a buffer to the pool: local tier first, spilling to the
 /// shared tier when the local class is full, dropping to the allocator
 /// when both are. Tiny and oversize buffers go straight to the
-/// allocator.
+/// allocator. The buffer keeps its length, so [`take_for_overwrite`]
+/// can hand its floats out again without a fill.
 pub fn put(mut v: Vec<f32>) {
     let Some(class) = class_for_cap(v.capacity()) else {
         return; // below the minimum class: not worth tracking
@@ -240,7 +271,6 @@ pub fn put(mut v: Vec<f32>) {
     if v.capacity() > class_size(NUM_CLASSES - 1) {
         return; // oversize: give the pages back
     }
-    v.clear();
     let bytes = 4 * v.capacity() as u64;
     let spill = LOCAL.try_with(|l| {
         let mut l = l.borrow_mut();
@@ -390,6 +420,25 @@ mod tests {
         assert!(v2.is_empty());
         assert!(v2.capacity() >= 32);
         put(v2);
+    }
+
+    #[test]
+    fn a_returned_buffer_serves_its_take_again() {
+        // 100 floats is not a class size: a buffer of exactly that
+        // capacity would file under the class below and never come back
+        // for a take of 100.
+        let first = take_for_overwrite(100);
+        let ptr = first.as_ptr();
+        put(first);
+        let again = take_for_overwrite(100);
+        assert_eq!((again.as_ptr(), again.len()), (ptr, 100));
+        put(again);
+        // Longer than what the buffer last held: only the new tail is
+        // filled, with zeros.
+        let longer = take_for_overwrite(120);
+        assert_eq!(longer.as_ptr(), ptr);
+        assert!(longer[100..].iter().all(|&x| x == 0.0));
+        put(longer);
     }
 
     #[test]

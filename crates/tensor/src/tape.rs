@@ -19,20 +19,34 @@
 //!   but records a payload-free node instead of its operand list. Calling
 //!   [`Tape::backward`] on it panics. [`Tape::release_since`] drops the
 //!   values of nodes the caller is done with, so their buffers go back to
-//!   the [pool](crate::pool) while the pass is still running; the level-
-//!   fused encoders call it after every level. Serving uses this mode.
+//!   the [pool](crate::pool) while the encode is still running; the
+//!   level-fused encoders call it after every layer. Serving uses this
+//!   mode.
 //!
 //! Both modes produce bit-identical values. On a recording tape
 //! `release_since` does nothing.
 //!
 //! Either kind memoises the transposed right operand of
-//! [`Var::matmul_nt`], keyed by the identity of the operand's buffer. An
-//! entry outlives [`Tape::reset`] for as long as its source buffer is
-//! alive somewhere, so a long-lived tape transposes each weight of a
-//! model once, not once per batch.
+//! [`Var::matmul_nt`], and the transposed row blocks of `U` a
+//! [`Tape::child_sum_pass`] multiplies by, keyed by the identity of the
+//! operand's buffer. An entry outlives [`Tape::reset`] for as long as its
+//! source buffer is alive somewhere, so a long-lived tape transposes each
+//! weight of a model once, not once per batch.
+//!
+//! # One op per tree-LSTM pass
+//!
+//! [`Tape::child_sum_pass`] runs a whole level-scheduled pass of
+//! child-sum cells, every level's products and gate algebra, as one node
+//! with its own backward. Its products' operands and outputs live in
+//! scratch it reuses from level to level, never on the tape; it reads
+//! shared rows in place and writes `h` in node order, so no row is copied
+//! to feed the next level or the next layer. A recording tape keeps what
+//! the backward reads — gates, forget gates, `tanh c` and `c` — and
+//! nothing else; an inference tape keeps only `h`.
 
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Weak};
 
 use crate::tensor::PoolBuf;
@@ -42,7 +56,7 @@ use crate::{Shape, Tensor};
 ///
 /// Holds `Â = D^{-1/2} (A + I) D^{-1/2}` for an undirected graph in a
 /// row-list sparse format, together with its transpose (needed by the
-/// backward pass of [`Var::spmm`]).
+/// backward pass of [`Tape::spmm`]).
 #[derive(Clone, Debug)]
 pub struct Adjacency {
     n: usize,
@@ -220,216 +234,368 @@ enum Op {
         logit: usize,
         target: f32,
     },
-    /// Both outputs of [`Tape::child_sum_cell`] hold the one record.
-    ChildSumCell(Arc<ChildSumRecord>),
+    /// A whole [`Tape::child_sum_pass`].
+    ChildSumPass(Box<PassRecord>),
 }
 
-/// What [`Tape::child_sum_cell`] hands its backward: the operand ids and
-/// the activations the forward computed anyway.
-struct ChildSumRecord {
-    /// The output nodes; `h` was pushed right after `c`.
-    c: usize,
-    h: usize,
-    wx: usize,
+/// What [`Tape::child_sum_pass`] hands its backward: the operand ids,
+/// the schedule, and the activations the forward computed anyway.
+struct PassRecord {
+    /// The input: the per-kind projection, or the rows that `w` meets.
+    x: usize,
+    w: Option<usize>,
     b: usize,
-    /// `(uh, ufh, ck)` and the edges, for a level with incoming state.
-    incoming: Option<([usize; 3], ChildSumEdges)>,
+    u: usize,
+    schedule: PassSchedule,
     sigmoid_candidate: bool,
-    /// `[w, 3h]`: `σ(pre_i) | σ(pre_o) | u` per row.
+    /// `[N, 3h]`: `σ(pre_i) | σ(pre_o) | u`, in processing order.
     gates: Tensor,
-    /// `[E, h]`: each edge's forget gate.
-    forget: Tensor,
-    /// `[w, h]`: `tanh(c)`.
+    /// `[N, h]`: `tanh(c)`, in processing order.
     tanh_c: Tensor,
+    /// `[E, h]`: the forget gates, in processing order.
+    forget: Tensor,
+    /// `[N, h]`: `c`, in node order.
+    c: Tensor,
 }
 
-impl ChildSumRecord {
-    /// The gradients of `wx`, of `b` and, on a level with incoming
-    /// state, of `[uh, ufh, ck]`, from those reaching `h` and `c` (either
-    /// may be absent). `ck` is the incoming cells' value.
+impl PassRecord {
+    /// The gradients of the input (and `w`), `b` and `u`, from `dout`,
+    /// the one reaching the output `h`.
     ///
-    /// Per node: `dc += dh·o·(1 − t²)`; `d pre_o = dh·t·o·(1 − o)`,
-    /// `d pre_i = dc·u·i·(1 − i)`, `d pre_u = dc·i·u'`; per edge, in
-    /// order, `d ufh_e = dc·c_e·f_e·(1 − f_e)`, added into the `f` block
-    /// of `d wx`, and `d c_e = dc·f_e`. `d uh` is `d wx[:, :3h]`, and
-    /// `d b` the column sums of `d wx` added row by row from zero — the
-    /// sums [`Var::add_row_broadcast`]'s backward forms. With
-    /// [`ChildSumEdges::Rows`], each node's `d uh`, `d ufh` and `d c`
-    /// add into the operand row it read, in node order.
-    fn backward(
-        &self,
-        dh: Option<&Tensor>,
-        dc_out: Option<&Tensor>,
-        ck: Option<&Tensor>,
-    ) -> (Tensor, Tensor, Option<[Tensor; 3]>) {
-        let (w, h3) = (self.gates.shape().rows(), self.gates.shape().cols());
-        let hd = h3 / 3;
-        let (h2, h4) = (2 * hd, 4 * hd);
-        let (gates, tanh_c, forget) = (
-            self.gates.as_slice(),
-            self.tanh_c.as_slice(),
-            self.forget.as_slice(),
-        );
-        let mut dwx = crate::pool::take_zeroed(w * h4);
-        let mut dc = crate::pool::take_zeroed(hd);
-        // One gradient row per row of `ufh` and `ck` — per edge, or per
-        // shared row.
-        let sources = ck.map_or(0, |ck| ck.shape().rows());
-        let (mut dufh, mut dck) = if sources > 0 {
-            (
-                crate::pool::take_zeroed(sources * hd),
-                crate::pool::take_zeroed(sources * hd),
-            )
+    /// Levels run in reverse, so a node's `dh` and `dc` are whole when
+    /// its level runs. Per node: `dc += dh·o·(1 − t²)`;
+    /// `d pre_o = dh·t·o·(1 − o)`, `d pre_i = dc·u·i·(1 − i)`,
+    /// `d pre_u = dc·i·u'`; per member `k`, in order,
+    /// `d ufh_k += dc·c_k·f_k·(1 − f_k)`, added into the `f` block of
+    /// `d wx` too, and `dc_k += dc·f_k`; `d uh` of the node's group adds
+    /// `d wx[:3h]`. Per level: `d b` adds the column sums of `d wx` from
+    /// zero, `dU_f` adds `d ufhᵀ·h_k` and `dU_iou` adds `d uhᵀ·h̃`, and
+    /// each member's `dh` adds `d ufh·U_f + d uh·U_iou` of its group.
+    /// `d x` rows are `d wx·W` (`dW` adding `d wxᵀ·x`), or `d wx` rows
+    /// added into their kinds' rows. Those are the sums, in that order,
+    /// that the per-level tape ops the pass replaces formed.
+    fn backward(&self, dout: &Tensor, h: &Tensor, nodes: &[Node]) -> Vec<(usize, Tensor)> {
+        let s = &self.schedule;
+        let dims = s.dims();
+        let n = s.order.len();
+        let uv = nodes[self.u].value();
+        let (u, hd) = (uv.as_slice(), uv.shape().cols());
+        let (h3, h4) = (3 * hd, 4 * hd);
+        let xv = nodes[self.x].value();
+        let xd = xv.shape().cols();
+        let wv = self.w.map(|w| nodes[w].value());
+        let kern = crate::kernels::active();
+        let accum = kern.seg_accum;
+        let (take, zeroed) = (crate::pool::take_for_overwrite, crate::pool::take_zeroed);
+        let (gates, tanh_c) = (self.gates.as_slice(), self.tanh_c.as_slice());
+        let (forget, c, hv) = (self.forget.as_slice(), self.c.as_slice(), h.as_slice());
+        // The pass's own state gradients, in node order.
+        let mut dh = crate::pool::take_copy(dout.as_slice());
+        let mut dc = zeroed(n * hd);
+        let (mut db, mut du) = (zeroed(h4), zeroed(h4 * hd));
+        // Rows: each node writes its own `dx` row. Kinds: nodes of one
+        // kind add into its row.
+        let mut dx = if wv.is_some() {
+            take(n * xd)
         } else {
-            (Vec::new(), Vec::new())
+            zeroed(xv.len())
         };
-        for r in 0..w {
-            let rows = r * hd..(r + 1) * hd;
-            let g = &gates[r * h3..(r + 1) * h3];
-            let (i, o, u) = (&g[..hd], &g[hd..h2], &g[h2..]);
-            let t = &tanh_c[rows.clone()];
-            let dx = &mut dwx[r * h4..(r + 1) * h4];
-            match dc_out {
-                Some(d) => dc.copy_from_slice(&d.as_slice()[rows.clone()]),
-                None => dc.fill(0.0),
-            }
-            if let Some(dh) = dh {
-                let dh = &dh.as_slice()[rows];
-                let d_o = &mut dx[hd..h2];
-                for ((((dcv, dov), &dhv), &ov), &tv) in dc.iter_mut().zip(d_o).zip(dh).zip(o).zip(t)
+        let mut dw = wv.as_ref().map(|_| zeroed(h4 * xd));
+        let (mut dwx, mut duh) = (take(dims.nodes * h4), take(dims.groups * h3));
+        let [mut dsum, mut sums] = [(); 2].map(|_| take(dims.groups * hd));
+        let [mut dufh, mut dhk, mut hk] = [(); 3].map(|_| take(dims.members * hd));
+        let rows_d = if wv.is_some() { xd } else { 0 };
+        let [mut xl, mut dxl] = [(); 2].map(|_| take(dims.nodes * rows_d));
+        let mut tmp = take((h3 * hd).max(h4 * rows_d));
+        let (mut db_level, mut dcrow) = (take(h4), take(hd));
+        let mut e_end = dims.edges;
+        for l in (0..s.levels.len() - 1).rev() {
+            let (level, groups, members) = s.level(l);
+            let (width, gn, mn) = (level.len(), groups.len(), members.len());
+            let mut e = e_end - s.edges(level.clone());
+            e_end = e;
+            duh[..gn * h3].fill(0.0);
+            dufh[..mn * hd].fill(0.0);
+            for (r, &node) in s.order[level.clone()].iter().enumerate() {
+                let i = level.start + r;
+                let (c0, cw) = (
+                    r / CELL_ROWS * CELL_ROWS,
+                    CELL_ROWS.min(width - r / CELL_ROWS * CELL_ROWS),
+                );
+                let gate =
+                    |k: usize| &gates[(level.start + c0) * h3 + (k * cw + r - c0) * hd..][..hd];
+                let (ig, og, ug) = (gate(0), gate(1), gate(2));
+                let t = &tanh_c[i * hd..][..hd];
+                let dxr = &mut dwx[r * h4..][..h4];
+                let (d_i, rest) = dxr.split_at_mut(hd);
+                let (d_o, rest) = rest.split_at_mut(hd);
+                let (d_u, d_f) = rest.split_at_mut(hd);
+                dcrow.copy_from_slice(&dc[node * hd..][..hd]);
+                let dhr = &dh[node * hd..][..hd];
+                for ((((dcv, dov), &dhv), &ov), &tv) in
+                    dcrow.iter_mut().zip(d_o).zip(dhr).zip(og).zip(t)
                 {
                     *dcv += dhv * ov * (1.0 - tv * tv);
                     *dov = dhv * tv * ov * (1.0 - ov);
                 }
-            }
-            let (d_i, rest) = dx.split_at_mut(hd);
-            for (((div, &dcv), &iv), &uv) in d_i.iter_mut().zip(&dc).zip(i).zip(u) {
-                *div = dcv * uv * iv * (1.0 - iv);
-            }
-            let d_u = &mut rest[hd..h2];
-            if self.sigmoid_candidate {
-                for (((duv, &dcv), &iv), &uv) in d_u.iter_mut().zip(&dc).zip(i).zip(u) {
-                    *duv = dcv * iv * uv * (1.0 - uv);
+                for (((div, &dcv), &iv), &uv) in d_i.iter_mut().zip(&dcrow).zip(ig).zip(ug) {
+                    *div = dcv * uv * iv * (1.0 - iv);
                 }
-            } else {
-                for (((duv, &dcv), &iv), &uv) in d_u.iter_mut().zip(&dc).zip(i).zip(u) {
-                    *duv = dcv * iv * (1.0 - uv * uv);
+                let d_u = d_u.iter_mut().zip(&dcrow).zip(ig).zip(ug);
+                if self.sigmoid_candidate {
+                    for (((duv, &dcv), &iv), &uv) in d_u {
+                        *duv = dcv * iv * uv * (1.0 - uv);
+                    }
+                } else {
+                    for (((duv, &dcv), &iv), &uv) in d_u {
+                        *duv = dcv * iv * (1.0 - uv * uv);
+                    }
+                }
+                d_f.fill(0.0);
+                let group = s.group[i];
+                if group == PassSchedule::NONE {
+                    continue;
+                }
+                for m in s.groups[group]..s.groups[group + 1] {
+                    let member = s.members[m];
+                    let (f, ck) = (&forget[e * hd..][..hd], &c[member * hd..][..hd]);
+                    let dufh_m = &mut dufh[(m - members.start) * hd..][..hd];
+                    let dc_m = &mut dc[member * hd..][..hd];
+                    let rows = d_f.iter_mut().zip(dufh_m).zip(dc_m).zip(&dcrow);
+                    for ((((dfx, dfh), dce), &dcv), (&fv, &kv)) in rows.zip(f.iter().zip(ck)) {
+                        let d_pre = dcv * kv * fv * (1.0 - fv);
+                        *dfh += d_pre;
+                        *dfx += d_pre;
+                        *dce += dcv * fv;
+                    }
+                    e += 1;
+                }
+                let duh_g = &mut duh[(group - groups.start) * h3..][..h3];
+                accum(duh_g, &dwx[r * h4..][..h3]);
+            }
+            db_level.fill(0.0);
+            for row in dwx[..width * h4].chunks_exact(h4) {
+                accum(&mut db_level, row);
+            }
+            accum(&mut db, &db_level);
+            if gn > 0 {
+                let (u_iou, u_f) = u.split_at(h3 * hd);
+                s.child_sums(hv, hd, l, &mut hk, &mut sums);
+                (kern.matmul)(&dufh, u_f, &mut dhk, mn, hd, hd);
+                (kern.matmul_tn)(&dufh, &hk, &mut tmp, hd, mn, hd);
+                accum(&mut du[h3 * hd..], &tmp[..hd * hd]);
+                (kern.matmul)(&duh, u_iou, &mut dsum, gn, h3, hd);
+                (kern.matmul_tn)(&duh, &sums, &mut tmp, h3, gn, hd);
+                accum(&mut du[..h3 * hd], &tmp[..h3 * hd]);
+                for g in groups.clone() {
+                    let dsum_g = &dsum[(g - groups.start) * hd..][..hd];
+                    for m in s.groups[g]..s.groups[g + 1] {
+                        let dk = &mut dhk[(m - members.start) * hd..][..hd];
+                        accum(dk, dsum_g);
+                        accum(&mut dh[s.members[m] * hd..][..hd], dk);
+                    }
                 }
             }
-            let (Some((_, edges)), Some(ck)) = (&self.incoming, ck) else {
-                continue;
-            };
-            let d_f = &mut rest[h2..];
-            for e in edges.of(r) {
-                let src = edges.row(e);
-                let src = src * hd..(src + 1) * hd;
-                let (f, cke) = (&forget[e * hd..(e + 1) * hd], &ck.as_slice()[src.clone()]);
-                let rows = d_f
-                    .iter_mut()
-                    .zip(&mut dufh[src.clone()])
-                    .zip(&mut dck[src]);
-                for ((((dfx, dfh), dce), &dcv), (&fv, &kv)) in rows.zip(&dc).zip(f.iter().zip(cke))
-                {
-                    let d_pre = dcv * kv * fv * (1.0 - fv);
-                    *dfh += d_pre;
-                    *dfx += d_pre;
-                    *dce += dcv * fv;
+            let level_nodes = &s.order[level];
+            match (&wv, &mut dw) {
+                (Some(wv), Some(dw)) => {
+                    gather_rows(xv.as_slice(), xd, level_nodes, &mut xl);
+                    (kern.matmul)(&dwx, wv.as_slice(), &mut dxl, width, h4, xd);
+                    for (r, &node) in level_nodes.iter().enumerate() {
+                        dx[node * xd..][..xd].copy_from_slice(&dxl[r * xd..][..xd]);
+                    }
+                    (kern.matmul_tn)(&dwx, &xl, &mut tmp, h4, width, xd);
+                    accum(dw, &tmp[..h4 * xd]);
+                }
+                _ => {
+                    for (r, &node) in level_nodes.iter().enumerate() {
+                        let kind = s.kinds[node] as usize;
+                        accum(&mut dx[kind * h4..][..h4], &dwx[r * h4..][..h4]);
+                    }
                 }
             }
         }
-        crate::pool::put(dc);
-        let mut db = crate::pool::take_zeroed(h4);
+        for buf in [
+            dh, dc, dwx, duh, dsum, sums, dufh, dhk, hk, xl, dxl, tmp, db_level, dcrow,
+        ] {
+            crate::pool::put(buf);
+        }
+        let mut grads = vec![
+            (self.x, Tensor::from_vec(dx, xv.shape())),
+            (self.b, Tensor::from_vec(db, [h4])),
+            (self.u, Tensor::from_vec(du, [h4, hd])),
+        ];
+        if let (Some(w), Some(dw)) = (self.w, dw) {
+            grads.push((w, Tensor::from_vec(dw, [h4, xd])));
+        }
+        grads
+    }
+}
+
+/// The nodes of a level that one [`Tape::child_sum_pass`] runs through
+/// its cells at a time: enough that each activation runs over thousands
+/// of values at once, few enough that the run stays in cache.
+const CELL_ROWS: usize = 32;
+
+/// What a [`Tape::child_sum_pass`] node reads as its `W·x`.
+#[derive(Clone, Copy, Debug)]
+pub enum PassInput<'t> {
+    /// `[K, 4h]` projections made once per node kind: node `n` reads row
+    /// `kinds[n]` of the schedule, in place.
+    Kinds(Var<'t>),
+    /// `[N, d]` rows, one per node, and the `[4h, d]` `W` the op
+    /// multiplies each level's rows by.
+    Rows(Var<'t>, Var<'t>),
+}
+
+/// The order one [`Tape::child_sum_pass`] visits its nodes, and the state
+/// each node aggregates.
+///
+/// Node ids index rows of the pass's `[N, h]` output. Levels run in
+/// order, and a node may aggregate only nodes of earlier levels. What a
+/// node aggregates is a *group*: the `(h, c)` rows of its members. Going
+/// up, a node's group is its children; going down, the children of one
+/// parent share the group holding that parent, so `h̃·U` runs once per
+/// parent and each child reads the parent's rows in place.
+#[derive(Clone, Debug, Default)]
+pub struct PassSchedule {
+    /// Each node's kind: the row of a [`PassInput::Kinds`] projection it
+    /// reads.
+    pub kinds: Vec<u16>,
+    /// Node ids in processing order, level after level.
+    pub order: Vec<usize>,
+    /// `L + 1` ascending cut points into `order` from 0; no level is
+    /// empty.
+    pub levels: Vec<usize>,
+    /// For each entry of `order`, its group, or [`PassSchedule::NONE`].
+    /// A level's nodes all aggregate or none does (the leaves going up,
+    /// the roots going down), and a level's groups follow on from the
+    /// last level's, consecutive and in node order.
+    pub group: Vec<usize>,
+    /// `G + 1` ascending cut points into `members` from 0.
+    pub groups: Vec<usize>,
+    /// The node ids the groups aggregate, group after group.
+    pub members: Vec<usize>,
+}
+
+/// What the buffers of a [`PassSchedule`]'s pass must hold.
+#[derive(Default)]
+struct PassDims {
+    /// Forget gates over the pass: one per member of each node's group.
+    edges: usize,
+    /// The most nodes, forget gates, groups and members any one level
+    /// has.
+    nodes: usize,
+    level_edges: usize,
+    groups: usize,
+    members: usize,
+    /// The groups counted so far.
+    next: usize,
+}
+
+impl PassSchedule {
+    /// The group of a node that aggregates nothing.
+    pub const NONE: usize = usize::MAX;
+
+    /// Level `l`'s window of `order`, its groups, and their window of
+    /// `members`.
+    fn level(&self, l: usize) -> (Range<usize>, Range<usize>, Range<usize>) {
+        let nodes = self.levels[l]..self.levels[l + 1];
+        let groups = match self.group[nodes.start] {
+            PassSchedule::NONE => 0..0,
+            first => first..self.group[nodes.end - 1] + 1,
+        };
+        let members = self.groups[groups.start]..self.groups[groups.end];
+        (nodes, groups, members)
+    }
+
+    /// The forget gates of the nodes at `nodes` of `order`.
+    fn edges(&self, nodes: Range<usize>) -> usize {
+        let sizes = self.group[nodes]
+            .iter()
+            .filter(|&&g| g != PassSchedule::NONE);
+        sizes.map(|&g| self.groups[g + 1] - self.groups[g]).sum()
+    }
+
+    /// Level `l`'s members' rows of `h`, `d` wide, copied to the front of
+    /// `hk`, and its groups' child sums `h̃` to the front of `sums`: each
+    /// adds its members' rows in order from zero, as
+    /// [`Tape::segment_sum`] does.
+    fn child_sums(&self, h: &[f32], d: usize, l: usize, hk: &mut [f32], sums: &mut [f32]) {
+        let (_, groups, members) = self.level(l);
+        gather_rows(h, d, &self.members[members.clone()], hk);
         let accum = crate::kernels::active().seg_accum;
-        for row in dwx.chunks_exact(h4) {
-            accum(&mut db, row);
+        let cuts = self.groups[groups.start..=groups.end].windows(2);
+        for (sum, cut) in sums.chunks_exact_mut(d).zip(cuts) {
+            sum.fill(0.0);
+            for r in cut[0] - members.start..cut[1] - members.start {
+                accum(sum, &hk[r * d..][..d]);
+            }
         }
-        let dincoming = self.incoming.as_ref().map(|(_, edges)| {
-            let duh = match edges {
-                ChildSumEdges::Segments(_) => {
-                    let mut duh = crate::pool::take_cap(w * h3);
-                    for row in dwx.chunks_exact(h4) {
-                        duh.extend_from_slice(&row[..h3]);
-                    }
-                    Tensor::from_vec(duh, [w, h3])
+    }
+
+    /// Checks the schedule's shape and measures it. In a debug build it
+    /// also checks that every node runs once, after what it aggregates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule breaks a rule of [`PassSchedule`].
+    fn dims(&self) -> PassDims {
+        let n = self.order.len();
+        let cuts = |c: &[usize], end: usize, strict: bool| {
+            c.first() == Some(&0)
+                && c.last() == Some(&end)
+                && c.windows(2).all(|p| p[0] < p[1] || !strict && p[0] == p[1])
+        };
+        assert!(
+            cuts(&self.levels, n, true) && self.group.len() == n,
+            "child_sum_pass levels must cut {n} nodes into non-empty levels"
+        );
+        assert!(
+            cuts(&self.groups, self.members.len(), false),
+            "child_sum_pass groups must cut the members"
+        );
+        let mut dims = PassDims::default();
+        let mut done = vec![false; if cfg!(debug_assertions) { n } else { 0 }];
+        for l in 0..self.levels.len() - 1 {
+            let (nodes, groups, members) = self.level(l);
+            let gs = &self.group[nodes.clone()];
+            assert!(
+                if groups.is_empty() {
+                    gs.iter().all(|&g| g == PassSchedule::NONE)
+                } else {
+                    gs[0] == dims.next && gs.windows(2).all(|p| p[0] <= p[1] && p[1] <= p[0] + 1)
+                },
+                "child_sum_pass level {l} must aggregate consecutive groups from {}, or none",
+                dims.next
+            );
+            if cfg!(debug_assertions) {
+                let ready = self.members[members.clone()].iter().all(|&m| done[m]);
+                assert!(
+                    ready,
+                    "child_sum_pass level {l} aggregates a node not yet run"
+                );
+                for &node in &self.order[nodes.clone()] {
+                    let twice = std::mem::replace(&mut done[node], true);
+                    assert!(!twice, "child_sum_pass runs node {node} twice");
                 }
-                ChildSumEdges::Rows(rows) => {
-                    let mut duh = crate::pool::take_zeroed(sources * h3);
-                    for (row, &src) in dwx.chunks_exact(h4).zip(rows.iter()) {
-                        accum(&mut duh[src * h3..(src + 1) * h3], &row[..h3]);
-                    }
-                    Tensor::from_vec(duh, [sources, h3])
-                }
-            };
-            [
-                duh,
-                Tensor::from_vec(dufh, [sources, hd]),
-                Tensor::from_vec(dck, [sources, hd]),
-            ]
-        });
-        (
-            Tensor::from_vec(dwx, [w, h4]),
-            Tensor::from_vec(db, [h4]),
-            dincoming,
-        )
+            }
+            dims.next = dims.next.max(groups.end);
+            let edges = self.edges(nodes.clone());
+            dims.edges += edges;
+            dims.level_edges = dims.level_edges.max(edges);
+            dims.nodes = dims.nodes.max(nodes.len());
+            dims.groups = dims.groups.max(groups.len());
+            dims.members = dims.members.max(members.len());
+        }
+        dims
     }
 }
 
-/// The state a level of child-sum cells aggregates (see
-/// [`Tape::child_sum_cell`]): projections of the incoming hidden states
-/// and the incoming memory cells, `E` edges over `w` nodes.
-#[derive(Clone, Debug)]
-pub struct ChildSumIncoming<'t> {
-    /// `h̃·U_iouᵀ`, `[w, 3h]`: each node's summed incoming hidden state
-    /// through the input, output and candidate blocks of `U`.
-    pub uh: Var<'t>,
-    /// `h_k·U_fᵀ`, `[E, h]`: each edge's hidden state through the
-    /// forget block of `U`.
-    pub ufh: Var<'t>,
-    /// `c_k`, `[E, h]`: each edge's memory cell.
-    pub ck: Var<'t>,
-    /// Which rows of `uh`, `ufh` and `ck` each node reads.
-    pub edges: ChildSumEdges,
-}
-
-/// How the nodes of a [`ChildSumIncoming`] level find their rows.
-#[derive(Clone, Debug)]
-pub enum ChildSumEdges {
-    /// `w + 1` ascending cut points from 0: node `r` reads row `r` of
-    /// `uh`, and its edges are rows `offsets[r]..offsets[r + 1]` of
-    /// `ufh` and `ck`.
-    Segments(Arc<Vec<usize>>),
-    /// One edge per node, into rows that several nodes may share: node
-    /// `r` reads row `rows[r]` of `uh`, `ufh` and `ck`, which then have
-    /// one row per source, not per node. Siblings in a downward pass
-    /// read their parent's projections this way, in place.
-    Rows(Arc<Vec<usize>>),
-}
-
-impl ChildSumEdges {
-    /// Node `r`'s edges, numbered as the op's per-edge forget gates.
-    fn of(&self, r: usize) -> std::ops::Range<usize> {
-        match self {
-            ChildSumEdges::Segments(offsets) => offsets[r]..offsets[r + 1],
-            ChildSumEdges::Rows(_) => r..r + 1,
-        }
-    }
-
-    /// The operand row node `r` reads of `uh`, or edge `r` of `ufh` and
-    /// `ck` (with [`ChildSumEdges::Rows`], node `r`'s one edge is edge
-    /// `r`).
-    fn row(&self, r: usize) -> usize {
-        match self {
-            ChildSumEdges::Segments(_) => r,
-            ChildSumEdges::Rows(rows) => rows[r],
-        }
-    }
-
-    /// The edge count `E`.
-    fn count(&self) -> usize {
-        match self {
-            ChildSumEdges::Segments(offsets) => offsets.last().copied().unwrap_or(0),
-            ChildSumEdges::Rows(rows) => rows.len(),
-        }
+/// Copies the rows `rows` of `src`, `d` wide, to the front of `dst`.
+fn gather_rows(src: &[f32], d: usize, rows: &[usize], dst: &mut [f32]) {
+    for (to, &r) in dst.chunks_exact_mut(d).zip(rows) {
+        to.copy_from_slice(&src[r * d..][..d]);
     }
 }
 
@@ -454,10 +620,12 @@ impl Node {
 /// model's weights beyond its own nodes, so tapes that share a model
 /// cannot keep each other's entries alive once the model is dropped.
 /// The shape is part of the key because [`Tensor::reshape`] shares a
-/// buffer between shapes.
+/// buffer between shapes, and the rows because a pass multiplies by
+/// row blocks of `U` (see [`Tape::child_sum_pass`]).
 struct Transposed {
     source: Weak<PoolBuf>,
     shape: Shape,
+    rows: Range<usize>,
     value: Tensor,
 }
 
@@ -587,26 +755,36 @@ impl Tape {
         }
     }
 
-    /// The transpose of node `id`'s value, made on first request and
-    /// shared by every later request for the same buffer and shape.
-    fn transposed_of(&self, id: usize) -> Tensor {
+    /// The transpose of node `id`'s value, or of its rows `block`, made
+    /// on first request and shared by every later request for the same
+    /// buffer, shape and rows.
+    fn transposed_of(&self, id: usize, block: Option<Range<usize>>) -> Tensor {
         let source = self.value_of(id);
         if source.shape().rank() < 2 {
             // Such a "transpose" is a view of the source's own buffer: a
             // memo entry would keep its source alive for ever.
             return source.t();
         }
+        let (all, cols) = (source.shape().rows(), source.shape().cols());
+        let rows = block.unwrap_or(0..all);
         let mut memo = self.transposed.borrow_mut();
         if let Some(t) = memo
             .iter()
-            .find(|t| t.shape == source.shape() && source.owns_buffer(&t.source))
+            .find(|t| t.shape == source.shape() && t.rows == rows && source.owns_buffer(&t.source))
         {
             return t.value.clone();
         }
-        let value = source.t();
+        let value = if rows.len() == all {
+            source.t()
+        } else {
+            let part =
+                crate::pool::take_copy(&source.as_slice()[rows.start * cols..rows.end * cols]);
+            Tensor::from_vec(part, [rows.len(), cols]).t()
+        };
         memo.push(Transposed {
             source: source.buffer_handle(),
             shape: source.shape(),
+            rows,
             value: value.clone(),
         });
         value
@@ -757,10 +935,8 @@ impl Tape {
     /// source no index touches receives no gradient, matching
     /// [`Var::index_rows`] on an untouched matrix).
     ///
-    /// This is how the level-fused tree encoders read child/parent state:
-    /// each completed level stays its own tensor and gathers pull from
-    /// the level list directly, instead of re-stacking an O(N·h) prefix
-    /// matrix every level.
+    /// No encoder calls it: [`Tape::child_sum_pass`] reads rows in
+    /// place.
     ///
     /// # Panics
     ///
@@ -840,7 +1016,7 @@ impl Tape {
     /// matching row of `init` (`[S, d]`) instead of zero, and rows are
     /// added in order: `out[s] = (…(init[s] + r_0) + r_1)…` — the forget
     /// fold of the per-node cell, and so the tests' oracle for
-    /// [`Tape::child_sum_cell`]'s.
+    /// [`Tape::child_sum_pass`]'s.
     ///
     /// # Panics
     ///
@@ -915,211 +1091,232 @@ impl Tape {
         )
     }
 
-    /// One level of child-sum tree-LSTM cells (Eq. (4) of the paper) from
-    /// its matmul outputs, as one op with outputs `(h, c)`, both `[w, h]`.
+    /// One pass of child-sum tree-LSTM cells (Eq. (4) of the paper) over
+    /// a forest, level by level, as one op with output `h`, `[N, h]` in
+    /// node order.
     ///
-    /// `wx` is `W·x`, `[w, 4h]` with gate blocks `i | o | u | f`, and `b`
-    /// the `[4h]` gate bias; `incoming` is `None` on a level that
-    /// aggregates nothing (leaves going up, roots going down). Per
-    /// element, in this order:
+    /// `input` gives each node's `W·x`, `b` is the `[4h]` gate bias and
+    /// `u` the `[4h, h]` hidden projection, gate blocks `i | o | u | f`.
+    /// A level multiplies its groups' child sums `h̃` by `U`'s i/o/u
+    /// block and its members' `h_k` by the forget block, then runs each
+    /// node, per element in this order:
     ///
     /// ```text
-    /// pre  = (wx[:, :3h] + b[:3h]) + uh       (+ 0.0 without incoming)
+    /// pre  = (wx[:3h] + b[:3h]) + uh_group   (+ 0.0 without a group)
     /// i, o = σ(pre_i), σ(pre_o);  u = tanh(pre_u), or σ(pre_u) when `sigmoid_candidate`
     /// c    = i·u
-    /// c    = c + σ((wx_f + b_f) + ufh_e)·c_e  for each edge e, in order
+    /// c    = c + σ((wx_f + b_f) + ufh_k)·c_k  for each member k, in order
     /// h    = o·tanh(c)
     /// ```
     ///
-    /// That is the IEEE sequence of the composed ops (`add_row_broadcast`,
-    /// `slice_cols`, `add`, `sigmoid`, `tanh`, `mul`, `index_rows`,
-    /// `segment_sum_init`), so the values are theirs to the bit, without
-    /// their per-op buffers. `uh_r`, `ufh_e` and `c_e` are the rows
-    /// [`ChildSumEdges`] names, read in place: a row several nodes share
-    /// gives each of them the bits a copy of it would. On a recording
-    /// tape the op keeps `i, o, u`, the forget gates and `tanh(c)` for
-    /// its backward.
+    /// with `h̃ = 0.0 + Σ h_k` added in member order. That is the IEEE
+    /// sequence of the level composed from tape ops (`index_rows`,
+    /// `segment_sum`, `matmul_nt`, `add_row_broadcast`, `slice_cols`,
+    /// `sigmoid`, `tanh`, `mul`), so the values are theirs to the bit: a
+    /// row of a product has the same bits whichever rows share it.
+    ///
+    /// The products' operands and outputs live in scratch the pass
+    /// reuses from level to level; `W·x` rows of a [`PassInput::Kinds`]
+    /// projection, `c_k` and shared rows are read in place. A recording
+    /// tape keeps the gates, forget gates, `tanh c` and `c` for the
+    /// backward; an inference tape keeps only `h`.
     ///
     /// # Panics
     ///
-    /// Panics if `wx` is not `[w, 4h]` or `b` not `[4h]`; with
-    /// [`ChildSumEdges::Segments`], if the offsets are not `w + 1`
-    /// ascending cut points from 0 ending at `E`, `uh` not `[w, 3h]`, or
-    /// `ufh` and `ck` not both `[E, h]`; with [`ChildSumEdges::Rows`], if
-    /// there are not `w` rows, each below the `S` rows of `[S, 3h]` `uh`
-    /// and `[S, h]` `ufh` and `ck`.
-    pub fn child_sum_cell<'t>(
+    /// Panics unless `u` is `[4h, h]` and `b` `[4h]`, a
+    /// [`PassInput::Kinds`] projection is `[K, 4h]`, and
+    /// [`PassInput::Rows`] are `[N, d]` with `W` `[4h, d]`; or if
+    /// `schedule` breaks a rule of [`PassSchedule`].
+    pub fn child_sum_pass<'t>(
         &'t self,
-        wx: Var<'t>,
+        input: PassInput<'t>,
         b: Var<'t>,
-        incoming: Option<ChildSumIncoming<'t>>,
+        u: Var<'t>,
+        schedule: &PassSchedule,
         sigmoid_candidate: bool,
-    ) -> (Var<'t>, Var<'t>) {
-        let wv = self.value_of(wx.id);
-        let shape = wv.shape();
+    ) -> Var<'t> {
+        let s = schedule;
+        let dims = s.dims();
+        let n = s.order.len();
+        let uv = self.value_of(u.id);
+        let hd = uv.shape().cols();
+        let (h3, h4) = (3 * hd, 4 * hd);
         assert!(
-            shape.rank() == 2 && shape.cols() > 0 && shape.cols().is_multiple_of(4),
-            "child_sum_cell wx must be [w, 4h], got {shape}"
+            hd > 0 && uv.shape().dims() == [h4, hd],
+            "child_sum_pass u must be [4h, h], got {}",
+            uv.shape()
         );
-        let (w, hd) = (shape.rows(), shape.cols() / 4);
         let bv = self.value_of(b.id);
         assert_eq!(
             bv.shape().dims(),
-            &[4 * hd],
-            "child_sum_cell b must be [{}], got {}",
-            4 * hd,
+            &[h4],
+            "child_sum_pass b must be [{h4}], got {}",
             bv.shape()
         );
-        let in_vals = incoming.as_ref().map(|inc| {
-            let (uh, ufh, ck) = (
-                self.value_of(inc.uh.id),
-                self.value_of(inc.ufh.id),
-                self.value_of(inc.ck.id),
-            );
-            // The row counts `uh` and `ufh`, `ck` must have.
-            let (uh_rows, src_rows) = match &inc.edges {
-                ChildSumEdges::Segments(offsets) => {
-                    assert!(
-                        offsets.len() == w + 1
-                            && offsets[0] == 0
-                            && offsets.windows(2).all(|p| p[0] <= p[1]),
-                        "child_sum_cell needs {} ascending edge offsets from 0",
-                        w + 1
-                    );
-                    (w, offsets[w])
-                }
-                ChildSumEdges::Rows(rows) => {
-                    let shared = ck.shape().rows();
-                    assert!(
-                        rows.len() == w && rows.iter().all(|&r| r < shared),
-                        "child_sum_cell needs {w} rows below {shared}"
-                    );
-                    (shared, shared)
-                }
-            };
-            assert_eq!(
-                uh.shape().dims(),
-                &[uh_rows, 3 * hd],
-                "child_sum_cell uh must be [{uh_rows}, {}], got {}",
-                3 * hd,
-                uh.shape()
-            );
-            for (name, v) in [("ufh", &ufh), ("ck", &ck)] {
-                assert_eq!(
-                    v.shape().dims(),
-                    &[src_rows, hd],
-                    "child_sum_cell {name} must be [{src_rows}, {hd}], got {}",
-                    v.shape()
+        let (xv, wt) = match input {
+            PassInput::Kinds(p) => (self.value_of(p.id), None),
+            PassInput::Rows(x, w) => {
+                let (xs, ws) = (self.value_of(x.id).shape(), self.value_of(w.id).shape());
+                assert!(
+                    xs.rank() == 2 && xs.rows() == n && ws.dims() == [h4, xs.cols()],
+                    "child_sum_pass needs [{n}, d] rows and a [{h4}, d] w, got {xs} and {ws}"
                 );
+                (self.value_of(x.id), Some(self.transposed_of(w.id, None)))
             }
-            (uh, ufh, ck, &inc.edges)
-        });
-        let edges = in_vals.as_ref().map_or(0, |v| v.3.count());
-
+        };
+        let xd = xv.shape().cols();
+        assert!(
+            xv.shape().rank() == 2 && (wt.is_some() || xd == h4),
+            "child_sum_pass projections must be [K, {h4}], got {}",
+            xv.shape()
+        );
+        let u_t = [0..h3, h3..h4].map(|rows| self.transposed_of(u.id, Some(rows)));
         let kern = crate::kernels::active();
         let candidate = if sigmoid_candidate {
             kern.sigmoid
         } else {
             kern.tanh
         };
-        let (h2, h3, h4) = (2 * hd, 3 * hd, 4 * hd);
-        // `(wx + b)` then `+ uh` for i/o/u, and the biased forget block
-        // `wx_f + b_f` the edges add their `ufh_e` to.
-        let mut pre = crate::pool::take_zeroed(h4);
-        let mut gates = crate::pool::take_zeroed(w * h3);
-        // A zero-length take would count as a pool miss.
-        let mut forget = if edges > 0 {
-            crate::pool::take_zeroed(edges * hd)
-        } else {
-            Vec::new()
+        // A level's gates, `tanh c` and forget gates are each one run, so
+        // each activation runs once per level. A recording tape keeps the
+        // runs for the backward, level after level, with the gates in
+        // `i | o | u` blocks; an inference tape reuses one level's room.
+        let record = !self.inference;
+        let at = |row: usize| if record { row } else { 0 };
+        let rows = |all: usize, level: usize| if record { all } else { level };
+        let take = crate::pool::take_for_overwrite;
+        let (mut h, mut c) = (take(n * hd), take(n * hd));
+        let cells = dims.nodes.min(CELL_ROWS);
+        let mut gates = take(rows(n, cells) * h3);
+        let mut tanh_c = take(rows(n, cells) * hd);
+        let mut forget = take(rows(dims.edges, dims.level_edges) * hd);
+        let (mut pre, mut cl) = (take(cells * h3), take(cells * hd));
+        let mut f_pre = take(dims.level_edges * hd);
+        let (mut sums, mut uh) = (take(dims.groups * hd), take(dims.groups * h3));
+        let (mut hk, mut ufh) = (take(dims.members * hd), take(dims.members * hd));
+        let (mut xl, mut wx) = match wt {
+            Some(_) => (take(dims.nodes * xd), take(dims.nodes * h4)),
+            None => (Vec::new(), Vec::new()),
         };
-        let mut c = crate::pool::take_zeroed(w * hd);
-        let (x, (b_iou, b_f)) = (wv.as_slice(), bv.as_slice().split_at(h3));
-        for r in 0..w {
-            let (x_iou, x_f) = x[r * h4..(r + 1) * h4].split_at(h3);
-            let (pre, pre_f) = pre.split_at_mut(h3);
-            let biased = pre.iter_mut().zip(x_iou.iter().zip(b_iou));
-            match &in_vals {
-                Some((uh, .., edges)) => {
-                    let row = edges.row(r);
-                    let uh = &uh.as_slice()[row * h3..(row + 1) * h3];
-                    for ((p, (&a, &bias)), &u) in biased.zip(uh) {
-                        *p = (a + bias) + u;
-                    }
-                }
-                // The `+ 0.0` of a zero `h̃·U` product: it turns a `-0.0`
-                // pre-activation into `+0.0`, as that product did.
-                None => {
-                    for (p, (&a, &bias)) in biased {
-                        *p = (a + bias) + 0.0;
-                    }
-                }
+        let (b_iou, b_f) = bv.as_slice().split_at(h3);
+        let mut e0 = 0;
+        for l in 0..s.levels.len() - 1 {
+            let (level, groups, members) = s.level(l);
+            let (w, gn, mn) = (level.len(), groups.len(), members.len());
+            let (nodes, group) = (&s.order[level.clone()], &s.group[level.clone()]);
+            if gn > 0 {
+                s.child_sums(&h, hd, l, &mut hk, &mut sums);
+                (kern.matmul)(&sums, u_t[0].as_slice(), &mut uh, gn, hd, h3);
+                (kern.matmul)(&hk, u_t[1].as_slice(), &mut ufh, mn, hd, hd);
             }
-            let g = &mut gates[r * h3..(r + 1) * h3];
-            (kern.sigmoid)(&pre[..h2], &mut g[..h2]);
-            candidate(&pre[h2..], &mut g[h2..]);
-            let (i, u) = (&g[..hd], &g[h2..]);
-            let c_row = &mut c[r * hd..(r + 1) * hd];
-            for ((cv, &iv), &uv) in c_row.iter_mut().zip(i).zip(u) {
-                *cv = iv * uv;
+            if let Some(wt) = &wt {
+                gather_rows(xv.as_slice(), xd, nodes, &mut xl);
+                (kern.matmul)(&xl, wt.as_slice(), &mut wx, w, xd, h4);
             }
-            let Some((_, ufh, ck, edges)) = &in_vals else {
-                continue;
+            let x_of = |r: usize| match &wt {
+                Some(_) => &wx[r * h4..][..h4],
+                None => &xv.as_slice()[s.kinds[nodes[r]] as usize * h4..][..h4],
             };
-            for ((p, &a), &bias) in pre_f.iter_mut().zip(x_f).zip(b_f) {
-                *p = a + bias;
-            }
-            for e in edges.of(r) {
-                let src = edges.row(e);
-                let src = src * hd..(src + 1) * hd;
-                let f_pre = &mut pre[..hd];
-                for ((p, &a), &u) in f_pre
-                    .iter_mut()
-                    .zip(&*pre_f)
-                    .zip(&ufh.as_slice()[src.clone()])
-                {
-                    *p = a + u;
+            for c0 in (0..w).step_by(CELL_ROWS) {
+                let cw = CELL_ROWS.min(w - c0);
+                let (i0, nodes, group) =
+                    (level.start + c0, &nodes[c0..c0 + cw], &group[c0..c0 + cw]);
+                for (r, &g) in group.iter().enumerate() {
+                    for k in 0..3 {
+                        let p = &mut pre[(k * cw + r) * hd..][..hd];
+                        let x = &x_of(c0 + r)[k * hd..];
+                        let biased = p.iter_mut().zip(x.iter().zip(&b_iou[k * hd..]));
+                        if g == PassSchedule::NONE {
+                            // The `+ 0.0` of a zero `h̃·U` product: it
+                            // turns a `-0.0` pre-activation into `+0.0`,
+                            // as that product did.
+                            for (p, (&a, &bias)) in biased {
+                                *p = (a + bias) + 0.0;
+                            }
+                        } else {
+                            let uh = &uh[(g - groups.start) * h3 + k * hd..];
+                            for ((p, (&a, &bias)), &v) in biased.zip(uh) {
+                                *p = (a + bias) + v;
+                            }
+                        }
+                    }
                 }
-                let f = &mut forget[e * hd..(e + 1) * hd];
-                (kern.sigmoid)(f_pre, f);
-                for ((cv, &fv), &kv) in c_row.iter_mut().zip(&*f).zip(&ck.as_slice()[src]) {
-                    *cv += fv * kv;
+                let (io, gu) = gates[at(i0) * h3..][..cw * h3].split_at_mut(2 * cw * hd);
+                (kern.sigmoid)(&pre[..2 * cw * hd], io);
+                candidate(&pre[2 * cw * hd..cw * h3], gu);
+                let (gi, go) = io.split_at(cw * hd);
+                for ((cv, &iv), &uv) in cl.iter_mut().zip(gi).zip(&*gu) {
+                    *cv = iv * uv;
+                }
+                if gn > 0 {
+                    // `(wx_f + b_f) + ufh_k` for each member, in order,
+                    // then the fold of `σ(·)·c_k` into `c`.
+                    let mut e = 0;
+                    for (r, &g) in group.iter().enumerate() {
+                        let pre_f = &mut pre[..hd];
+                        let x_f = &x_of(c0 + r)[h3..];
+                        for ((p, &a), &bias) in pre_f.iter_mut().zip(x_f).zip(b_f) {
+                            *p = a + bias;
+                        }
+                        for m in s.groups[g] - members.start..s.groups[g + 1] - members.start {
+                            let (fp, uf) = (&mut f_pre[e * hd..][..hd], &ufh[m * hd..][..hd]);
+                            for ((p, &a), &v) in fp.iter_mut().zip(&*pre_f).zip(uf) {
+                                *p = a + v;
+                            }
+                            e += 1;
+                        }
+                    }
+                    let f = &mut forget[at(e0) * hd..][..e * hd];
+                    (kern.sigmoid)(&f_pre[..e * hd], f);
+                    let mut fs = f.chunks_exact(hd);
+                    for (cv, &g) in cl.chunks_exact_mut(hd).zip(group) {
+                        for &member in &s.members[s.groups[g]..s.groups[g + 1]] {
+                            let f = fs.next().expect("a gate per member");
+                            for ((cv, &fv), &kv) in cv.iter_mut().zip(f).zip(&c[member * hd..]) {
+                                *cv += fv * kv;
+                            }
+                        }
+                    }
+                    e0 += e;
+                }
+                let t = &mut tanh_c[at(i0) * hd..][..cw * hd];
+                (kern.tanh)(&cl[..cw * hd], t);
+                for (r, &node) in nodes.iter().enumerate() {
+                    let (row, hr) = (r * hd..(r + 1) * hd, &mut h[node * hd..][..hd]);
+                    c[node * hd..][..hd].copy_from_slice(&cl[row.clone()]);
+                    for ((hv, &ov), &tv) in hr.iter_mut().zip(&go[row.clone()]).zip(&t[row]) {
+                        *hv = ov * tv;
+                    }
                 }
             }
         }
-        crate::pool::put(pre);
-        let mut tanh_c = crate::pool::take_zeroed(w * hd);
-        (kern.tanh)(&c, &mut tanh_c);
-        let mut h = crate::pool::take_cap(w * hd);
-        for r in 0..w {
-            let o = &gates[r * h3 + hd..r * h3 + h2];
-            let t = &tanh_c[r * hd..(r + 1) * hd];
-            h.extend(o.iter().zip(t).map(|(&ov, &tv)| ov * tv));
+        for buf in [sums, uh, hk, ufh, xl, wx, pre, cl, f_pre] {
+            crate::pool::put(buf);
         }
-
-        let record = if self.inference {
-            for buf in [gates, forget, tanh_c] {
+        let h = Tensor::from_vec(h, [n, hd]);
+        if !record {
+            for buf in [c, gates, tanh_c, forget] {
                 crate::pool::put(buf);
             }
-            None
-        } else {
-            let c_id = self.len();
-            Some(Arc::new(ChildSumRecord {
-                c: c_id,
-                h: c_id + 1,
-                wx: wx.id,
-                b: b.id,
-                incoming: incoming.map(|inc| ([inc.uh.id, inc.ufh.id, inc.ck.id], inc.edges)),
-                sigmoid_candidate,
-                gates: Tensor::from_vec(gates, [w, h3]),
-                forget: Tensor::from_vec(forget, [edges, hd]),
-                tanh_c: Tensor::from_vec(tanh_c, [w, hd]),
-            }))
+            return self.push_node(Op::Value, h);
+        }
+        let (x, w) = match input {
+            PassInput::Kinds(p) => (p.id, None),
+            PassInput::Rows(x, w) => (x.id, Some(w.id)),
         };
-        let op = || record.clone().map_or(Op::Value, Op::ChildSumCell);
-        let c = self.push_node(op(), Tensor::from_vec(c, [w, hd]));
-        let h = self.push_node(op(), Tensor::from_vec(h, [w, hd]));
-        (h, c)
+        let record = PassRecord {
+            x,
+            w,
+            b: b.id,
+            u: u.id,
+            schedule: schedule.clone(),
+            sigmoid_candidate,
+            gates: Tensor::from_vec(gates, [n, h3]),
+            tanh_c: Tensor::from_vec(tanh_c, [n, hd]),
+            forget: Tensor::from_vec(forget, [dims.edges, hd]),
+            c: Tensor::from_vec(c, [n, hd]),
+        };
+        self.push_node(Op::ChildSumPass(Box::new(record)), h)
     }
 
     /// Gathers rows of an embedding `table` (`[v, d]`): output is `[k, d]`
@@ -1455,23 +1652,9 @@ impl Tape {
                     let d = (sig - target) * g.item();
                     accumulate(&mut grads, *logit, Tensor::scalar(d), &nodes);
                 }
-                Op::ChildSumCell(cell) => {
-                    // The sweep meets `h` first, when every reader of `c`
-                    // has already added its share, and runs the cell for
-                    // both outputs. `c` runs it only if `h` got nothing.
-                    let (dh, dc) = if id == cell.h {
-                        (Some(g), grads[cell.c].take())
-                    } else {
-                        (None, Some(g))
-                    };
-                    let ck = cell.incoming.as_ref().map(|(ids, _)| nodes[ids[2]].value());
-                    let (dwx, db, dincoming) = cell.backward(dh.as_ref(), dc.as_ref(), ck);
-                    accumulate(&mut grads, cell.wx, dwx, &nodes);
-                    accumulate(&mut grads, cell.b, db, &nodes);
-                    if let (Some((ids, _)), Some(ds)) = (&cell.incoming, dincoming) {
-                        for (&id, d) in ids.iter().zip(ds) {
-                            accumulate(&mut grads, id, d, &nodes);
-                        }
+                Op::ChildSumPass(pass) => {
+                    for (id, d) in pass.backward(&g, node.value(), &nodes) {
+                        accumulate(&mut grads, id, d, &nodes);
                     }
                 }
             }
@@ -1601,7 +1784,9 @@ impl<'t> Var<'t> {
     /// Panics on rank/dimension mismatch.
     pub fn matmul_nt(self, other: Var<'t>) -> Var<'t> {
         self.same_tape(&other);
-        let v = self.value().matmul(&self.tape.transposed_of(other.id));
+        let v = self
+            .value()
+            .matmul(&self.tape.transposed_of(other.id, None));
         self.tape.push(|| Op::MatMulNt(self.id, other.id), v)
     }
 
@@ -2562,88 +2747,145 @@ mod tests {
             .collect()
     }
 
-    /// Leaves for one child-sum level of `offsets.len() - 1` nodes,
-    /// `hd` wide: `wx`, `b`, and `(uh, ufh, ck)` when `offsets` has edges.
-    struct CellLeaves {
-        wx: Tensor,
-        b: Tensor,
-        incoming: Option<[Tensor; 3]>,
-        offsets: Arc<Vec<usize>>,
+    fn tensor_bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
-    impl CellLeaves {
-        /// The operands in the order [`incoming_of`] reads them.
-        fn on<'t>(&self, tape: &'t Tape) -> Vec<Var<'t>> {
-            [&self.wx, &self.b]
-                .into_iter()
-                .chain(self.incoming.iter().flatten())
-                .map(|t| tape.leaf(t.clone()))
-                .collect()
+    /// Nodes in [`forest_schedule`]'s forest.
+    const NODES: usize = 8;
+
+    /// A pass over two trees, `0 → {1, 2 → {3, 4}, 5 → 6}` and the
+    /// root-only `7`, node `v` of kind `v % 3`: by height going up (a
+    /// node with three children, one with two, one with one), by depth
+    /// going down (three siblings share their parent's group).
+    fn forest_schedule(up: bool) -> PassSchedule {
+        const N: usize = PassSchedule::NONE;
+        let [order, levels, group, groups, members]: [&[usize]; 5] = if up {
+            [
+                &[1, 3, 4, 6, 7, 2, 5, 0],
+                &[0, 5, 7, 8],
+                &[N, N, N, N, N, 0, 1, 2],
+                &[0, 2, 3, 6],
+                &[3, 4, 6, 1, 2, 5],
+            ]
+        } else {
+            [
+                &[0, 7, 1, 2, 5, 3, 4, 6],
+                &[0, 2, 5, 8],
+                &[N, N, 0, 0, 0, 1, 1, 2],
+                &[0, 1, 2, 3],
+                &[0, 2, 5],
+            ]
+        };
+        PassSchedule {
+            kinds: (0..NODES as u16).map(|v| v % 3).collect(),
+            order: order.to_vec(),
+            levels: levels.to_vec(),
+            group: group.to_vec(),
+            groups: groups.to_vec(),
+            members: members.to_vec(),
         }
     }
 
-    fn cell_leaves(offsets: &[usize], hd: usize) -> CellLeaves {
-        let (w, edges) = (
-            offsets.len() - 1,
-            *offsets.last().expect("w + 1 cut points"),
-        );
-        let mut wx = spread(w * 4 * hd, 1);
+    /// A root `0` with `k` leaf children: with `k` past [`CELL_ROWS`], a
+    /// level the cells run through in more than one run.
+    fn fan_schedule(k: usize, up: bool) -> PassSchedule {
+        const N: usize = PassSchedule::NONE;
+        let kids: Vec<usize> = (1..=k).collect();
+        let (order, levels, group, groups, members) = if up {
+            let group = [vec![N; k], vec![0]].concat();
+            (
+                [kids.clone(), vec![0]].concat(),
+                vec![0, k, k + 1],
+                group,
+                vec![0, k],
+                kids,
+            )
+        } else {
+            let group = [vec![N], vec![0; k]].concat();
+            (
+                [vec![0], kids].concat(),
+                vec![0, 1, k + 1],
+                group,
+                vec![0, 1],
+                vec![0],
+            )
+        };
+        let kinds = (0..=k as u16).map(|v| v % 3).collect();
+        PassSchedule {
+            kinds,
+            order,
+            levels,
+            group,
+            groups,
+            members,
+        }
+    }
+
+    /// A pass's operands over `n` nodes, `hd` wide: the input (`[3, 4h]`
+    /// per-kind projections, or `[n, 5]` rows), `b`, `U` and, for rows,
+    /// `W`.
+    fn pass_leaves(hd: usize, n: usize, rows: bool) -> Vec<Tensor> {
+        let mut input = if rows {
+            Tensor::from_vec(spread(n * 5, 1), [n, 5])
+        } else {
+            Tensor::from_vec(spread(3 * 4 * hd, 1), [3, 4 * hd])
+        };
         let mut b = spread(4 * hd, 8);
-        // A `-0.0` pre-activation: `-0.0 + -0.0` keeps the sign, and
-        // `+ 0.0` then turns it into `+0.0`, as the zero product of the
-        // composed chain does.
-        (wx[3], b[3]) = (-0.0, -0.0);
-        CellLeaves {
-            wx: Tensor::from_vec(wx, [w, 4 * hd]),
-            b: Tensor::from_vec(b, [4 * hd]),
-            incoming: (edges > 0).then(|| {
-                [
-                    Tensor::from_vec(spread(w * 3 * hd, 2), [w, 3 * hd]),
-                    Tensor::from_vec(spread(edges * hd, 3), [edges, hd]),
-                    Tensor::from_vec(spread(edges * hd, 4), [edges, hd]),
-                ]
-            }),
-            offsets: Arc::new(offsets.to_vec()),
+        // A `-0.0` pre-activation on kind 0: `-0.0 + -0.0` keeps the
+        // sign, and `+ 0.0` then turns it into `+0.0`, as the zero
+        // product of the composed chain does.
+        if !rows {
+            input.make_mut()[3] = -0.0;
+            b[3] = -0.0;
+        }
+        let quarter = |len, seed| spread(len, seed).iter().map(|v| v / 4.0).collect();
+        let mut leaves = vec![
+            input,
+            Tensor::from_vec(b, [4 * hd]),
+            Tensor::from_vec(quarter(4 * hd * hd, 2), [4 * hd, hd]),
+        ];
+        if rows {
+            leaves.push(Tensor::from_vec(quarter(4 * hd * 5, 3), [4 * hd, 5]));
+        }
+        leaves
+    }
+
+    /// `vars` from [`pass_leaves`] as the pass's input.
+    fn input_of<'t>(vars: &[Var<'t>]) -> PassInput<'t> {
+        match vars {
+            [x, _, _, w] => PassInput::Rows(*x, *w),
+            _ => PassInput::Kinds(vars[0]),
         }
     }
 
-    /// `vars` as the op's operands: `wx, b`, then `uh, ufh, ck` if
-    /// present.
-    fn incoming_of<'t>(
-        vars: &[Var<'t>],
-        offsets: &Arc<Vec<usize>>,
-    ) -> Option<ChildSumIncoming<'t>> {
-        (vars.len() == 5).then(|| ChildSumIncoming {
-            uh: vars[2],
-            ufh: vars[3],
-            ck: vars[4],
-            edges: ChildSumEdges::Segments(Arc::clone(offsets)),
-        })
-    }
-
-    /// The level as the tree-LSTM encoder composed it before
-    /// [`Tape::child_sum_cell`] existed, op by op: the bias by
-    /// `add_row_broadcast`, and the `zeros · U` hidden projection of a
-    /// level without incoming state.
+    /// One level's cells as the tree-LSTM encoder composed them before
+    /// the child-sum ops existed, op by op: the bias by
+    /// `add_row_broadcast`, the forget fold by `segment_sum_init`, and
+    /// the `zeros · U` hidden projection of a level without incoming
+    /// state. `incoming` is one `uh` row per node, one `ufh` and `c_k`
+    /// row per edge, and the nodes' edge cut points.
     fn composed_cell<'t>(
         tape: &'t Tape,
         wx: Var<'t>,
         b: Var<'t>,
-        incoming: Option<&ChildSumIncoming<'t>>,
+        incoming: Option<[Var<'t>; 3]>,
+        offsets: Vec<usize>,
         sigmoid_candidate: bool,
     ) -> (Var<'t>, Var<'t>) {
+        let hd = b.value().len() / 4;
         let wxb = wx.add_row_broadcast(b);
         let w = wxb.value().shape().rows();
         let uh = match incoming {
-            Some(inc) => inc.uh,
+            Some([uh, ..]) => uh,
             None => tape
-                .zeros([w, HD])
-                .matmul_nt(tape.leaf(Tensor::from_vec(spread(3 * HD * HD, 5), [3 * HD, HD]))),
+                .zeros([w, hd])
+                .matmul_nt(tape.leaf(Tensor::from_vec(spread(3 * hd * hd, 5), [3 * hd, hd]))),
         };
-        let pre = wxb.slice_cols(0, 3 * HD).add(uh);
-        let i = pre.slice_cols(0, HD).sigmoid();
-        let o = pre.slice_cols(HD, HD).sigmoid();
-        let u_pre = pre.slice_cols(2 * HD, HD);
+        let pre = wxb.slice_cols(0, 3 * hd).add(uh);
+        let i = pre.slice_cols(0, hd).sigmoid();
+        let o = pre.slice_cols(hd, hd).sigmoid();
+        let u_pre = pre.slice_cols(2 * hd, hd);
         let u = if sigmoid_candidate {
             u_pre.sigmoid()
         } else {
@@ -2652,200 +2894,199 @@ mod tests {
         let iu = i.mul(u);
         let c = match incoming {
             None => iu,
-            Some(inc) => {
-                let ChildSumEdges::Segments(offsets) = &inc.edges else {
-                    panic!("the composed chain reads one row per edge");
-                };
-                let edge_parent: Vec<usize> = offsets
+            Some([_, ufh, ck]) => {
+                let edge_node: Vec<usize> = offsets
                     .windows(2)
                     .enumerate()
                     .flat_map(|(r, p)| std::iter::repeat_n(r, p[1] - p[0]))
                     .collect();
-                let fx = wxb.slice_cols(3 * HD, HD).index_rows(edge_parent);
-                let f = fx.add(inc.ufh).sigmoid();
-                tape.segment_sum_init(iu, f.mul(inc.ck), Arc::clone(offsets))
+                let fx = wxb.slice_cols(3 * hd, hd).index_rows(edge_node);
+                let f = fx.add(ufh).sigmoid();
+                tape.segment_sum_init(iu, f.mul(ck), offsets)
             }
         };
         (o.mul(c.tanh()), c)
     }
 
-    /// No incoming state; a level mixing nodes with no, one and several
-    /// edges; one edge per node.
-    const CELL_LEVELS: [&[usize]; 3] = [&[0, 0, 0, 0], &[0, 2, 2, 5, 6], &[0, 1, 2]];
-
-    fn tensor_bits(t: &Tensor) -> Vec<u32> {
-        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    /// The pass as the tree-LSTM encoder composed it before
+    /// [`Tape::child_sum_pass`] existed: per level, its input rows, the
+    /// members' rows gathered from the levels run so far, their sums by
+    /// `segment_sum`, the `U` products by `matmul_nt` over gathered row
+    /// blocks of `U`, every node's and edge's rows copied out of those,
+    /// and [`composed_cell`]; the levels' `h` back in node order last.
+    fn composed_pass<'t>(
+        tape: &'t Tape,
+        input: PassInput<'t>,
+        b: Var<'t>,
+        u: Var<'t>,
+        s: &PassSchedule,
+        sigmoid_candidate: bool,
+    ) -> Var<'t> {
+        let hd = u.value().shape().cols();
+        let u_iou = u.index_rows((0..3 * hd).collect::<Vec<usize>>());
+        let u_f = u.index_rows((3 * hd..4 * hd).collect::<Vec<usize>>());
+        let mut proc_row = vec![0; s.order.len()];
+        let (mut hs, mut cs) = (Vec::new(), Vec::new());
+        for l in 0..s.levels.len() - 1 {
+            let (nodes, groups, members) = s.level(l);
+            let sel = &s.order[nodes.clone()];
+            let wx = match input {
+                PassInput::Kinds(p) => {
+                    p.index_rows(sel.iter().map(|&v| s.kinds[v] as usize).collect::<Vec<_>>())
+                }
+                PassInput::Rows(x, w) => x.index_rows(sel.to_vec()).matmul_nt(w),
+            };
+            let mut offsets = vec![0];
+            let incoming = (!groups.is_empty()).then(|| {
+                let rows: Vec<usize> = s.members[members.clone()]
+                    .iter()
+                    .map(|&m| proc_row[m])
+                    .collect();
+                let hk = tape.stack_rows(&hs).index_rows(rows.clone());
+                let ck = tape.stack_rows(&cs).index_rows(rows);
+                let cuts = s.groups[groups.start..=groups.end].iter();
+                let cuts: Vec<usize> = cuts.map(|&m| m - members.start).collect();
+                let uh = tape.segment_sum(hk, cuts).matmul_nt(u_iou);
+                let ufh = hk.matmul_nt(u_f);
+                let mut edges = Vec::new();
+                for &g in &s.group[nodes.clone()] {
+                    edges.extend(s.groups[g] - members.start..s.groups[g + 1] - members.start);
+                    offsets.push(edges.len());
+                }
+                let node_group = s.group[nodes.clone()].iter().map(|&g| g - groups.start);
+                let uh = uh.index_rows(node_group.collect::<Vec<_>>());
+                [uh, ufh.index_rows(edges.clone()), ck.index_rows(edges)]
+            });
+            let (h, c) = composed_cell(tape, wx, b, incoming, offsets, sigmoid_candidate);
+            for (r, &v) in sel.iter().enumerate() {
+                proc_row[v] = nodes.start + r;
+            }
+            hs.push(h);
+            cs.push(c);
+        }
+        tape.stack_rows(&hs).index_rows(proc_row)
     }
 
-    #[test]
-    fn child_sum_cell_matches_the_composed_chain_to_the_bit() {
-        let bits = |v: Var<'_>| tensor_bits(&v.value());
-        for offsets in CELL_LEVELS {
-            let leaves = cell_leaves(offsets, HD);
+    /// The pass under test, or its [`composed_pass`] oracle.
+    type Pass =
+        for<'t> fn(&'t Tape, PassInput<'t>, Var<'t>, Var<'t>, &PassSchedule, bool) -> Var<'t>;
+    const PASSES: [Pass; 2] = [Tape::child_sum_pass, composed_pass];
+
+    /// For the forest and a wide fan, both inputs and both candidates,
+    /// `h` of [`Tape::child_sum_pass`] on both tape kinds and the
+    /// gradient of every operand on a recording tape, each beside
+    /// [`composed_pass`]'s.
+    fn check_against_the_composed_pass(up: bool) {
+        let schedules = [forest_schedule(up), fan_schedule(CELL_ROWS + 9, up)];
+        for (s, rows) in schedules.iter().flat_map(|s| [(s, false), (s, true)]) {
+            let n = s.order.len();
+            let leaves = pass_leaves(HD, n, rows);
+            let weight = Tensor::from_vec(spread(n * HD, 6), [n, HD]);
             for sigmoid_candidate in [false, true] {
-                let what = format!("offsets {offsets:?}, σ candidate {sigmoid_candidate}");
-                let oracle = Tape::new();
-                let vars = leaves.on(&oracle);
-                let incoming = incoming_of(&vars, &leaves.offsets);
-                let (h, c) = composed_cell(
-                    &oracle,
-                    vars[0],
-                    vars[1],
-                    incoming.as_ref(),
-                    sigmoid_candidate,
-                );
+                let what = format!("{n} nodes, up {up}, rows {rows}, σ {sigmoid_candidate}");
+                // `h`, and on a recording tape every operand's gradient.
+                let run = |tape: &Tape, pass: Pass| {
+                    let vars: Vec<Var<'_>> = leaves.iter().map(|t| tape.leaf(t.clone())).collect();
+                    let h = pass(
+                        tape,
+                        input_of(&vars),
+                        vars[1],
+                        vars[2],
+                        s,
+                        sigmoid_candidate,
+                    );
+                    let grads = (!tape.inference).then(|| {
+                        let loss = h.mul(tape.leaf(weight.clone())).sum().add(h.tanh().sum());
+                        let g = tape.backward(loss);
+                        vars.iter().map(|&v| g.get_or_zeros(v)).collect::<Vec<_>>()
+                    });
+                    (h.value(), grads)
+                };
+                let (h, grads) = run(&Tape::new(), PASSES[1]);
+                let grads = grads.expect("a recording tape");
                 for tape in [Tape::new(), Tape::inference()] {
-                    let vars = leaves.on(&tape);
-                    let incoming = incoming_of(&vars, &leaves.offsets);
-                    let (fh, fc) =
-                        tape.child_sum_cell(vars[0], vars[1], incoming, sigmoid_candidate);
-                    assert_eq!(bits(fh), bits(h), "h, {what}");
-                    assert_eq!(bits(fc), bits(c), "c, {what}");
+                    let (fh, fgrads) = run(&tape, PASSES[0]);
+                    assert_eq!(tensor_bits(&fh), tensor_bits(&h), "h, {what}");
+                    for (k, (f, c)) in fgrads.iter().flatten().zip(&grads).enumerate() {
+                        let diff = f.max_abs_diff(c);
+                        assert!(diff <= 1e-6, "operand {k}, {what}: off by {diff:e}");
+                    }
                 }
             }
         }
     }
 
     #[test]
+    fn child_sum_cell_matches_the_composed_chain_to_the_bit() {
+        // Going up: leaves without incoming state, a node with three
+        // children, and a one-child node, each reading its children's
+        // rows where they lie.
+        check_against_the_composed_pass(true);
+    }
+
+    #[test]
+    fn child_sum_cell_reads_shared_rows_in_place_to_the_bit() {
+        // Going down: three siblings read one parent's projections and
+        // `c` in place, beside roots without incoming state; the oracle
+        // copies every row out per node.
+        check_against_the_composed_pass(false);
+    }
+
+    #[test]
     fn child_sum_cell_backward_matches_the_composed_chain() {
-        // Losses reading both outputs, only `h` and only `c` (whose
-        // visit then runs the backward), with `c` weighted apart from `h`.
-        type Loss = for<'t> fn(Var<'t>, Var<'t>, Var<'t>) -> Var<'t>;
-        let losses: [(&str, Loss); 3] = [
-            ("h and c", |h, c, w| h.mul(w).sum().add(c.tanh().sum())),
-            ("h only", |h, _, w| h.mul(w).sum()),
-            ("c only", |_, c, w| c.mul(w).sum()),
-        ];
-        for offsets in CELL_LEVELS {
-            let leaves = cell_leaves(offsets, HD);
-            let weight =
-                Tensor::from_vec(spread((offsets.len() - 1) * HD, 6), [offsets.len() - 1, HD]);
-            for sigmoid_candidate in [false, true] {
-                for (name, loss) in losses {
-                    let what =
-                        format!("{name}, offsets {offsets:?}, σ candidate {sigmoid_candidate}");
-                    let grads = |fused: bool| -> Vec<Tensor> {
-                        let tape = Tape::new();
-                        let vars = leaves.on(&tape);
-                        let incoming = incoming_of(&vars, &leaves.offsets);
-                        let (h, c) = if fused {
-                            tape.child_sum_cell(vars[0], vars[1], incoming, sigmoid_candidate)
-                        } else {
-                            composed_cell(
-                                &tape,
-                                vars[0],
-                                vars[1],
-                                incoming.as_ref(),
-                                sigmoid_candidate,
-                            )
-                        };
-                        let g = tape.backward(loss(h, c, tape.leaf(weight.clone())));
-                        vars.iter().map(|&v| g.get_or_zeros(v)).collect()
-                    };
-                    let (fused, composed) = (grads(true), grads(false));
-                    for (k, (f, c)) in fused.iter().zip(&composed).enumerate() {
-                        let diff = f.max_abs_diff(c);
-                        assert!(diff <= 1e-6, "operand {k}, {what}: off by {diff:e}");
-                    }
-                    // `d b` is exactly the column sums `add_row_broadcast`'s
-                    // backward forms from the cell's own `d wx`.
-                    let tape = Tape::new();
-                    let bias = tape.leaf(leaves.b.clone());
-                    let rows = tape.zeros(leaves.wx.shape()).add_row_broadcast(bias);
-                    let g = tape.backward(rows.mul(tape.leaf(fused[0].clone())).sum());
-                    assert_eq!(
-                        tensor_bits(&fused[1]),
-                        tensor_bits(&g.get(bias)),
-                        "db, {what}"
-                    );
-                }
-            }
+        // Loss through `h` alone, and a pass stacked on another's output,
+        // so the op's `dx` rows feed a second op's backward.
+        let (down, up) = (forest_schedule(false), forest_schedule(true));
+        let leaves = pass_leaves(HD, NODES, false);
+        let upper = pass_leaves(HD, NODES, true);
+        let run = |pass: Pass| -> Vec<Tensor> {
+            let tape = Tape::new();
+            let operands = leaves.iter().chain(&upper[1..]);
+            let vars: Vec<Var<'_>> = operands.map(|t| tape.leaf(t.clone())).collect();
+            let first = pass(&tape, input_of(&vars[..3]), vars[1], vars[2], &down, false);
+            let w = tape.leaf(Tensor::from_vec(
+                spread(4 * HD * HD, 9).iter().map(|v| v / 8.0).collect(),
+                [4 * HD, HD],
+            ));
+            let second = pass(
+                &tape,
+                PassInput::Rows(first, w),
+                vars[3],
+                vars[4],
+                &up,
+                true,
+            );
+            let g = tape.backward(second.sum());
+            vars.iter()
+                .chain([&w])
+                .map(|&v| g.get_or_zeros(v))
+                .collect()
+        };
+        for (k, (f, c)) in run(PASSES[0]).iter().zip(&run(PASSES[1])).enumerate() {
+            let diff = f.max_abs_diff(c);
+            assert!(diff <= 1e-6, "operand {k}: off by {diff:e}");
         }
     }
 
     #[test]
     fn child_sum_cell_passes_grad_check_with_and_without_edges() {
-        for offsets in [&[0usize, 0, 0][..], &[0, 2, 2, 3]] {
-            // Narrow, so the loss stays small enough for f32 finite
-            // differences to resolve every coordinate's gradient.
-            let hd = 3;
-            let leaves = cell_leaves(offsets, hd);
-            let w = offsets.len() - 1;
-            // Every operand is perturbed, the bias included.
-            let inputs: Vec<Tensor> = [&leaves.wx, &leaves.b]
-                .into_iter()
-                .chain(leaves.incoming.iter().flatten())
-                .cloned()
-                .collect();
-            let weight = Tensor::from_vec(spread(w * hd, 7), [w, hd]);
-            let report = crate::grad_check(&inputs, 1e-2, |tape, vars| {
-                let incoming = incoming_of(vars, &leaves.offsets);
-                let (h, c) = tape.child_sum_cell(vars[0], vars[1], incoming, false);
-                let w = tape.leaf(weight.clone());
-                crate::TapeScalar(h.mul(w).sum().add(c.tanh().sum()))
-            });
-            assert!(
-                report.passes(1e-2),
-                "child_sum_cell gradient check failed at {offsets:?}: {report:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn child_sum_cell_reads_shared_rows_in_place_to_the_bit() {
-        // Five nodes over three shared source rows, as siblings read a
-        // parent: a run of three, then one row each, out of order. The
-        // oracle is the same level with every row copied out per node.
-        let rows = Arc::new(vec![1usize, 1, 1, 0, 2]);
-        let (w, shared) = (rows.len(), 3);
-        let leaves = cell_leaves(&[0, 0, 0, 0, 0, 0], HD);
-        let sources = [
-            Tensor::from_vec(spread(shared * 3 * HD, 2), [shared, 3 * HD]),
-            Tensor::from_vec(spread(shared * HD, 3), [shared, HD]),
-            Tensor::from_vec(spread(shared * HD, 4), [shared, HD]),
-        ];
-        let weight = Tensor::from_vec(spread(w * HD, 6), [w, HD]);
-        let per_node = Arc::new((0..=w).collect::<Vec<usize>>());
-        // `(h, c)` and, on a recording tape, the gradients of `wx`, `b`
-        // and the three sources.
-        let run = |tape: &Tape, copied: bool, sigmoid_candidate: bool| {
-            let (wx, b) = (tape.leaf(leaves.wx.clone()), tape.leaf(leaves.b.clone()));
-            let src = sources.clone().map(|t| tape.leaf(t));
-            let (read, edges) = if copied {
-                let read = src.map(|v| v.index_rows(Arc::clone(&rows)));
-                (read, ChildSumEdges::Segments(Arc::clone(&per_node)))
-            } else {
-                (src, ChildSumEdges::Rows(Arc::clone(&rows)))
-            };
-            let incoming = ChildSumIncoming {
-                uh: read[0],
-                ufh: read[1],
-                ck: read[2],
-                edges,
-            };
-            let (h, c) = tape.child_sum_cell(wx, b, Some(incoming), sigmoid_candidate);
-            let grads = (!tape.inference).then(|| {
-                let loss = h.mul(tape.leaf(weight.clone())).sum().add(c.tanh().sum());
-                let g = tape.backward(loss);
-                [wx, b, src[0], src[1], src[2]].map(|v| g.get_or_zeros(v))
-            });
-            ([h.value(), c.value()], grads)
-        };
-        for sigmoid_candidate in [false, true] {
-            let what = format!("σ candidate {sigmoid_candidate}");
-            let (copied, copied_grads) = run(&Tape::new(), true, sigmoid_candidate);
-            for tape in [Tape::new(), Tape::inference()] {
-                let (read, grads) = run(&tape, false, sigmoid_candidate);
-                for (name, (r, c)) in ["h", "c"].iter().zip(read.iter().zip(&copied)) {
-                    assert_eq!(tensor_bits(r), tensor_bits(c), "{name}, {what}");
-                }
-                let (Some(grads), Some(oracle)) = (grads, &copied_grads) else {
-                    continue;
-                };
-                for (k, (r, c)) in grads.iter().zip(oracle).enumerate() {
-                    let diff = r.max_abs_diff(c);
-                    assert!(diff <= 1e-6, "operand {k}, {what}: off by {diff:e}");
-                }
+        // Narrow, so the loss stays small enough for f32 finite
+        // differences to resolve every coordinate's gradient, and a step
+        // wide enough that rounding does not swamp the small `U` ones.
+        // Every operand is perturbed, the bias included.
+        for up in [true, false] {
+            let s = forest_schedule(up);
+            for rows in [false, true] {
+                let inputs = pass_leaves(3, NODES, rows);
+                let weight = Tensor::from_vec(spread(NODES * 3, 7), [NODES, 3]);
+                let report = crate::grad_check(&inputs, 2e-2, |tape, vars| {
+                    let h = tape.child_sum_pass(input_of(vars), vars[1], vars[2], &s, !up);
+                    crate::TapeScalar(h.mul(tape.leaf(weight.clone())).sum())
+                });
+                assert!(
+                    report.passes(1e-2),
+                    "child_sum_pass gradient check failed, up {up}, rows {rows}: {report:?}"
+                );
             }
         }
     }

@@ -469,7 +469,7 @@ impl Tensor {
             "matmul inner dimension mismatch: {} vs {}",
             self.shape, other.shape
         );
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_for_overwrite(m * n);
         // Dispatched kernel (see [`crate::kernels`]): blocked IEEE-strict
         // scalar loops or AVX2+FMA, resolved once at first use. Both
         // backends accumulate k-ascending per output element, so results
@@ -501,7 +501,7 @@ impl Tensor {
             "matmul_tn row count mismatch: {} vs {}",
             self.shape, other.shape
         );
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_for_overwrite(m * n);
         (kernels::active().matmul_tn)(&self.data, &other.data, &mut out, m, k, n);
         Tensor::from_vec(out, [m, n])
     }
