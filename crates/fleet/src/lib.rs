@@ -39,10 +39,10 @@
 //! * [`server`] — the request handlers, forwarding (hedge + failover),
 //!   prober, table watcher, canary driver, and `ccsa_fleet_*` metrics.
 //!
-//! Connection lifecycle and request framing are not here: both of the
-//! fleet's doors run on `ccsa_gateway::transport` — the same accept
-//! loop, connection budget, JSON-lines session and HTTP/1.1 reader and
-//! writer a gateway's doors use.
+//! Lifecycle and framing are not here: both doors run on a gateway's
+//! `ccsa_gateway::transport` (accept loop, budget, sessions, probes,
+//! drain flag, port files), and the binary reads its flags with
+//! `ccsa_serve::process`.
 
 pub mod canary;
 pub mod replica;

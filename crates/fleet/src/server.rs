@@ -30,7 +30,8 @@
 //!   every flip, so draining or dead replicas stop receiving new keys.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -38,11 +39,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ccsa_gateway::transport::{
-    self, refuse_remote_admin, After, Budget, HttpRequest, HttpResponse,
+    self, refuse_remote_admin, After, Doors, HttpRequest, HttpResponse, Lifecycle, Spawned,
 };
 use ccsa_serve::json::{self, Json};
 use ccsa_serve::proto;
-use ccsa_serve::{Counter, MetricKind, MetricsRegistry, Sample, SampleFamily};
+use ccsa_serve::{Counter, MetricKind, Sample, SampleFamily};
 
 use crate::canary::{Canary, CanaryConfig, CanaryPhase, Decision, DeltaSample};
 use crate::replica::{Replica, ReplicaConfig};
@@ -113,12 +114,9 @@ pub(crate) struct FleetState {
     /// Rebuilt and swapped whole on every health flip.
     ring: RwLock<Arc<Ring>>,
     pub(crate) config: FleetConfig,
-    shutdown: AtomicBool,
-    /// The connection budget both fronts draw on.
-    budget: Budget,
-    tcp_accepting: AtomicBool,
-    http_accepting: AtomicBool,
-    metrics: Arc<MetricsRegistry>,
+    /// Addresses, connection budget, metrics registry, drain flag and
+    /// readiness: what the handle derefs to.
+    life: Lifecycle,
     /// Per-replica forwarded-request counters
     /// (`ccsa_fleet_requests_total{replica=<id>}`), indexed like
     /// `replicas`.
@@ -161,15 +159,7 @@ impl FleetState {
     }
 
     fn draining(&self) -> bool {
-        // SeqCst: lifecycle flags use the strongest ordering so the
-        // accept loops and admin verbs agree on shutdown state.
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn accepting(&self) -> bool {
-        // SeqCst: readiness flags, same lifecycle discipline as above.
-        self.tcp_accepting.load(Ordering::SeqCst)
-            && (self.config.http_addr.is_none() || self.http_accepting.load(Ordering::SeqCst))
+        self.life.shutdown_requested()
     }
 
     fn record_request(&self, ix: usize) {
@@ -238,42 +228,23 @@ impl FleetState {
     }
 }
 
-/// A cloneable control handle onto a running fleet.
+/// A cloneable control handle onto a running fleet. It derefs to the
+/// fleet's [`Lifecycle`]: `addr`, `http_addr`, `metrics` (`ccsa_fleet_*`),
+/// `shutdown`, `accepting` and `active_connections`.
 #[derive(Clone)]
 pub struct FleetHandle {
     state: Arc<FleetState>,
-    addr: SocketAddr,
-    http_addr: Option<SocketAddr>,
+}
+
+impl Deref for FleetHandle {
+    type Target = Lifecycle;
+
+    fn deref(&self) -> &Lifecycle {
+        &self.state.life
+    }
 }
 
 impl FleetHandle {
-    /// The bound JSON-lines address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The bound HTTP address, when configured.
-    pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.http_addr
-    }
-
-    /// The fleet metrics registry (`ccsa_fleet_*`).
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.state.metrics)
-    }
-
-    /// Starts a graceful drain.
-    pub fn shutdown(&self) {
-        // SeqCst: lifecycle flag, pairs with draining().
-        self.state.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether every configured accept loop is live (the port-file /
-    /// readiness gate, as on the gateway).
-    pub fn accepting(&self) -> bool {
-        self.state.accepting()
-    }
-
     /// Routing tables pushed since boot.
     pub fn table_generation(&self) -> u64 {
         // SeqCst: pairs with the push path's generation bump.
@@ -288,49 +259,12 @@ impl FleetHandle {
 
 /// A bound-but-not-yet-running fleet.
 pub struct Fleet {
-    listener: TcpListener,
-    http_listener: Option<TcpListener>,
+    doors: Doors,
     state: Arc<FleetState>,
-    addr: SocketAddr,
-    http_addr: Option<SocketAddr>,
 }
 
 /// A fleet running on a background thread (tests and embedding).
-pub struct SpawnedFleet {
-    handle: FleetHandle,
-    join: JoinHandle<std::io::Result<()>>,
-}
-
-impl SpawnedFleet {
-    /// The bound JSON-lines address.
-    pub fn addr(&self) -> SocketAddr {
-        self.handle.addr()
-    }
-
-    /// The bound HTTP address, when configured.
-    pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.handle.http_addr()
-    }
-
-    /// A control handle.
-    pub fn handle(&self) -> FleetHandle {
-        self.handle.clone()
-    }
-
-    /// Drains the fleet and joins every worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an accept-loop I/O failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accept-loop thread itself panicked.
-    pub fn shutdown_and_join(self) -> std::io::Result<()> {
-        self.handle.shutdown();
-        self.join.join().expect("fleet accept loop panicked")
-    }
-}
+pub type SpawnedFleet = Spawned<FleetHandle>;
 
 impl Fleet {
     /// Binds the listeners; does not accept yet.
@@ -350,18 +284,13 @@ impl Fleet {
                 return Err(invalid(format!("duplicate replica id {:?}", replica.id)));
             }
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let (http_listener, http_addr) = match &config.http_addr {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                let resolved = l.local_addr()?;
-                (Some(l), Some(resolved))
-            }
-            None => (None, None),
-        };
-
-        let metrics = Arc::new(MetricsRegistry::new());
+        let (doors, life) = Lifecycle::bind(
+            "fleet",
+            &config.addr,
+            config.http_addr.as_deref(),
+            config.max_connections,
+        )?;
+        let metrics = life.metrics();
         let request_counters = replicas
             .iter()
             .map(|r| {
@@ -393,10 +322,7 @@ impl Fleet {
         let state = Arc::new(FleetState {
             replicas,
             ring: RwLock::new(Arc::new(ring)),
-            shutdown: AtomicBool::new(false),
-            budget: Budget::new(config.max_connections),
-            tcp_accepting: AtomicBool::new(false),
-            http_accepting: AtomicBool::new(false),
+            life,
             request_counters,
             hedges: scalar(
                 "ccsa_fleet_hedges_total",
@@ -427,37 +353,16 @@ impl Fleet {
             current_table: Mutex::new(None),
             canary: config.canary.clone().map(Canary::new),
             config,
-            metrics,
         });
         let collector_state = Arc::downgrade(&state);
-        state
-            .metrics
-            .register_collector(move || fleet_metric_families(&collector_state));
-        Ok(Fleet {
-            listener,
-            http_listener,
-            state,
-            addr,
-            http_addr,
-        })
-    }
-
-    /// The bound JSON-lines address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The bound HTTP address, when configured.
-    pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.http_addr
+        metrics.register_collector(move || fleet_metric_families(&collector_state));
+        Ok(Fleet { doors, state })
     }
 
     /// A control handle.
     pub fn handle(&self) -> FleetHandle {
         FleetHandle {
             state: Arc::clone(&self.state),
-            addr: self.addr,
-            http_addr: self.http_addr,
         }
     }
 
@@ -467,22 +372,14 @@ impl Fleet {
     ///
     /// Propagates fatal listener failures.
     pub fn run(self) -> std::io::Result<()> {
-        let Fleet {
-            listener,
-            http_listener,
-            state,
-            ..
-        } = self;
+        let Fleet { doors, state } = self;
         let mut workers: Vec<JoinHandle<()>> = Vec::new();
-        if let Some(l) = http_listener {
+        if let Some(l) = doors.http {
             let door = move |state: &Arc<FleetState>| {
-                let _ = transport::accept_loop(
+                let _ = state.life.accept_http(
                     &l,
                     "ccsa-fleet-http-",
-                    &state.budget,
-                    &state.http_accepting,
                     || state.draining(),
-                    |stream, cap| transport::refuse_http(stream, "fleet", cap),
                     |stream, peer| serve_http_connection(state, stream, peer),
                 );
             };
@@ -497,13 +394,10 @@ impl Fleet {
         if state.canary.is_some() {
             workers.push(spawn_worker(&state, "ccsa-fleet-canary", run_canary)?);
         }
-        transport::accept_loop(
-            &listener,
+        state.life.accept_lines(
+            &doors.lines,
             "ccsa-fleet-",
-            &state.budget,
-            &state.tcp_accepting,
             || state.draining(),
-            |stream, cap| transport::refuse_line(stream, "fleet", cap),
             |stream, peer| serve_connection(&state, stream, peer),
         )?;
         for worker in workers {
@@ -522,11 +416,7 @@ impl Fleet {
         config: FleetConfig,
     ) -> std::io::Result<SpawnedFleet> {
         let fleet = Fleet::bind(replicas, config)?;
-        let handle = fleet.handle();
-        let join = std::thread::Builder::new()
-            .name("ccsa-fleet-accept".to_string())
-            .spawn(move || fleet.run())?;
-        Ok(SpawnedFleet { handle, join })
+        Spawned::start("ccsa-fleet-accept", fleet.handle(), move || fleet.run())
     }
 }
 
@@ -586,9 +476,9 @@ fn handle_line(
             if let Some(refusal) = refusal("shutdown") {
                 return (refusal, After::KeepGoing);
             }
-            // SeqCst: lifecycle flag, pairs with draining(). This session
-            // still writes the reply below before it closes.
-            state.shutdown.store(true, Ordering::SeqCst);
+            // This session still writes the reply below before it
+            // closes.
+            state.life.shutdown();
             (
                 Json::obj(vec![
                     ("ok", Json::Bool(true)),
@@ -1152,7 +1042,7 @@ fn fleet_metric_families(state: &std::sync::Weak<FleetState>) -> Vec<SampleFamil
         scalar(
             "ccsa_fleet_active_connections",
             "Fleet sessions currently open.",
-            state.budget.active() as f64,
+            state.life.active_connections() as f64,
         ),
     ]
 }
@@ -1175,22 +1065,10 @@ fn serve_http_connection(state: &Arc<FleetState>, stream: TcpStream, peer: Socke
 /// and the scored verbs forwarded through the same data plane as TCP.
 fn route_http(state: &Arc<FleetState>, request: &HttpRequest, fallback_key: &str) -> HttpResponse {
     let path = request.path.split('?').next().unwrap_or("");
+    if let Some(probe) = state.life.probe(&request.method, path, || state.draining()) {
+        return probe;
+    }
     match (request.method.as_str(), path) {
-        ("GET", "/healthz") => HttpResponse::text(200, "OK", "ok\n"),
-        ("GET", "/readyz") => {
-            if state.draining() {
-                HttpResponse::text(503, "Service Unavailable", "draining\n")
-            } else if !state.accepting() {
-                HttpResponse::text(503, "Service Unavailable", "starting\n")
-            } else {
-                HttpResponse::text(200, "OK", "ready\n")
-            }
-        }
-        ("GET", "/metrics") => {
-            let mut response = HttpResponse::text(200, "OK", &state.metrics.render());
-            response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-            response
-        }
         ("GET", "/v1/fleet") => HttpResponse::json(200, "OK", &fleet_stats_response(state)),
         ("POST", "/v1/compare") => forward_http(state, "compare", &request.body, fallback_key),
         ("POST", "/v1/rank") => forward_http(state, "rank", &request.body, fallback_key),

@@ -28,7 +28,9 @@
 //!
 //! This module is routing only. Framing — keep-alive, the head and body
 //! caps, `Expect: 100-continue`, the 4xx answers to malformed requests,
-//! response serialization — lives in [`crate::transport`], which calls
+//! response serialization, and the three probes
+//! ([`Lifecycle::probe`](crate::transport::Lifecycle::probe), shared with
+//! the fleet) — lives in [`crate::transport`], which calls
 //! `handle_request` once per request; the accept loop runs on its own
 //! thread so probes and scrapes never queue behind JSON-lines sessions,
 //! and draws on the same connection budget as the JSON-lines door.
@@ -80,24 +82,13 @@ fn handle_request<'a>(
     // routing ignores them.
     let path = request.path.split('?').next().unwrap_or("");
     let plain = |resp: HttpResponse| (resp, After::KeepGoing);
+    if let Some(probe) = shared
+        .life
+        .probe(&request.method, path, || shared.draining())
+    {
+        return plain(probe);
+    }
     match (request.method.as_str(), path) {
-        ("GET", "/healthz") => plain(HttpResponse::text(200, "OK", "ok\n")),
-        ("GET", "/readyz") => {
-            if shared.draining() {
-                plain(HttpResponse::text(503, "Service Unavailable", "draining\n"))
-            } else if !shared.accepting() {
-                // Bound but an accept loop is not live yet: a connection
-                // could still sit unaccepted, so readiness waits.
-                plain(HttpResponse::text(503, "Service Unavailable", "starting\n"))
-            } else {
-                plain(HttpResponse::text(200, "OK", "ready\n"))
-            }
-        }
-        ("GET", "/metrics") => {
-            let mut resp = HttpResponse::text(200, "OK", &shared.metrics.render());
-            resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-            plain(resp)
-        }
         ("GET", "/v1/stats") => plain(HttpResponse::json(
             200,
             "OK",
@@ -262,7 +253,8 @@ fn record_http(shared: &Shared, path: &'static str, status: u16) {
     // Three ASCII digits; every status this server sends has three.
     let code = std::str::from_utf8(&digits).unwrap_or("000");
     shared
-        .metrics
+        .life
+        .registry()
         .counter(
             "ccsa_http_requests_total",
             HTTP_REQUESTS_HELP,

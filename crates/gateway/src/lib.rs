@@ -58,15 +58,14 @@
 //!
 //! * [`router`] — the weighted table, sticky hashing, shadow sampling;
 //! * [`limit`] — per-route token-bucket rate limiting;
-//! * [`transport`] — the connection lifecycle and request framing both
-//!   doors (and `ccsa-fleet`'s two) run on: the accept loop, the
-//!   connection budget, the JSON-lines and HTTP/1.1 sessions, the
-//!   loopback gate;
-//! * [`server`] — binding, the JSON-lines verbs, drain, and the
-//!   transport-shared scored path ([`server::Gateway`]);
-//! * [`http`] — the HTTP/1.1 front door's routes: probes, `GET /metrics`
-//!   (Prometheus text exposition), and the scored verbs with responses
-//!   bit-identical to TCP's;
+//! * [`transport`] — what both doors (and `ccsa-fleet`'s two) run on:
+//!   the accept loop, the connection budget, the JSON-lines and HTTP/1.1
+//!   sessions, the loopback gate, and the listener lifecycle (bind,
+//!   probes, drain flag, background spawn, the binaries' port files);
+//! * [`server`] — the JSON-lines verbs, drain, and the transport-shared
+//!   scored path ([`server::Gateway`]);
+//! * [`http`] — the HTTP/1.1 front door's routes: the scored verbs, with
+//!   responses bit-identical to TCP's, and the stats documents;
 //! * [`stats`] — per-route rolling counters and latency percentiles,
 //!   backed by registry series;
 //! * [`trace`] — request IDs and the sampled JSON-lines trace sink;
@@ -130,7 +129,7 @@ pub mod transport;
 pub use client::{ClientError, CompareReply, GatewayClient, HttpGatewayClient};
 pub use limit::{RateLimit, TokenBucket};
 pub use router::{selectors_match, Route, Router, RouterConfigError, ShadowRoute};
-pub use server::{Gateway, GatewayConfig, GatewayHandle, SpawnedGateway};
+pub use server::{check_limits, Gateway, GatewayConfig, GatewayHandle, SpawnedGateway};
 pub use stats::{RouteStats, RouteStatsSnapshot};
 pub use trace::{generate_request_id, TraceRecord, TraceSink};
 pub use transport::MAX_LINE_BYTES;

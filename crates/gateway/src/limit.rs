@@ -54,8 +54,8 @@ impl TokenBucket {
     ///
     /// # Panics
     ///
-    /// Panics unless `rps` is finite and positive (the binary validates
-    /// its flags before building buckets).
+    /// Panics unless `rps` is finite and positive (`check_limits`
+    /// refuses such a limit before any bucket is built).
     pub fn new(rps: f64) -> TokenBucket {
         assert!(
             rps.is_finite() && rps > 0.0,

@@ -1,7 +1,7 @@
-//! The gateway proper: binding, the routed scored path, the admin verbs,
-//! and graceful shutdown. How a connection lives and how a request is
-//! framed is [`crate::transport`]'s business — this module hands it two
-//! doors' worth of handlers.
+//! The gateway proper: the routed scored path, the admin verbs, and
+//! graceful shutdown. How a listener and a connection live and how a
+//! request is framed is [`crate::transport`]'s business — this module
+//! hands it two doors' worth of handlers.
 //!
 //! Admission control is two-layered:
 //!
@@ -17,13 +17,13 @@
 //! every session finishes its in-flight request before exiting (sessions
 //! poll the flag between reads, never mid-request).
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock, Weak};
 
 use ccsa_serve::lockdep::{DMutex, DRwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ccsa_serve::json::Json;
@@ -38,7 +38,7 @@ use crate::router::{selectors_match, Route, Router, ShadowRoute};
 use crate::signal;
 use crate::stats::{RouteStats, RouteStatsSnapshot};
 use crate::trace::{generate_request_id, TraceRecord, TraceSink};
-use crate::transport::{self, refuse_remote_admin, After, Budget};
+use crate::transport::{self, refuse_remote_admin, After, Doors, Lifecycle, Spawned};
 
 /// Mirror requests waiting for the shadow worker. Shadow traffic is a
 /// statistical sample, so when the candidate cannot keep up the right
@@ -202,16 +202,9 @@ pub(crate) struct Shared {
     /// reload landed).
     pub(crate) reloads: AtomicU64,
     pub(crate) config: GatewayConfig,
-    pub(crate) shutdown: AtomicBool,
-    /// The connection budget both doors draw on.
-    pub(crate) budget: Budget,
-    /// Set once the TCP accept loop is live. Port files and readiness
-    /// wait on this, so a probe can never race a bound-but-not-accepting
-    /// listener.
-    pub(crate) tcp_accepting: AtomicBool,
-    /// Set once the HTTP accept loop is live (meaningless without an
-    /// HTTP listener — see [`Shared::accepting`]).
-    pub(crate) http_accepting: AtomicBool,
+    /// Addresses, connection budget, metrics registry, drain flag and
+    /// readiness: what the handle derefs to.
+    pub(crate) life: Lifecycle,
     /// Hands mirror jobs to the shadow worker thread (set by `run`;
     /// always present so a reload can introduce a shadow at runtime).
     pub(crate) shadow_tx: OnceLock<mpsc::SyncSender<ShadowJob>>,
@@ -220,9 +213,6 @@ pub(crate) struct Shared {
     /// Requests that pinned a model/version explicitly and bypassed the
     /// router.
     pub(crate) pinned: AtomicU64,
-    /// The unified metrics registry behind `GET /metrics` — every
-    /// route/transport counter above is a handle into it.
-    pub(crate) metrics: Arc<MetricsRegistry>,
     /// Pre-created `ccsa_gateway_requests_total{verb,status}` handles
     /// for the scored hot path.
     pub(crate) request_counters: RequestCounters,
@@ -324,20 +314,8 @@ impl Shared {
         Arc::clone(&self.routing.read().expect("routing state poisoned"))
     }
 
-    /// Whether every configured listener's accept loop is live. Until
-    /// then the process is *starting*: bound, but a connection could
-    /// still sit unaccepted, so readiness and port files wait.
-    pub(crate) fn accepting(&self) -> bool {
-        // SeqCst: simple lifecycle flags; contention is nil, so the
-        // strongest ordering buys freedom from reasoning about races.
-        self.tcp_accepting.load(Ordering::SeqCst)
-            && (self.config.http_addr.is_none() || self.http_accepting.load(Ordering::SeqCst))
-    }
-
     pub(crate) fn draining(&self) -> bool {
-        // SeqCst: the drain flag gates admission in every transport;
-        // all observers must agree on the flip order.
-        let draining = self.shutdown.load(Ordering::SeqCst)
+        let draining = self.life.shutdown_requested()
             || (self.config.honor_sigterm && signal::sigterm_received());
         if draining {
             // Stamp the drain start once: the HTTP loop's grace period
@@ -361,51 +339,23 @@ impl Shared {
     }
 }
 
-/// A cloneable control handle onto a running gateway.
+/// A cloneable control handle onto a running gateway. It derefs to the
+/// gateway's [`Lifecycle`]: `addr`, `http_addr`, `metrics`, `shutdown`,
+/// `accepting` and `active_connections`.
 #[derive(Clone)]
 pub struct GatewayHandle {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    http_addr: Option<SocketAddr>,
+}
+
+impl Deref for GatewayHandle {
+    type Target = Lifecycle;
+
+    fn deref(&self) -> &Lifecycle {
+        &self.shared.life
+    }
 }
 
 impl GatewayHandle {
-    /// The bound TCP JSON-lines address (with the resolved ephemeral
-    /// port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The bound HTTP front-door address, when one is configured.
-    pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.http_addr
-    }
-
-    /// The unified metrics registry behind `GET /metrics` — also
-    /// renderable in-process (tests, embedding).
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.shared.metrics)
-    }
-
-    /// Starts a graceful drain: stop admitting, finish in-flight
-    /// requests, exit the accept loop.
-    pub fn shutdown(&self) {
-        // SeqCst: pairs with the accept loops' draining() checks.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Sessions currently open.
-    pub fn active_connections(&self) -> usize {
-        self.shared.budget.active()
-    }
-
-    /// Whether every configured listener's accept loop is live — the
-    /// signal the binary waits for before writing port files, and what
-    /// `/readyz` reports as `starting` until then.
-    pub fn accepting(&self) -> bool {
-        self.shared.accepting()
-    }
-
     /// Routing-table swaps applied via `reload_routes` since boot.
     pub fn reload_generation(&self) -> u64 {
         // SeqCst: generation reads must not reorder around the table
@@ -414,117 +364,74 @@ impl GatewayHandle {
     }
 }
 
+/// Checks a gateway's limits against its routing table: every rate is
+/// finite and positive, every selector matches a route, and no route is
+/// limited twice. [`Gateway::bind`] refuses a
+/// table that fails, and the binary checks before it builds an engine.
+///
+/// # Errors
+///
+/// The first violation, as a message naming the route.
+pub fn check_limits(limits: &[RateLimit], router: &Router) -> Result<(), String> {
+    for (ix, limit) in limits.iter().enumerate() {
+        let label = route_label(&limit.selector);
+        if !limit.rps.is_finite() || limit.rps <= 0.0 {
+            return Err(format!(
+                "rate limit for {label} must be finite and positive, got {}",
+                limit.rps
+            ));
+        }
+        let matches = |selector: &ModelSelector| selectors_match(selector, &limit.selector);
+        if !router.routes().iter().any(|r| matches(&r.selector)) {
+            return Err(format!(
+                "rate limit for {label} matches no configured route"
+            ));
+        }
+        if limits[..ix].iter().any(|prev| matches(&prev.selector)) {
+            return Err(format!("duplicate rate limit for route {label}"));
+        }
+    }
+    Ok(())
+}
+
 /// A bound-but-not-yet-running gateway.
 pub struct Gateway {
-    listener: TcpListener,
-    http_listener: Option<TcpListener>,
+    doors: Doors,
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    http_addr: Option<SocketAddr>,
 }
 
 /// A gateway running on a background thread (tests, benches, and
 /// in-process embedding).
-pub struct SpawnedGateway {
-    handle: GatewayHandle,
-    join: JoinHandle<std::io::Result<()>>,
-}
-
-impl SpawnedGateway {
-    /// The bound TCP address.
-    pub fn addr(&self) -> SocketAddr {
-        self.handle.addr()
-    }
-
-    /// The bound HTTP front-door address, when one is configured.
-    pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.handle.http_addr()
-    }
-
-    /// A control handle.
-    pub fn handle(&self) -> GatewayHandle {
-        self.handle.clone()
-    }
-
-    /// Drains the gateway and waits for the accept loop and every
-    /// session to finish.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an accept-loop I/O failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accept-loop thread itself panicked.
-    pub fn shutdown_and_join(self) -> std::io::Result<()> {
-        self.handle.shutdown();
-        self.join.join().expect("gateway accept loop panicked")
-    }
-}
+pub type SpawnedGateway = Spawned<GatewayHandle>;
 
 impl Gateway {
-    /// Binds the listener (resolving an ephemeral port immediately) but
+    /// Binds the listeners (resolving ephemeral ports immediately) but
     /// does not accept yet.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures; rejects a rate limit whose selector
-    /// matches no route, a duplicate limit for one route, or a
-    /// non-positive/non-finite RPS (`InvalidInput`).
+    /// Propagates bind failures; rejects the rate limits
+    /// [`check_limits`] refuses (`InvalidInput`).
     pub fn bind(
         engine: Arc<ServeEngine>,
         router: Router,
         config: GatewayConfig,
     ) -> std::io::Result<Gateway> {
-        let mut seen: Vec<&ModelSelector> = Vec::new();
-        for limit in &config.rate_limits {
-            let invalid =
-                |message: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, message);
-            if !limit.rps.is_finite() || limit.rps <= 0.0 {
-                return Err(invalid(format!(
-                    "rate limit must be finite and positive, got {}",
-                    limit.rps
-                )));
-            }
-            if !router
-                .routes()
-                .iter()
-                .any(|r| selectors_match(&r.selector, &limit.selector))
-            {
-                return Err(invalid(format!(
-                    "rate limit selector {:?} matches no configured route",
-                    limit.selector
-                )));
-            }
-            if seen
-                .iter()
-                .any(|prev| selectors_match(prev, &limit.selector))
-            {
-                return Err(invalid(format!(
-                    "duplicate rate limit for route {:?}",
-                    limit.selector
-                )));
-            }
-            seen.push(&limit.selector);
-        }
-
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let (http_listener, http_addr) = match &config.http_addr {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                let resolved = l.local_addr()?;
-                (Some(l), Some(resolved))
-            }
-            None => (None, None),
-        };
+        check_limits(&config.rate_limits, &router)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let (doors, life) = Lifecycle::bind(
+            "gateway",
+            &config.addr,
+            config.http_addr.as_deref(),
+            config.max_connections,
+        )?;
 
         // The unified registry: every per-route counter below is a
         // handle into it, the engine attaches its stage histograms and
         // stats collector, and a gateway collector exports the
         // transport gauges — so `/metrics`, `stats`, and `routes` all
         // read the same atomics.
-        let metrics = Arc::new(MetricsRegistry::new());
+        let metrics = life.metrics();
         engine.attach_metrics(&metrics);
         let request_counters = RequestCounters::new(&metrics);
         let routing = RoutingState::build(&metrics, router, &config.rate_limits, None);
@@ -533,20 +440,15 @@ impl Gateway {
             None => None,
         };
 
-        let budget = Budget::new(config.max_connections);
         let shared = Arc::new(Shared {
             engine,
             routing: DRwLock::new("gateway.routing", Arc::new(routing)),
             reloads: AtomicU64::new(0),
             config,
-            shutdown: AtomicBool::new(false),
-            budget,
-            tcp_accepting: AtomicBool::new(false),
-            http_accepting: AtomicBool::new(false),
+            life,
             shadow_tx: OnceLock::new(),
             shadow_dropped: AtomicU64::new(0),
             pinned: AtomicU64::new(0),
-            metrics,
             request_counters,
             trace,
             drain_since: DMutex::new("gateway.drain_since", None),
@@ -556,34 +458,14 @@ impl Gateway {
         // would be a reference cycle. A handle outliving the gateway
         // scrapes the built-ins only.
         let collector_shared = Arc::downgrade(&shared);
-        shared
-            .metrics
-            .register_collector(move || gateway_metric_families(&collector_shared));
-        Ok(Gateway {
-            listener,
-            http_listener,
-            shared,
-            addr,
-            http_addr,
-        })
-    }
-
-    /// The bound address (with the resolved ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The bound HTTP front-door address, when one is configured.
-    pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.http_addr
+        metrics.register_collector(move || gateway_metric_families(&collector_shared));
+        Ok(Gateway { doors, shared })
     }
 
     /// A control handle (cloneable; usable from other threads).
     pub fn handle(&self) -> GatewayHandle {
         GatewayHandle {
             shared: Arc::clone(&self.shared),
-            addr: self.addr,
-            http_addr: self.http_addr,
         }
     }
 
@@ -595,31 +477,24 @@ impl Gateway {
     /// Propagates fatal listener failures (transient accept errors are
     /// retried).
     pub fn run(self) -> std::io::Result<()> {
-        let Gateway {
-            listener,
-            http_listener,
-            shared,
-            ..
-        } = self;
+        let Gateway { doors, shared } = self;
         // The HTTP front door runs its own accept loop so health
         // probes and scrapes never queue behind JSON-lines sessions —
         // and stops on its own flag, so it can outlive the TCP loop by
         // `drain_grace`.
-        let http_worker = http_listener
+        let http_worker = doors
+            .http
             .map(|l| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name("ccsa-gw-http".to_string())
                     .spawn(move || {
-                        transport::accept_loop(
+                        shared.life.accept_http(
                             &l,
                             "ccsa-http-",
-                            &shared.budget,
-                            &shared.http_accepting,
                             // SeqCst: lifecycle flag, pairs with the store
                             // at the end of `run`.
                             || shared.http_stop.load(Ordering::SeqCst),
-                            |stream, cap| transport::refuse_http(stream, "gateway", cap),
                             |stream, peer| crate::http::serve_connection(&shared, stream, peer),
                         )
                     })
@@ -646,13 +521,10 @@ impl Gateway {
                     }
                 })?
         };
-        transport::accept_loop(
-            &listener,
+        shared.life.accept_lines(
+            &doors.lines,
             "ccsa-gw-",
-            &shared.budget,
-            &shared.tcp_accepting,
             || shared.draining(),
-            |stream, cap| transport::refuse_line(stream, "gateway", cap),
             |stream, peer| serve_connection(&shared, stream, peer),
         )?;
         // Sessions are gone, so no new mirrors can arrive; Stop lets
@@ -694,11 +566,7 @@ impl Gateway {
         config: GatewayConfig,
     ) -> std::io::Result<SpawnedGateway> {
         let gateway = Gateway::bind(engine, router, config)?;
-        let handle = gateway.handle();
-        let join = std::thread::Builder::new()
-            .name("ccsa-gw-accept".to_string())
-            .spawn(move || gateway.run())?;
-        Ok(SpawnedGateway { handle, join })
+        Spawned::start("ccsa-gw-accept", gateway.handle(), move || gateway.run())
     }
 }
 
@@ -760,9 +628,9 @@ fn handle_line<'a>(
             if let Some(refusal) = refusal("shutdown") {
                 return (refusal, After::KeepGoing);
             }
-            // SeqCst: trips the drain flag every accept loop polls. This
-            // session still writes the reply below before it closes.
-            shared.shutdown.store(true, Ordering::SeqCst);
+            // Trips the drain flag every accept loop polls. This session
+            // still writes the reply below before it closes.
+            shared.life.shutdown();
             (
                 Json::obj(vec![
                     ("ok", Json::Bool(true)),
@@ -826,7 +694,7 @@ pub(crate) fn apply_reload(
     let generation = {
         let mut slot = shared.routing.write().expect("routing state poisoned");
         let next = RoutingState::build(
-            &shared.metrics,
+            shared.life.registry(),
             router,
             &shared.config.rate_limits,
             Some(&**slot),
@@ -1077,9 +945,9 @@ fn run_shadow(shared: &Shared, selector: &ModelSelector, request: &Request) {
     }
 }
 
-/// `name@vN` / `name@latest`: the stable per-route metric label (and
-/// the label in error messages).
-pub(crate) fn route_label(selector: &ModelSelector) -> String {
+/// `name@vN` / `name@latest`: the stable per-route metric label, and
+/// the route's name in error messages and the binary's logs.
+pub fn route_label(selector: &ModelSelector) -> String {
     format!(
         "{}@{}",
         selector.name.as_deref().unwrap_or(DEFAULT_MODEL),
@@ -1283,16 +1151,16 @@ fn gateway_metric_families(shared: &Weak<Shared>) -> Vec<SampleFamily> {
     let scalar = |name: &str, help: &str, kind: MetricKind, v: f64| {
         SampleFamily::new(name, help, kind, vec![Sample::value(v)])
     };
-    // Read the raw flags (SeqCst, like all lifecycle flags), not
-    // `draining()`: a scrape must never stamp the drain clock.
-    let draining = shared.shutdown.load(Ordering::SeqCst)
+    // Read the raw flags, not `draining()`: a scrape must never stamp
+    // the drain clock.
+    let draining = shared.life.shutdown_requested()
         || (shared.config.honor_sigterm && signal::sigterm_received());
     let mut families = vec![
         scalar(
             "ccsa_gateway_active_connections",
             "TCP sessions currently open.",
             Gauge,
-            shared.budget.active() as f64,
+            shared.life.budget().active() as f64,
         ),
         scalar(
             "ccsa_gateway_max_connections",
@@ -1305,8 +1173,14 @@ fn gateway_metric_families(shared: &Weak<Shared>) -> Vec<SampleFamily> {
             "Connection attempts, by admission result.",
             Counter,
             vec![
-                Sample::new(&[("result", "accepted")], shared.budget.accepted() as f64),
-                Sample::new(&[("result", "rejected")], shared.budget.rejected() as f64),
+                Sample::new(
+                    &[("result", "accepted")],
+                    shared.life.budget().accepted() as f64,
+                ),
+                Sample::new(
+                    &[("result", "rejected")],
+                    shared.life.budget().rejected() as f64,
+                ),
             ],
         ),
         scalar(
@@ -1376,7 +1250,7 @@ pub(crate) fn gateway_stats_response(shared: &Shared) -> Json {
         members.extend([
             (
                 "active_connections".to_string(),
-                Json::num(shared.budget.active() as f64),
+                Json::num(shared.life.budget().active() as f64),
             ),
             (
                 "max_connections".to_string(),
@@ -1384,11 +1258,11 @@ pub(crate) fn gateway_stats_response(shared: &Shared) -> Json {
             ),
             (
                 "accepted_connections".to_string(),
-                Json::num(shared.budget.accepted() as f64),
+                Json::num(shared.life.budget().accepted() as f64),
             ),
             (
                 "rejected_at_capacity".to_string(),
-                Json::num(shared.budget.rejected() as f64),
+                Json::num(shared.life.budget().rejected() as f64),
             ),
         ]);
     }

@@ -26,11 +26,17 @@
 //!   the idle timeout is closed, so a stalled half-sent request
 //!   (slowloris) times out exactly like a silent connection;
 //! * **the loopback gate** ([`LOOPBACK_GATED_VERBS`],
-//!   [`refuse_remote_admin`]) for the mutating verbs.
+//!   [`refuse_remote_admin`]) for the mutating verbs;
+//! * **the listener lifecycle** ([`Lifecycle`]) — binding both doors,
+//!   the drain flag, readiness once every accept loop is live, the
+//!   handle methods both tiers share, running on a background thread
+//!   ([`Spawned`]), and the binaries' door flags and port files
+//!   ([`DoorFlags`]), which appear only once the tier is accepting.
 //!
 //! A tier supplies a *stop predicate* (its drain flag), a *refusal
 //! writer* for connections over the cap ([`refuse_line`] or
-//! [`refuse_http`] under its own name), and a *handler* per request —
+//! [`refuse_http`] under its own name, which [`Lifecycle::accept_lines`]
+//! and [`Lifecycle::accept_http`] pick), and a *handler* per request —
 //! `FnMut(&str) -> (reply, After)` for a line, `FnMut(&HttpRequest) ->
 //! (HttpResponse, After)` for HTTP. Threads-per-connection is
 //! deliberate: the expensive work per request is encoder forward passes,
@@ -42,12 +48,16 @@
 use std::fmt::Display;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Deref;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::thread::ScopedJoinHandle;
+use std::sync::Arc;
+use std::thread::{JoinHandle, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use ccsa_serve::json::Json;
-use ccsa_serve::proto;
+use ccsa_serve::process::{fail, Flags};
+use ccsa_serve::{proto, MetricsRegistry};
 
 /// The longest request line (or HTTP body) a session will buffer before
 /// failing the connection — one hostile client must not be able to
@@ -284,6 +294,332 @@ pub fn refuse_http(stream: &mut TcpStream, tier: &str, cap: usize) {
 
 fn capacity_message(tier: &str, cap: usize) -> String {
     format!("{tier} at capacity ({cap} connections) — retry later")
+}
+
+// ---------------------------------------------------------------------
+// Listener lifecycle
+// ---------------------------------------------------------------------
+
+/// A tier's listeners, bound but not yet accepting. The tier's `run`
+/// takes them, so the ports close when its accept loops return.
+pub struct Doors {
+    /// The JSON-lines listener.
+    pub lines: TcpListener,
+    /// The HTTP/1.1 listener, when the tier has an HTTP door.
+    pub http: Option<TcpListener>,
+}
+
+/// What a tier's handles, doors and port files share: the bound
+/// addresses, the connection budget, the metrics registry, the drain
+/// flag, and whether each accept loop is live. A tier keeps one in its
+/// shared state and its handle derefs to it.
+pub struct Lifecycle {
+    tier: &'static str,
+    addr: SocketAddr,
+    http_addr: Option<SocketAddr>,
+    budget: Budget,
+    metrics: Arc<MetricsRegistry>,
+    shutdown: AtomicBool,
+    lines_accepting: AtomicBool,
+    http_accepting: AtomicBool,
+}
+
+impl Lifecycle {
+    /// Binds the JSON-lines listener on `addr` and, when `http_addr` is
+    /// given, the HTTP one, resolving ephemeral ports now. `tier` names
+    /// the process in over-capacity refusals (`gateway`, `fleet`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind failures.
+    pub fn bind(
+        tier: &'static str,
+        addr: &str,
+        http_addr: Option<&str>,
+        max_connections: usize,
+    ) -> std::io::Result<(Doors, Lifecycle)> {
+        let lines = TcpListener::bind(addr)?;
+        let http = http_addr.map(TcpListener::bind).transpose()?;
+        let lifecycle = Lifecycle {
+            tier,
+            addr: lines.local_addr()?,
+            http_addr: http.as_ref().map(TcpListener::local_addr).transpose()?,
+            budget: Budget::new(max_connections),
+            metrics: Arc::new(MetricsRegistry::new()),
+            shutdown: AtomicBool::new(false),
+            lines_accepting: AtomicBool::new(false),
+            http_accepting: AtomicBool::new(false),
+        };
+        Ok((Doors { lines, http }, lifecycle))
+    }
+
+    /// The bound JSON-lines address (with the resolved ephemeral port).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The bound HTTP address, when the tier has an HTTP door.
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.http_addr
+    }
+
+    /// The tier's metrics registry: what `GET /metrics` renders, also
+    /// renderable in-process (tests, embedding).
+    pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.metrics)
+    }
+
+    /// The registry, borrowed: for the request path, which records into
+    /// it without touching the `Arc`.
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
+    /// Starts a graceful drain: stop admitting, finish in-flight
+    /// requests, exit the accept loops.
+    pub fn shutdown(&self) {
+        // SeqCst: pairs with the accept loops' drain checks.
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether [`Lifecycle::shutdown`] has been called.
+    pub fn shutdown_requested(&self) -> bool {
+        // SeqCst: the drain flag gates admission on every door; all
+        // observers must agree on the flip order.
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Whether every door's accept loop is live. Until then the tier is
+    /// *starting*: bound, but a connection could still sit unaccepted,
+    /// so `/readyz` and the port files wait.
+    pub fn accepting(&self) -> bool {
+        // SeqCst: lifecycle flags, same ordering as the accept loops'
+        // stores.
+        self.lines_accepting.load(Ordering::SeqCst)
+            && (self.http_addr.is_none() || self.http_accepting.load(Ordering::SeqCst))
+    }
+
+    /// Sessions currently open, across both doors.
+    pub fn active_connections(&self) -> usize {
+        self.budget.active()
+    }
+
+    /// The connection budget both doors draw on.
+    pub(crate) fn budget(&self) -> &Budget {
+        &self.budget
+    }
+
+    /// Answers the probes and the scrape every HTTP door serves: `GET
+    /// /healthz`; `GET /readyz`, a 503 `draining` once `draining()`
+    /// holds and a 503 `starting` until every accept loop is live; and
+    /// `GET /metrics` in Prometheus text. `None` for any other request.
+    pub fn probe(
+        &self,
+        method: &str,
+        path: &str,
+        draining: impl Fn() -> bool,
+    ) -> Option<HttpResponse> {
+        let unavailable = |body| HttpResponse::text(503, "Service Unavailable", body);
+        Some(match (method, path) {
+            ("GET", "/healthz") => HttpResponse::text(200, "OK", "ok\n"),
+            ("GET", "/readyz") if draining() => unavailable("draining\n"),
+            ("GET", "/readyz") if !self.accepting() => unavailable("starting\n"),
+            ("GET", "/readyz") => HttpResponse::text(200, "OK", "ready\n"),
+            ("GET", "/metrics") => {
+                let mut response = HttpResponse::text(200, "OK", &self.metrics.render());
+                response.content_type = "text/plain; version=0.0.4; charset=utf-8";
+                response
+            }
+            _ => return None,
+        })
+    }
+
+    /// Runs the JSON-lines door's [`accept_loop`] until `stop()`. A
+    /// connection over the budget gets one `ok:false` line.
+    ///
+    /// # Errors
+    ///
+    /// As [`accept_loop`].
+    pub fn accept_lines(
+        &self,
+        listener: &TcpListener,
+        thread_prefix: &str,
+        stop: impl Fn() -> bool,
+        session: impl Fn(TcpStream, SocketAddr) + Sync,
+    ) -> std::io::Result<()> {
+        let refuse = |stream: &mut TcpStream, cap| refuse_line(stream, self.tier, cap);
+        let accepting = &self.lines_accepting;
+        accept_loop(
+            listener,
+            thread_prefix,
+            &self.budget,
+            accepting,
+            stop,
+            refuse,
+            session,
+        )
+    }
+
+    /// Runs the HTTP door's [`accept_loop`] until `stop()`. A
+    /// connection over the budget gets one complete 503.
+    ///
+    /// # Errors
+    ///
+    /// As [`accept_loop`].
+    pub fn accept_http(
+        &self,
+        listener: &TcpListener,
+        thread_prefix: &str,
+        stop: impl Fn() -> bool,
+        session: impl Fn(TcpStream, SocketAddr) + Sync,
+    ) -> std::io::Result<()> {
+        let refuse = |stream: &mut TcpStream, cap| refuse_http(stream, self.tier, cap);
+        let accepting = &self.http_accepting;
+        accept_loop(
+            listener,
+            thread_prefix,
+            &self.budget,
+            accepting,
+            stop,
+            refuse,
+            session,
+        )
+    }
+}
+
+/// A tier running on a background thread (tests, benches, in-process
+/// embedding); `H` is the tier's handle.
+pub struct Spawned<H> {
+    handle: H,
+    join: JoinHandle<std::io::Result<()>>,
+}
+
+impl<H: Deref<Target = Lifecycle> + Clone> Spawned<H> {
+    /// Runs `run`, the tier's accept loops, on a thread named `thread`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the thread cannot be spawned.
+    pub fn start(
+        thread: &str,
+        handle: H,
+        run: impl FnOnce() -> std::io::Result<()> + Send + 'static,
+    ) -> std::io::Result<Spawned<H>> {
+        let join = std::thread::Builder::new()
+            .name(thread.to_string())
+            .spawn(run)?;
+        Ok(Spawned { handle, join })
+    }
+
+    /// The bound JSON-lines address.
+    pub fn addr(&self) -> SocketAddr {
+        self.handle.addr()
+    }
+
+    /// The bound HTTP address, when the tier has an HTTP door.
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.handle.http_addr()
+    }
+
+    /// A control handle.
+    pub fn handle(&self) -> H {
+        self.handle.clone()
+    }
+
+    /// Drains the tier and waits for its accept loops, sessions and
+    /// workers to finish.
+    ///
+    /// # Errors
+    ///
+    /// Propagates an accept-loop I/O failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the accept-loop thread itself panicked.
+    pub fn shutdown_and_join(self) -> std::io::Result<()> {
+        self.handle.shutdown();
+        let tier = self.handle.tier;
+        self.join
+            .join()
+            .unwrap_or_else(|_| panic!("{tier} accept loop panicked"))
+    }
+}
+
+/// The door flags the `gateway` and `fleet` binaries share: `--addr
+/// HOST`, `--port N`, `--port-file PATH`, `--http-port N` and
+/// `--http-port-file PATH`.
+pub struct DoorFlags {
+    host: String,
+    port: u16,
+    port_file: Option<PathBuf>,
+    http_port: Option<u16>,
+    http_port_file: Option<PathBuf>,
+}
+
+impl DoorFlags {
+    /// No flags yet: host `127.0.0.1`, JSON-lines `port`, no HTTP door.
+    pub fn new(port: u16) -> DoorFlags {
+        DoorFlags {
+            host: "127.0.0.1".to_string(),
+            port,
+            port_file: None,
+            http_port: None,
+            http_port_file: None,
+        }
+    }
+
+    /// Reads `flag`'s value when it is a door flag; `false` otherwise.
+    pub fn take(&mut self, flag: &str, flags: &mut Flags) -> bool {
+        match flag {
+            "--addr" => self.host = flags.value(),
+            "--port" => self.port = flags.parse(flag),
+            "--port-file" => self.port_file = Some(flags.path()),
+            "--http-port" => self.http_port = Some(flags.parse(flag)),
+            "--http-port-file" => self.http_port_file = Some(flags.path()),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The JSON-lines bind address.
+    pub fn addr(&self) -> String {
+        format!("{}:{}", self.host, self.port)
+    }
+
+    /// The HTTP bind address, when `--http-port` was given.
+    pub fn http_addr(&self) -> Option<String> {
+        self.http_port.map(|port| format!("{}:{port}", self.host))
+    }
+
+    /// Writes each bound port to its file once every accept loop of the
+    /// tier is live. A port file is a supervisor's "come probe me"
+    /// signal, so it must not appear at bind time: a probe racing the
+    /// accept loops could connect to a bound-but-not-accepting listener
+    /// and hang. The writer is detached: if an accept loop never comes
+    /// up the process is exiting anyway, and a drain must not wait on
+    /// it. A failed write exits 1.
+    pub fn write_port_files(&self, handle: impl Deref<Target = Lifecycle> + Send + 'static) {
+        let files = [
+            (self.port_file.clone(), Some(handle.addr()), "--port-file"),
+            (
+                self.http_port_file.clone(),
+                handle.http_addr(),
+                "--http-port-file",
+            ),
+        ];
+        let _detached = std::thread::spawn(move || {
+            while !handle.accepting() {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            for (path, addr, flag) in files {
+                if let (Some(path), Some(addr)) = (path, addr) {
+                    if let Err(e) = std::fs::write(path, format!("{}\n", addr.port())) {
+                        fail(format!("writing {flag} failed: {e}"));
+                    }
+                }
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------

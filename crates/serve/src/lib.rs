@@ -79,10 +79,9 @@
 //!   here, so the `stats`/`routes` verbs and a `/metrics` scrape always
 //!   agree ([`engine_metric_families`] wires an engine in);
 //! * [`proto`] + [`json`] — the JSON-lines wire protocol shared by the
-//!   `serve` binary and the `ccsa-gateway` TCP transport (which adds
-//!   weighted sticky A/B routing, per-route rolling stats, and an
-//!   HTTP/1.1 front door with health probes and per-request tracing on
-//!   top).
+//!   `serve` binary and the `ccsa-gateway` TCP transport;
+//! * [`process`] — the skeleton of the `serve`, `gateway` and `fleet`
+//!   binaries: one flag reader, one usage-and-exit, one model bootstrap.
 //!
 //! # Example
 //!
@@ -125,6 +124,7 @@ pub mod lockdep;
 mod lru;
 mod memo;
 pub mod metrics;
+pub mod process;
 pub mod proto;
 pub mod registry;
 

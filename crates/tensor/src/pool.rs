@@ -102,6 +102,30 @@ static SHARED_BUFFERS: AtomicU64 = AtomicU64::new(0);
 static LOCAL_BYTES: AtomicU64 = AtomicU64::new(0);
 static SHARED_BYTES: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's share of the monotonic counters. Tests run
+    /// on parallel threads that all move the process-wide counters, so
+    /// a test that asserts a delta reads its own thread's.
+    static THREAD_COUNTS: std::cell::Cell<PoolStats> = std::cell::Cell::new(PoolStats::default());
+}
+
+/// Adds one to a monotonic counter and, in this crate's tests, to the
+/// calling thread's mirror of it (`field` picks the mirror).
+#[inline]
+fn count(counter: &AtomicU64, field: fn(&mut PoolStats) -> &mut u64) {
+    // Relaxed: statistics, see module-level comment.
+    counter.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    let _ = THREAD_COUNTS.try_with(|counts| {
+        let mut mirror = counts.get();
+        *field(&mut mirror) += 1;
+        counts.set(mirror);
+    });
+    #[cfg(not(test))]
+    let _ = field;
+}
+
 /// One thread's free lists. On thread exit the parked buffers are
 /// handed back to the allocator; `Drop` keeps the gauges honest.
 struct Local {
@@ -166,16 +190,16 @@ fn take_recycled(min_cap: usize) -> Option<Vec<f32>> {
         .ok()
         .flatten();
     if let Some(v) = local {
+        count(&LOCAL_HITS, |s| &mut s.local_hits);
         // Relaxed: statistics, see module-level comment.
-        LOCAL_HITS.fetch_add(1, Ordering::Relaxed);
         LOCAL_BUFFERS.fetch_sub(1, Ordering::Relaxed);
         LOCAL_BYTES.fetch_sub(4 * v.capacity() as u64, Ordering::Relaxed);
         return Some(v);
     }
     let shared = with_shared(|tier| tier[class..].iter_mut().find_map(Vec::pop));
     if let Some(ref v) = shared {
+        count(&SHARED_HITS, |s| &mut s.shared_hits);
         // Relaxed: statistics, see module-level comment.
-        SHARED_HITS.fetch_add(1, Ordering::Relaxed);
         SHARED_BUFFERS.fetch_sub(1, Ordering::Relaxed);
         SHARED_BYTES.fetch_sub(4 * v.capacity() as u64, Ordering::Relaxed);
     }
@@ -202,8 +226,7 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
 /// get what they ask for. Zeros come from the allocator, which hands
 /// large requests untouched pages rather than filling them.
 fn fresh(len: usize) -> Vec<f32> {
-    // Relaxed: statistics, see module-level comment.
-    MISSES.fetch_add(1, Ordering::Relaxed);
+    count(&MISSES, |s| &mut s.misses);
     let class = class_for_len(len).filter(|_| len > 0);
     let mut v = vec![0.0; class.map_or(len, class_size)];
     v.truncate(len);
@@ -283,8 +306,8 @@ pub fn put(mut v: Vec<f32>) {
     });
     match spill {
         Ok(false) => {
+            count(&RETURNS, |s| &mut s.returns);
             // Relaxed: statistics, see module-level comment.
-            RETURNS.fetch_add(1, Ordering::Relaxed);
             LOCAL_BUFFERS.fetch_add(1, Ordering::Relaxed);
             LOCAL_BYTES.fetch_add(bytes, Ordering::Relaxed);
         }
@@ -300,13 +323,12 @@ pub fn put(mut v: Vec<f32>) {
                 }
             });
             if parked {
+                count(&RETURNS, |s| &mut s.returns);
                 // Relaxed: statistics, see module-level comment.
-                RETURNS.fetch_add(1, Ordering::Relaxed);
                 SHARED_BUFFERS.fetch_add(1, Ordering::Relaxed);
                 SHARED_BYTES.fetch_add(bytes, Ordering::Relaxed);
             } else {
-                // Relaxed: statistics, see module-level comment.
-                DROPS.fetch_add(1, Ordering::Relaxed);
+                count(&DROPS, |s| &mut s.drops);
             }
         }
     }
@@ -368,6 +390,12 @@ pub fn stats() -> PoolStats {
         local_bytes: LOCAL_BYTES.load(Ordering::Relaxed),
         shared_bytes: SHARED_BYTES.load(Ordering::Relaxed),
     }
+}
+
+/// The calling thread's takes, returns and drops (gauges stay zero).
+#[cfg(test)]
+fn thread_stats() -> PoolStats {
+    THREAD_COUNTS.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
@@ -443,11 +471,11 @@ mod tests {
 
     #[test]
     fn stats_advance_on_hit_and_miss() {
-        let before = stats();
+        let before = thread_stats();
         let v = take_zeroed(1024);
         put(v);
         let _v2 = take_zeroed(1000); // same class: must be a hit
-        let after = stats();
+        let after = thread_stats();
         assert!(after.takes() > before.takes());
         assert!(
             after.local_hits + after.shared_hits > before.local_hits + before.shared_hits,
@@ -457,13 +485,13 @@ mod tests {
 
     #[test]
     fn tiny_and_oversize_buffers_are_not_pooled() {
-        let before = stats();
+        let before = thread_stats();
         put(Vec::with_capacity(2)); // below the minimum class
         let huge_len = class_size(NUM_CLASSES - 1) + 1;
         assert!(class_for_len(huge_len).is_none());
         let v = take_zeroed(huge_len);
         assert_eq!(v.len(), huge_len);
-        let after = stats();
+        let after = thread_stats();
         assert_eq!(after.returns, before.returns);
     }
 }

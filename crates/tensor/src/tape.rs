@@ -186,8 +186,6 @@ enum Op {
     Tanh(usize),
     Relu(usize),
     Sum(usize),
-    Mean(usize),
-    Dot(usize, usize),
     Concat(Vec<usize>),
     AddN(Vec<usize>),
     Stack(Vec<usize>),
@@ -1465,23 +1463,6 @@ impl Tape {
                         &nodes,
                     );
                 }
-                Op::Mean(a) => {
-                    let n = nodes[*a].value().len().max(1) as f32;
-                    let gi = g.item() / n;
-                    accumulate(
-                        &mut grads,
-                        *a,
-                        Tensor::full(nodes[*a].value().shape(), gi),
-                        &nodes,
-                    );
-                }
-                Op::Dot(a, b) => {
-                    let gi = g.item();
-                    let av = nodes[*a].value();
-                    let bv = nodes[*b].value();
-                    accumulate(&mut grads, *a, bv.scale(gi), &nodes);
-                    accumulate(&mut grads, *b, av.scale(gi), &nodes);
-                }
                 Op::Concat(parts) => {
                     let gs = g.as_slice();
                     let mut off = 0;
@@ -1852,23 +1833,6 @@ impl<'t> Var<'t> {
     pub fn sum(self) -> Var<'t> {
         let v = Tensor::scalar(self.value().sum());
         self.tape.push(|| Op::Sum(self.id), v)
-    }
-
-    /// Mean of all elements (scalar result).
-    pub fn mean(self) -> Var<'t> {
-        let v = Tensor::scalar(self.value().mean());
-        self.tape.push(|| Op::Mean(self.id), v)
-    }
-
-    /// Dot product with another variable of the same length (scalar).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn dot(self, other: Var<'t>) -> Var<'t> {
-        self.same_tape(&other);
-        let v = Tensor::scalar(self.value().dot(&other.value()));
-        self.tape.push(|| Op::Dot(self.id, other.id), v)
     }
 
     /// Extracts row `r` of a matrix as a vector.
